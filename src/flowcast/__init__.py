@@ -21,7 +21,7 @@ from .greedy import (
     greedy_train,
     train,
 )
-from .kernels import GaussianKernel, KernelExpansion, expansion_eval, gaussian_eval
+from .kernels import GaussianKernel, KernelExpansion, gaussian_eval
 from .model_selection import CrossValidationError, CvConfig, CvResult, select_epsilon
 from .ode import (
     EXPLICIT_EULER,
@@ -39,10 +39,8 @@ from .ode import (
 from .pipeline import (
     ComparisonReport,
     OfflineConfig,
-    RunReport,
     SurrogateModel,
     assemble_training_set,
-    compare,
     compare_cases,
     load_model,
     offline,
@@ -68,7 +66,6 @@ __all__ = [
     "train",
     "GaussianKernel",
     "KernelExpansion",
-    "expansion_eval",
     "gaussian_eval",
     "CrossValidationError",
     "CvConfig",
@@ -87,10 +84,8 @@ __all__ = [
     "surrogate_initializer",
     "ComparisonReport",
     "OfflineConfig",
-    "RunReport",
     "SurrogateModel",
     "assemble_training_set",
-    "compare",
     "compare_cases",
     "load_model",
     "offline",

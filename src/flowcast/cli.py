@@ -27,7 +27,7 @@ import numpy as np
 
 from .greedy import SelectionRule
 from .model_selection import CrossValidationError, CvConfig, CvResult, select_epsilon
-from .ode import NewtonConfig
+from .ode import NewtonConfig, _nearest_step_count
 from .pipeline import (
     ComparisonReport,
     DataInconsistencyError,
@@ -159,10 +159,8 @@ def _opt_int(text):
 
 def snap_dt(T: float, dt: float) -> float:
     """Adjust dt minimally so the horizon T is an integer number of steps."""
-    ratio = T / dt
-    if abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio):
-        return float(dt)
-    return T / max(1, round(ratio))
+    n, exact = _nearest_step_count(T, dt)
+    return float(dt) if exact else T / n
 
 
 @dataclass(frozen=True)
@@ -345,15 +343,15 @@ def cmd_online(args) -> int:
         mu = ast.literal_eval(args.mu)
     except (ValueError, SyntaxError) as exc:
         raise ConfigError(f"cannot parse --mu {args.mu!r}: {exc}") from exc
-    traj, report = online(model, mu, args.dt, args.horizon)
-    print(f"mu = {report.mu}, dt = {report.dt:g}, T = {report.horizon:g}, "
-          f"steps = {report.n_steps}")
-    if report.dt_in_training is False:
+    traj, dt_in_training = online(model, mu, args.dt, args.horizon)
+    print(f"mu = {tuple(float(v) for v in traj.mu)}, dt = {traj.dt:g}, "
+          f"T = {args.horizon:g}, steps = {traj.n_steps}")
+    if dt_in_training is False:
         print("note: dt differs from every training step size")
-    print(f"mean Newton iterations per step: {report.mean_iterations:.2f} "
-          f"(total {report.total_iterations})")
-    print(f"mean starting-guess residual: {report.mean_initializer_residual:.3e}")
-    print(f"wall time: {report.wall_time_s:.3f} s")
+    print(f"mean Newton iterations per step: {traj.mean_iterations:.2f} "
+          f"(total {traj.total_iterations})")
+    print(f"mean starting-guess residual: {traj.mean_initializer_residual:.3e}")
+    print(f"wall time: {traj.wall_time_s:.3f} s")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -364,8 +362,8 @@ def cmd_online(args) -> int:
                                  repr(s.initializer_residual_norm),
                                  repr(s.final_residual_norm)])
         print(f"per-step report written to {args.out}")
-    if not report.completed:
-        print(f"error: {report.error}", file=sys.stderr)
+    if not traj.completed:
+        print(f"error: {traj.error}", file=sys.stderr)
         return 1
     return 0
 
@@ -374,10 +372,7 @@ def cmd_bench(args) -> int:
     exp = load_experiment(args.config)
     model = load_model(args.model)
     repetitions = args.repetitions if args.repetitions else exp.repetitions
-    # Timing runs stay serial regardless of --jobs; concurrent timing skews.
-    report = compare_cases(
-        model, exp.test_cases(), exp.test_horizon, repetitions=repetitions, jobs=1
-    )
+    report = compare_cases(model, exp.test_cases(), exp.test_horizon, repetitions=repetitions)
     if not report.rows:
         print("error: every benchmark case failed", file=sys.stderr)
         return 1
@@ -400,7 +395,7 @@ def cmd_bench(args) -> int:
 def cmd_cv(args) -> int:
     exp = load_experiment(args.config)
     off = _apply_offline_overrides(exp.offline, args)
-    data, _, _ = build_training_data(off)
+    data, _, _, _ = build_training_data(off)
     cv_cfg = dataclasses.replace(off.cv, rule=off.rule, tolerance=off.tolerance, jobs=off.jobs)
     result = select_epsilon(data, cv_cfg)
     _write_cv_csv(args.out, result)
@@ -424,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_off.add_argument("--epsilon", type=float, help="fixed kernel width (skips CV)")
     p_off.add_argument("--rule", choices=["f", "p", "fp"], help="greedy selection rule")
     p_off.add_argument("--seed", type=int, help="cross-validation fold seed")
-    p_off.add_argument("--jobs", type=int, help="concurrent workers")
+    p_off.add_argument("--jobs", type=int, help="cross-validation worker threads")
     p_off.set_defaults(func=cmd_offline)
 
     p_on = sub.add_parser("online", help="run one surrogate-initialized integration")
@@ -441,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="per-case CSV path")
     p_bench.add_argument("--repetitions", type=int,
                          help="timing repetitions (default from config)")
-    p_bench.add_argument("--jobs", type=int, help="accepted for symmetry; bench runs serially")
     p_bench.set_defaults(func=cmd_bench)
 
     p_cv = sub.add_parser("cv", help="kernel width search curve")
@@ -449,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--out", required=True, help="(epsilon, score) CSV path")
     p_cv.add_argument("--rule", choices=["f", "p", "fp"])
     p_cv.add_argument("--seed", type=int)
-    p_cv.add_argument("--jobs", type=int)
+    p_cv.add_argument("--jobs", type=int, help="cross-validation worker threads")
     p_cv.set_defaults(func=cmd_cv)
     return parser
 

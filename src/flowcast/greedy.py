@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import GaussianKernel, Kernel, KernelExpansion, _check_epsilon
+from .kernels import GaussianKernel, KernelExpansion, _check_epsilon
 
 __all__ = [
     "POWER_FLOOR",
@@ -149,13 +149,13 @@ class GreedyState:
         (n_max, q) projection coefficients of the targets on the basis.
     """
 
-    def __init__(self, data: TrainingSet, kernel: Kernel, max_centers: int | None = None):
+    def __init__(self, data: TrainingSet, kernel: GaussianKernel, max_centers: int | None = None):
         n_max = data.size if max_centers is None else min(data.size, max_centers)
         self.data = data
         self.kernel = kernel
         self.newton_basis = np.zeros((data.size, n_max))
         self.residuals = data.targets.copy()
-        self.power_sq = np.asarray(kernel.diag(data.inputs), dtype=float).copy()
+        self.power_sq = np.ones(data.size)  # K(x, x) = 1 for the Gaussian
         self.newton_coeffs = np.zeros((n_max, data.output_dim))
         self.selected: list[int] = []
         self.is_selected = np.zeros(data.size, dtype=bool)

@@ -13,12 +13,10 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
-    "Kernel",
     "GaussianKernel",
     "KernelExpansion",
     "gaussian_eval",
     "kernel_matrix",
-    "expansion_eval",
 ]
 
 
@@ -43,22 +41,12 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-class Kernel:
-    """Symmetric, strictly positive definite bivariate function.
-
-    Subclasses implement ``__call__`` for pairwise cross matrices and
-    ``diag`` for the diagonal K(x, x). The Gaussian below is the only
-    instance shipped; the greedy trainer works with any subclass.
-    """
-
-    def __call__(self, X, Y=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def diag(self, X) -> np.ndarray:
-        raise NotImplementedError
+def _gaussian(X: np.ndarray, Y: np.ndarray, epsilon: float) -> np.ndarray:
+    """exp(-epsilon^2 ||x - y||_2^2) for every pair of rows of `X` and `Y`."""
+    return np.exp(-(epsilon**2) * cdist(X, Y, "sqeuclidean"))
 
 
-class GaussianKernel(Kernel):
+class GaussianKernel:
     """Gaussian kernel exp(-epsilon^2 ||x - y||_2^2).
 
     Parameters
@@ -78,11 +66,7 @@ class GaussianKernel(Kernel):
             raise ValueError(
                 f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}"
             )
-        sqdist = cdist(X, Y, "sqeuclidean")
-        return np.exp(-(self.epsilon**2) * sqdist)
-
-    def diag(self, X) -> np.ndarray:
-        return np.ones(_as_points(X).shape[0])
+        return _gaussian(X, Y, self.epsilon)
 
     def __repr__(self):
         return f"GaussianKernel(epsilon={self.epsilon!r})"
@@ -110,7 +94,7 @@ def kernel_matrix(X, epsilon) -> np.ndarray:
     eps = _check_epsilon(epsilon)
     if np.unique(X, axis=0).shape[0] != X.shape[0]:
         raise ValueError("points must be pairwise distinct (duplicate rows found)")
-    return np.exp(-eps * eps * cdist(X, X, "sqeuclidean"))
+    return _gaussian(X, X, eps)
 
 
 @dataclass(frozen=True)
@@ -175,18 +159,7 @@ class KernelExpansion:
             raise ValueError(
                 f"expected points of dimension {self.input_dim}, got shape {x.shape}"
             )
-        if self.n_centers == 0:
-            out = np.zeros((pts.shape[0], self.output_dim))
-        else:
-            k = np.exp(
-                -(self.epsilon**2) * cdist(pts, self.centers, "sqeuclidean")
-            )
-            out = k @ self.coefficients
+        out = _gaussian(pts, self.centers, self.epsilon) @ self.coefficients
         return out[0] if single else out
 
     __call__ = evaluate
-
-
-def expansion_eval(model: KernelExpansion, x) -> np.ndarray:
-    """Evaluate a kernel expansion at a single point."""
-    return model.evaluate(_as_point(x))

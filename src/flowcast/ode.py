@@ -273,19 +273,37 @@ class Trajectory:
         return self.total_iterations / len(self.newton_stats)
 
     @property
+    def mean_initializer_residual(self) -> float:
+        """Mean residual norm of the Newton starting guesses."""
+        if not self.newton_stats:
+            return float("nan")
+        return float(np.mean([s.initializer_residual_norm for s in self.newton_stats]))
+
+    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
 
-def _step_count(T: float, dt: float) -> int:
-    """T as an integer number of steps; rejects non-divisible horizons."""
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+def _nearest_step_count(T: float, dt: float) -> tuple[int, bool]:
+    """Whole number of dt steps nearest to T (at least 1), and whether it
+    spans T exactly, i.e. T/dt is an integer up to relative round-off.
+
+    This is the one horizon rule of the package. Raises ValueError unless
+    dt and T are finite and > 0.
+    """
     if not np.isfinite(T) or T <= 0:
         raise ValueError(f"T must be > 0, got {T!r}")
+    if not np.isfinite(dt) or dt <= 0 or not np.isfinite(T / dt):
+        raise ValueError(f"dt must be > 0, got {dt!r}")
     ratio = T / dt
     n = int(round(ratio))
-    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+    return max(1, n), n >= 1 and abs(ratio - n) <= 1e-9 * max(1.0, ratio)
+
+
+def _step_count(T: float, dt: float) -> int:
+    """T as an integer number of steps; rejects non-divisible horizons."""
+    n, exact = _nearest_step_count(T, dt)
+    if not exact:
         raise ValueError(f"horizon T={T!r} is not an integer multiple of dt={dt!r}")
     return n
 

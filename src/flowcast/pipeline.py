@@ -7,9 +7,9 @@ the sparse greedy trainer. The result is a surrogate of the one-step map
 that can be persisted to a versioned JSON file.
 
 Online: the surrogate predicts each next state and Newton polishes it, which
-cuts iterations without changing the converged states. ``compare`` runs the
-baseline and the surrogate side by side and aggregates iteration and wall
-time gains the way benchmark tables report them.
+cuts iterations without changing the converged states. ``compare_cases``
+runs the baseline and the surrogate side by side and aggregates iteration
+and wall time gains the way benchmark tables report them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +26,10 @@ from .kernels import KernelExpansion
 from .model_selection import CvConfig, CvResult, select_epsilon
 from .ode import (
     PREVIOUS_VALUE,
-    Initializer,
     IvpProblem,
     NewtonConfig,
     Trajectory,
+    _step_count,
     integrate,
     surrogate_initializer,
 )
@@ -44,14 +43,12 @@ __all__ = [
     "Normalization",
     "OfflineConfig",
     "SurrogateModel",
-    "RunReport",
     "CaseResult",
     "ComparisonReport",
     "assemble_training_set",
     "build_training_data",
     "offline",
     "online",
-    "compare",
     "compare_cases",
     "percent_gain",
     "save_model",
@@ -110,7 +107,8 @@ class OfflineConfig:
 
     ``cases`` is a sequence of ((mu components), dt) pairs; the same mu may
     appear with several step sizes. ``epsilon=None`` selects the width by
-    cross validation with ``cv``; a fixed value bypasses it.
+    cross validation with ``cv``; a fixed value bypasses it. ``jobs`` is the
+    number of cross-validation worker threads; nothing else runs in parallel.
     """
 
     cases: tuple
@@ -133,15 +131,11 @@ class OfflineConfig:
         )
         if not cases:
             raise ValueError("at least one training case (mu, dt) is required")
-        if not np.isfinite(self.horizon) or self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
         for mu, dt in cases:
-            ratio = self.horizon / dt
-            if dt <= 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ValueError(
-                    f"horizon {self.horizon!r} is not an integer multiple of dt={dt!r} "
-                    f"(training case mu={mu})"
-                )
+            try:
+                _step_count(self.horizon, dt)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (training case mu={mu})") from None
         if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
             raise ValueError(f"epsilon must be > 0 or None, got {self.epsilon!r}")
         if not isinstance(self.rule, SelectionRule):
@@ -231,26 +225,21 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
     return TrainingSet(np.asarray(rows_x), np.asarray(rows_y))
 
 
-def _integrate_cases(problem, cases, horizon, newton, jobs) -> list[Trajectory]:
-    def run(case):
-        mu, dt = case
-        return integrate(problem, mu, dt, horizon, newton, PREVIOUS_VALUE)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, cases))
-    return [run(c) for c in cases]
-
-
-def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, Normalization | None, int]:
+def build_training_data(
+    cfg: OfflineConfig,
+) -> tuple[TrainingSet, Normalization | None, int, IvpProblem]:
     """Integrate the training cases and assemble (possibly normalized) data.
 
     Returns the training set, the fitted normalization (None unless
-    requested), and the pair count before deduplication. Raises OfflineError
-    naming the case if any training integration fails.
+    requested), the pair count before deduplication, and the problem the
+    cases were integrated on. Raises OfflineError naming the case if any
+    training integration fails.
     """
     problem = build_problem(cfg.problem, **cfg.problem_options)
-    trajectories = _integrate_cases(problem, cfg.cases, cfg.horizon, cfg.newton, cfg.jobs)
+    trajectories = [
+        integrate(problem, mu, dt, cfg.horizon, cfg.newton, PREVIOUS_VALUE)
+        for mu, dt in cfg.cases
+    ]
     for (mu, dt), traj in zip(cfg.cases, trajectories):
         if not traj.completed:
             raise OfflineError(
@@ -262,7 +251,7 @@ def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, Normalization 
     if cfg.normalize_inputs:
         normalization = Normalization.fit(data.inputs)
         data = TrainingSet(normalization.apply(data.inputs), data.targets)
-    return data, normalization, n_before
+    return data, normalization, n_before, problem
 
 
 def offline(cfg: OfflineConfig) -> SurrogateModel:
@@ -271,8 +260,7 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
     Raises OfflineError naming the case if any training integration fails;
     cross-validation failures propagate unchanged.
     """
-    data, normalization, n_before = build_training_data(cfg)
-    problem = build_problem(cfg.problem, **cfg.problem_options)
+    data, normalization, n_before, problem = build_training_data(cfg)
     cv_result = None
     if cfg.epsilon is not None:
         epsilon = cfg.epsilon
@@ -339,49 +327,6 @@ def _dt_in_training(model: SurrogateModel, dt: float) -> bool | None:
     return any(abs(dt - d) <= 1e-12 * max(1.0, d) for d in dts)
 
 
-@dataclass
-class RunReport:
-    """Summary of one integration run."""
-
-    mu: tuple
-    dt: float
-    horizon: float
-    initializer: str
-    n_steps: int
-    total_iterations: int
-    mean_iterations: float
-    mean_initializer_residual: float
-    wall_time_s: float
-    completed: bool
-    error: str | None = None
-    dt_in_training: bool | None = None
-    per_step_iterations: np.ndarray = field(default=None, repr=False)
-
-
-def _report(traj: Trajectory, horizon: float, dt_in_training) -> RunReport:
-    iters = np.array([s.iterations for s in traj.newton_stats], dtype=int)
-    init_res = (
-        float(np.mean([s.initializer_residual_norm for s in traj.newton_stats]))
-        if traj.newton_stats
-        else float("nan")
-    )
-    return RunReport(
-        mu=tuple(float(v) for v in traj.mu),
-        dt=traj.dt,
-        horizon=horizon,
-        initializer=traj.initializer,
-        n_steps=traj.n_steps,
-        total_iterations=traj.total_iterations,
-        mean_iterations=traj.mean_iterations,
-        mean_initializer_residual=init_res,
-        wall_time_s=traj.wall_time_s,
-        completed=traj.completed,
-        error=traj.error,
-        dt_in_training=dt_in_training,
-        per_step_iterations=iters,
-    )
-
-
 def online(
     model: SurrogateModel,
     mu,
@@ -389,17 +334,18 @@ def online(
     T: float,
     problem: IvpProblem | None = None,
     newton: NewtonConfig | None = None,
-) -> tuple[Trajectory, RunReport]:
+) -> tuple[Trajectory, bool | None]:
     """Integrate with the surrogate as Newton initializer.
 
-    A step size the model was not trained on is allowed; the report flags it
-    via ``dt_in_training``. Step failures do not raise; the partial
-    trajectory and report carry the error.
+    Returns the trajectory and whether ``dt`` is one of the model's training
+    step sizes (None if the model does not record them); other step sizes
+    are allowed. Step failures do not raise; the partial trajectory carries
+    the error.
     """
     problem = problem if problem is not None else model.build_problem()
     _check_dims(model, problem)
     traj = integrate(problem, mu, dt, T, newton, surrogate_initializer(model.predict))
-    return traj, _report(traj, T, _dt_in_training(model, dt))
+    return traj, _dt_in_training(model, dt)
 
 
 def percent_gain(old: float, new: float) -> float:
@@ -498,15 +444,13 @@ def compare_cases(
     repetitions: int = 1,
     problem: IvpProblem | None = None,
     newton: NewtonConfig | None = None,
-    jobs: int = 1,
     keep_trajectories: bool = False,
 ) -> ComparisonReport:
     """Benchmark baseline vs surrogate initialization over (mu, dt) cases.
 
     The first run per case supplies iteration counts and the first timing
-    sample; ``repetitions - 1`` further serial runs refine the timings
-    (iteration counts are deterministic, timings are not). ``jobs`` only
-    parallelizes the first pass, so leave it at 1 when timings matter.
+    sample; ``repetitions - 1`` further runs refine the timings (iteration
+    counts are deterministic, timings are not).
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
@@ -518,21 +462,11 @@ def compare_cases(
     ]
     init_new = surrogate_initializer(model.predict)
 
-    def first_pass(case):
-        mu, dt = case
-        t_old = integrate(problem, mu, dt, T, newton, PREVIOUS_VALUE)
-        t_new = integrate(problem, mu, dt, T, newton, init_new)
-        return t_old, t_new
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            first = list(pool.map(first_pass, cases))
-    else:
-        first = [first_pass(c) for c in cases]
-
     rows: list[CaseResult] = []
     failures: list[CaseResult] = []
-    for (mu, dt), (t_old, t_new) in zip(cases, first):
+    for mu, dt in cases:
+        t_old = integrate(problem, mu, dt, T, newton, PREVIOUS_VALUE)
+        t_new = integrate(problem, mu, dt, T, newton, init_new)
         ok = t_old.completed and t_new.completed
         times_old = [t_old.wall_time_s]
         times_new = [t_new.wall_time_s]
@@ -564,18 +498,6 @@ def compare_cases(
                 stacklevel=2,
             )
     return ComparisonReport(rows=rows, failures=failures, horizon=T, repetitions=repetitions)
-
-
-def compare(
-    model: SurrogateModel,
-    test_params,
-    dt: float,
-    T: float,
-    repetitions: int = 1,
-    **kwargs,
-) -> ComparisonReport:
-    """Benchmark a list of parameters at one shared step size."""
-    return compare_cases(model, [(mu, dt) for mu in test_params], T, repetitions, **kwargs)
 
 
 def _expansion_to_dict(exp: KernelExpansion) -> dict:

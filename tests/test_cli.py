@@ -8,6 +8,9 @@ import pytest
 
 from flowcast.cli import ConfigError, load_experiment, main, snap_dt
 from flowcast.greedy import SelectionRule
+from flowcast.ode import _nearest_step_count, _step_count, integrate
+from flowcast.pipeline import OfflineConfig
+from flowcast.problems import build_problem
 
 TINY_CFG = """
 [problem]
@@ -62,6 +65,53 @@ def test_snap_dt():
     assert snapped == 2.0 / 67
     assert abs(2.0 / snapped - round(2.0 / snapped)) < 1e-9
     assert snap_dt(2.0, 5.0) == 2.0  # at most one step
+
+
+# How each step size is written in a config file; nan has no literal form,
+# so the config parser rejects it before the horizon rule sees it. With
+# dt = 5e-324 the step count T/dt overflows to inf.
+BAD_DTS = {0.0: "0.0", np.inf: "1e999", np.nan: "nan", -0.1: "-0.1", 0.0299: "0.0299",
+           5e-324: "5e-324"}
+
+
+@pytest.mark.parametrize("dt", list(BAD_DTS))
+def test_horizon_rule_rejects_everywhere(dt, tmp_path, capsys):
+    """T = 2 with a zero, non-finite, negative, vanishing or non-dividing dt
+    is rejected with ValueError by every layer, and by the CLI as a clean
+    error."""
+    with pytest.raises(ValueError):
+        OfflineConfig(cases=[((3.4, 0.2), dt)], horizon=2.0)
+    with pytest.raises(ValueError):
+        integrate(build_problem("burgers", cells=8), (3.4, 0.2), dt, 2.0)
+    with pytest.raises(ValueError):
+        _step_count(2.0, dt)
+    if dt == 0.0299:
+        assert _nearest_step_count(2.0, dt) == (67, False)
+    else:
+        with pytest.raises(ValueError):
+            snap_dt(2.0, dt)
+
+    cfg = tmp_path / "bad-dt.cfg"
+    cfg.write_text(TINY_CFG.replace("train_dts = 0.05\nhorizon = 0.5",
+                                    f"train_dts = {BAD_DTS[dt]}\nhorizon = 2.0"))
+    assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_horizon_rule_accepts_round_off(tmp_path):
+    """T / dt = 0.3 / 0.1 is 2.9999999999999996 in floating point."""
+    assert OfflineConfig(cases=[((3.4, 0.2), 0.1)], horizon=0.3).cases[0][1] == 0.1
+    traj = integrate(build_problem("burgers", cells=8), (3.4, 0.2), 0.1, 0.3)
+    assert traj.completed and traj.n_steps == 3
+    assert _step_count(0.3, 0.1) == 3
+    assert snap_dt(0.3, 0.1) == 0.1
+
+    cfg = tmp_path / "round-off.cfg"
+    cfg.write_text(TINY_CFG.replace("train_dts = 0.05\nhorizon = 0.5",
+                                    "train_dts = 0.1\nhorizon = 0.3"))
+    assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 0
 
 
 def test_load_experiment_round_trip(tiny_cfg):

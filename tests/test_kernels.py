@@ -9,7 +9,6 @@ from scipy.linalg import solve
 from flowcast.kernels import (
     GaussianKernel,
     KernelExpansion,
-    expansion_eval,
     gaussian_eval,
     kernel_matrix,
 )
@@ -47,11 +46,10 @@ def test_kernel_class_matches_pointwise(rng):
 
 def test_kernel_diag_and_self_matrix(rng):
     X = rng.random((6, 2))
-    kernel = GaussianKernel(1.1)
-    assert np.array_equal(kernel.diag(X), np.ones(6))
-    K = kernel(X)
+    K = GaussianKernel(1.1)(X)
     assert np.allclose(K, K.T)
-    assert np.allclose(np.diag(K), 1.0)
+    assert np.array_equal(np.diag(K), np.ones(6))
+    assert np.array_equal(K, kernel_matrix(X, 1.1))
 
 
 def test_kernel_dimension_mismatch():
@@ -123,10 +121,3 @@ def test_expansion_is_immutable(rng):
         model.epsilon = 2.0
     with pytest.raises(ValueError):
         model.centers[0, 0] = 99.0
-
-
-def test_expansion_eval_single_point_only(rng):
-    model = KernelExpansion(rng.random((3, 2)), rng.random((3, 1)), 1.0)
-    assert expansion_eval(model, model.centers[1]).shape == (1,)
-    with pytest.raises(ValueError, match="1-d point"):
-        expansion_eval(model, np.ones((2, 2)))

@@ -17,7 +17,6 @@ from flowcast.pipeline import (
     SurrogateModel,
     assemble_training_set,
     build_training_data,
-    compare,
     compare_cases,
     load_model,
     offline,
@@ -162,22 +161,26 @@ def test_offline_reports_failing_case():
 
 
 def test_build_training_data_normalizes():
-    data, norm, n_before = build_training_data(tiny_config(normalize_inputs=True))
+    data, norm, n_before, problem = build_training_data(tiny_config(normalize_inputs=True))
     assert n_before == 20
+    assert problem.dim == 16
     assert norm is not None
     assert data.inputs.min() >= -1e-12
     assert data.inputs.max() <= 1.0 + 1e-12
 
 
 def test_online_runs_and_flags_dt(tiny_model):
-    traj, report = online(tiny_model, (3.4, 0.2), 0.05, 0.5)
+    traj, dt_in_training = online(tiny_model, (3.4, 0.2), 0.05, 0.5)
     assert traj.completed
-    assert report.dt_in_training is True
-    assert report.initializer == "surrogate"
-    assert report.n_steps == 10
-    assert report.mean_iterations <= 5.0
-    _, report2 = online(tiny_model, (3.4, 0.2), 0.025, 0.5)
-    assert report2.dt_in_training is False
+    assert dt_in_training is True
+    assert traj.initializer == "surrogate"
+    assert traj.n_steps == 10
+    assert traj.mean_iterations <= 5.0
+    assert traj.mean_initializer_residual == pytest.approx(
+        np.mean([s.initializer_residual_norm for s in traj.newton_stats])
+    )
+    _, dt_in_training = online(tiny_model, (3.4, 0.2), 0.025, 0.5)
+    assert dt_in_training is False
 
 
 def test_online_checks_dimensions(tiny_model):
@@ -193,7 +196,7 @@ def test_percent_gain():
 
 
 def test_compare_reports_gains(tiny_model):
-    report = compare(tiny_model, [(3.4, 0.2), (3.0, 0.4)], 0.05, 0.5)
+    report = compare_cases(tiny_model, [((3.4, 0.2), 0.05), ((3.0, 0.4), 0.05)], 0.5)
     assert len(report.rows) == 2
     assert not report.failures
     row = report.rows[0]
@@ -205,6 +208,8 @@ def test_compare_reports_gains(tiny_model):
     assert agg["mean"]["gain_iter_pct"] == pytest.approx(report.mean_gain_iter_pct)
     assert agg["min"]["label"].startswith("mu=")
     assert report.min_row.gain_iter_pct <= report.max_row.gain_iter_pct
+    with pytest.raises(ValueError, match="repetitions"):
+        compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, repetitions=0)
 
 
 def test_compare_cases_labels_by_dt_when_dts_vary(tiny_model):
@@ -216,18 +221,18 @@ def test_compare_cases_labels_by_dt_when_dts_vary(tiny_model):
 
 
 def test_compare_keeps_trajectories_on_request(tiny_model):
-    report = compare(tiny_model, [(3.4, 0.2)], 0.05, 0.5, keep_trajectories=True)
+    report = compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, keep_trajectories=True)
     t_old, t_new = report.rows[0].trajectories
     assert t_old.initializer == "previous"
     assert t_new.initializer == "surrogate"
-    plain = compare(tiny_model, [(3.4, 0.2)], 0.05, 0.5)
+    plain = compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5)
     assert plain.rows[0].trajectories is None
 
 
 def test_compare_excludes_failures_with_warning(tiny_model):
     with pytest.warns(RuntimeWarning, match="excluded"):
-        report = compare(
-            tiny_model, [(3.4, 0.2)], 0.05, 0.5,
+        report = compare_cases(
+            tiny_model, [((3.4, 0.2), 0.05)], 0.5,
             newton=NewtonConfig(max_iterations=1),
         )
     assert not report.rows
@@ -235,17 +240,6 @@ def test_compare_excludes_failures_with_warning(tiny_model):
     assert not report.failures[0].completed
     with pytest.raises(ValueError, match="no successful cases"):
         report.aggregates()
-
-
-def test_compare_parallel_matches_serial(tiny_model):
-    cases = [((3.4, 0.2), 0.05), ((3.2, 0.0), 0.05)]
-    serial = compare_cases(tiny_model, cases, 0.5, jobs=1)
-    parallel = compare_cases(tiny_model, cases, 0.5, jobs=2)
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a.iter_old == b.iter_old
-        assert a.iter_vkoga == b.iter_vkoga
-    with pytest.raises(ValueError, match="repetitions"):
-        compare_cases(tiny_model, cases, 0.5, repetitions=0)
 
 
 def test_save_load_roundtrip(tiny_model, tmp_path):
