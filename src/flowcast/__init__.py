@@ -19,7 +19,6 @@ from .greedy import (
     TrainConfig,
     TrainingSet,
     greedy_train,
-    train,
 )
 from .kernels import GaussianKernel, KernelExpansion, gaussian_eval
 from .model_selection import CrossValidationError, CvConfig, CvResult, select_epsilon
@@ -63,7 +62,6 @@ __all__ = [
     "TrainConfig",
     "TrainingSet",
     "greedy_train",
-    "train",
     "GaussianKernel",
     "KernelExpansion",
     "gaussian_eval",

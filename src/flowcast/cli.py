@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .greedy import SelectionRule
-from .model_selection import CrossValidationError, CvConfig, CvResult, select_epsilon
+from .model_selection import CrossValidationError, CvConfig, CvResult
 from .ode import NewtonConfig, _nearest_step_count
 from .pipeline import (
     ComparisonReport,
@@ -34,7 +33,6 @@ from .pipeline import (
     ModelLoadError,
     OfflineConfig,
     OfflineError,
-    build_training_data,
     compare_cases,
     load_model,
     offline,
@@ -136,6 +134,11 @@ class _Section:
         except Exception as exc:
             raise ConfigError(f"bad value for {key!r} in [{self.name}]: {exc}") from exc
 
+    def present(self, **convs) -> dict:
+        """Converted values of the keys in ``convs`` that the section sets; the
+        keys it omits take the defaults of the config class they are passed to."""
+        return {key: self.take(key, conv) for key, conv in convs.items() if key in self.raw}
+
     def finish(self):
         if self.raw:
             raise ConfigError(
@@ -194,43 +197,30 @@ def load_experiment(source) -> ExperimentConfig:
         return _Section(name, dict(parser.items(name)) if parser.has_section(name) else {})
 
     prob = section("problem")
-    problem = prob.take("name", str, default="burgers")
+    settings = {"problem": prob.take("name", str)} if "name" in prob.raw else {}
     problem_options = {k: _literal(v) for k, v in prob.raw.items()}
 
     cv_sec = section("cv")
-    cv = CvConfig(
-        epsilon_min=cv_sec.take("epsilon_min", float, 1e-4),
-        epsilon_max=cv_sec.take("epsilon_max", float, 1e2),
-        grid_size=cv_sec.take("grid_size", int, 50),
-        folds=cv_sec.take("folds", int, 5),
-        seed=cv_sec.take("seed", int, 0),
-        max_centers=cv_sec.take("max_centers", _opt_int, 400),
-    )
+    cv = CvConfig(**cv_sec.present(epsilon_min=float, epsilon_max=float, grid_size=int,
+                                   folds=int, seed=int, max_centers=_opt_int))
     cv_sec.finish()
 
     newton_sec = section("newton")
-    newton = NewtonConfig(
-        tolerance=newton_sec.take("tolerance", float, 1e-14),
-        max_iterations=newton_sec.take("max_iterations", int, 100),
-    )
+    newton = NewtonConfig(**newton_sec.present(tolerance=float, max_iterations=int))
     newton_sec.finish()
 
     off_sec = section("offline")
     train_params = off_sec.take("train_params", _parse_params, required=True)
     train_dts = off_sec.take("train_dts", _parse_floats, required=True)
+    settings.update(off_sec.present(horizon=float, epsilon=float, rule=str, tolerance=float,
+                                    max_centers=_opt_int, normalize_inputs=_bool))
     try:
         off = OfflineConfig(
             cases=tuple((mu, dt) for mu in train_params for dt in train_dts),
-            horizon=off_sec.take("horizon", float, 4.0),
-            problem=problem,
             problem_options=problem_options,
-            epsilon=off_sec.take("epsilon", float),
             cv=cv,
-            rule=SelectionRule.from_string(off_sec.take("rule", str, "f")),
-            tolerance=off_sec.take("tolerance", float, 1e-12),
-            max_centers=off_sec.take("max_centers", _opt_int),
             newton=newton,
-            normalize_inputs=off_sec.take("normalize_inputs", _bool, False),
+            **settings,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid [offline] settings: {exc}") from exc
@@ -304,13 +294,19 @@ def _apply_offline_overrides(off: OfflineConfig, args) -> OfflineConfig:
     changes = {}
     if getattr(args, "epsilon", None) is not None:
         changes["epsilon"] = args.epsilon
-    if getattr(args, "rule", None):
-        changes["rule"] = SelectionRule.from_string(args.rule)
-    if getattr(args, "jobs", None):
-        changes["jobs"] = args.jobs
+    if getattr(args, "rule", None) is not None:
+        changes["rule"] = args.rule
     if getattr(args, "seed", None) is not None:
         changes["cv"] = dataclasses.replace(off.cv, seed=args.seed)
     return dataclasses.replace(off, **changes) if changes else off
+
+
+def _report_stalls(result: CvResult) -> None:
+    """One line for all stalled greedy runs of a width search, if any."""
+    if result.stalled_widths:
+        print(f"warning: greedy selection stalled in some fold at "
+              f"{result.stalled_widths} of {len(result.grid)} widths "
+              f"(near-singular kernel columns)", file=sys.stderr)
 
 
 def cmd_offline(args) -> int:
@@ -333,6 +329,7 @@ def cmd_offline(args) -> int:
     print(f"epsilon: {model.epsilon:.8g} ({prov['epsilon_source']})")
     if cv_path is not None:
         print(f"cv curve: {cv_path}")
+        _report_stalls(model.cv)
     print(f"model written to {out}")
     return 0
 
@@ -371,8 +368,9 @@ def cmd_online(args) -> int:
 def cmd_bench(args) -> int:
     exp = load_experiment(args.config)
     model = load_model(args.model)
-    repetitions = args.repetitions if args.repetitions else exp.repetitions
-    report = compare_cases(model, exp.test_cases(), exp.test_horizon, repetitions=repetitions)
+    repetitions = args.repetitions if args.repetitions is not None else exp.repetitions
+    report = compare_cases(model, exp.test_cases(), exp.test_horizon, repetitions=repetitions,
+                           newton=exp.offline.newton)
     if not report.rows:
         print("error: every benchmark case failed", file=sys.stderr)
         return 1
@@ -395,13 +393,13 @@ def cmd_bench(args) -> int:
 def cmd_cv(args) -> int:
     exp = load_experiment(args.config)
     off = _apply_offline_overrides(exp.offline, args)
-    data, _, _, _ = build_training_data(off)
-    cv_cfg = dataclasses.replace(off.cv, rule=off.rule, tolerance=off.tolerance, jobs=off.jobs)
-    result = select_epsilon(data, cv_cfg)
+    # One final fit more than the search needs, so that only offline() wires CV.
+    result = offline(dataclasses.replace(off, epsilon=None)).cv
     _write_cv_csv(args.out, result)
     print(f"selected epsilon = {result.epsilon:.8g} "
           f"(score {result.scores[result.best_index]:.6e})")
     print(f"cv table written to {args.out} ({len(result.grid)} rows)")
+    _report_stalls(result)
     return 0
 
 
@@ -419,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_off.add_argument("--epsilon", type=float, help="fixed kernel width (skips CV)")
     p_off.add_argument("--rule", choices=["f", "p", "fp"], help="greedy selection rule")
     p_off.add_argument("--seed", type=int, help="cross-validation fold seed")
-    p_off.add_argument("--jobs", type=int, help="cross-validation worker threads")
     p_off.set_defaults(func=cmd_offline)
 
     p_on = sub.add_parser("online", help="run one surrogate-initialized integration")
@@ -443,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--out", required=True, help="(epsilon, score) CSV path")
     p_cv.add_argument("--rule", choices=["f", "p", "fp"])
     p_cv.add_argument("--seed", type=int)
-    p_cv.add_argument("--jobs", type=int, help="cross-validation worker threads")
     p_cv.set_defaults(func=cmd_cv)
     return parser
 

@@ -22,7 +22,6 @@ through the triangular factor B[selected, :n].
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "select_next",
     "update_basis",
     "greedy_train",
-    "train",
 ]
 
 # Squared power values at or below this are treated as numerically zero;
@@ -147,10 +145,13 @@ class GreedyState:
         Length-N squared power function; exactly 0 at selected indices.
     newton_coeffs
         (n_max, q) projection coefficients of the targets on the basis.
+    max_centers
+        n_max, the requested center cap limited to the data size N.
     """
 
     def __init__(self, data: TrainingSet, kernel: GaussianKernel, max_centers: int | None = None):
         n_max = data.size if max_centers is None else min(data.size, max_centers)
+        self.max_centers = n_max
         self.data = data
         self.kernel = kernel
         self.newton_basis = np.zeros((data.size, n_max))
@@ -167,9 +168,6 @@ class GreedyState:
     def candidate_mask(self) -> np.ndarray:
         """Unselected points whose power is safely above the numerical floor."""
         return ~self.is_selected & (self.power_sq > POWER_FLOOR)
-
-    def residual_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.residuals, axis=1)
 
     def criterion_values(self, rule: SelectionRule) -> np.ndarray:
         """Squared selection criterion per point; -inf outside the candidate set."""
@@ -234,7 +232,9 @@ class GreedyResult:
 
     ``status`` is one of "tolerance" (criterion dropped below the threshold),
     "max_centers", "exhausted" (every point selected), or "stalled" (all
-    remaining candidates at the power floor; emitted with a warning).
+    remaining candidates at the power floor). A stall is recorded here only,
+    not warned about: cross validation stalls routinely at extreme widths
+    and counts those runs instead.
     The histories record, at each loop entry, the maximum squared selection
     criterion and the maximum squared power over unselected points.
     """
@@ -263,9 +263,7 @@ def _finalize(state: GreedyState, epsilon: float) -> KernelExpansion:
 
 def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
     """Run greedy selection until tolerance, budget, pool, or floor exhaustion."""
-    kernel = GaussianKernel(cfg.epsilon)
-    cap = data.size if cfg.max_centers is None else min(data.size, cfg.max_centers)
-    state = GreedyState(data, kernel, cap)
+    state = GreedyState(data, GaussianKernel(cfg.epsilon), cfg.max_centers)
     crit_history: list[float] = []
     power_history: list[float] = []
     status = "exhausted"
@@ -278,13 +276,6 @@ def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
         k = select_next(state, cfg.rule)
         if k is None:
             status = "stalled"
-            warnings.warn(
-                "greedy selection stalled: all remaining candidates have "
-                "numerically zero power (near-singular kernel columns); "
-                f"stopping early with {state.n_selected} centers",
-                RuntimeWarning,
-                stacklevel=2,
-            )
             break
         crit_k = float(state.criterion_values(cfg.rule)[k])
         crit_history.append(crit_k)
@@ -292,8 +283,8 @@ def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
             status = "tolerance"
             break
         update_basis(state, k)
-        if state.n_selected >= cap:
-            status = "exhausted" if cap == data.size else "max_centers"
+        if state.n_selected >= state.max_centers:
+            status = "exhausted" if state.max_centers == data.size else "max_centers"
             break
     return GreedyResult(
         model=_finalize(state, cfg.epsilon),
@@ -302,8 +293,3 @@ def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
         criterion_history=np.asarray(crit_history),
         max_power_history=np.asarray(power_history),
     )
-
-
-def train(data: TrainingSet, cfg: TrainConfig) -> KernelExpansion:
-    """Train a sparse kernel interpolant; see :func:`greedy_train` for diagnostics."""
-    return greedy_train(data, cfg).model

@@ -9,12 +9,11 @@ search. Ties are broken toward the smallest width.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import SelectionRule, TrainConfig, TrainingSet, train
+from .greedy import SelectionRule, TrainConfig, TrainingSet, greedy_train
 
 __all__ = [
     "CvConfig",
@@ -45,10 +44,7 @@ class CvConfig:
     grid_size: int = 50
     folds: int = 5
     seed: int = 0
-    rule: SelectionRule = SelectionRule.F_GREEDY
-    tolerance: float = 1e-12
     max_centers: int | None = 400
-    jobs: int = 1
 
     def __post_init__(self):
         if not (0 < self.epsilon_min <= self.epsilon_max) or not np.isfinite(self.epsilon_max):
@@ -60,18 +56,18 @@ class CvConfig:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
 
 
 @dataclass(frozen=True)
 class CvResult:
-    """Chosen width plus the full grid/score curve for inspection."""
+    """Chosen width plus the full grid/score curve for inspection, and the
+    number of widths at which the greedy run of some fold stalled."""
 
     epsilon: float
     grid: np.ndarray
     scores: np.ndarray
     best_index: int
+    stalled_widths: int
 
 
 def epsilon_grid(epsilon_min: float, epsilon_max: float, grid_size: int) -> np.ndarray:
@@ -97,39 +93,42 @@ def select_best(grid: np.ndarray, scores: np.ndarray) -> int:
     return int(np.argmin(scores))
 
 
-def _score_one(data: TrainingSet, split: list[np.ndarray], eps: float, cfg: CvConfig) -> float:
+def _score_one(data: TrainingSet, split: list[np.ndarray], cfg: TrainConfig) -> tuple[float, bool]:
+    """Mean held-out score of one width, and whether some fold's run stalled."""
     fold_scores = []
+    stalled = False
     for fold in split:
         mask = np.ones(data.size, dtype=bool)
         mask[fold] = False
-        cap = int(mask.sum()) if cfg.max_centers is None else min(int(mask.sum()), cfg.max_centers)
         try:
-            model = train(
-                TrainingSet(data.inputs[mask], data.targets[mask]),
-                TrainConfig(eps, rule=cfg.rule, tolerance=cfg.tolerance, max_centers=cap),
-            )
-            pred = model(data.inputs[fold])
+            result = greedy_train(TrainingSet(data.inputs[mask], data.targets[mask]), cfg)
+            stalled |= result.status == "stalled"
+            pred = result.model(data.inputs[fold])
             fold_scores.append(float(np.mean((pred - data.targets[fold]) ** 2)))
         except Exception:
             # Extreme widths routinely break down numerically; score them out
             # of the running rather than aborting the whole search.
-            return np.inf
-    return float(np.mean(fold_scores))
+            return np.inf, stalled
+    return float(np.mean(fold_scores)), stalled
 
 
-def select_epsilon(data: TrainingSet, cfg: CvConfig | None = None) -> CvResult:
+def select_epsilon(
+    data: TrainingSet, cfg: CvConfig, *, rule: SelectionRule, tolerance: float
+) -> CvResult:
     """Cross-validate kernel widths on ``data`` and return the winner.
 
-    Raises CrossValidationError when no width attains a finite score.
+    Folds are trained with the ``rule`` and ``tolerance`` of the training
+    that follows. Raises CrossValidationError when no width attains a finite
+    score.
     """
-    cfg = cfg or CvConfig()
     grid = epsilon_grid(cfg.epsilon_min, cfg.epsilon_max, cfg.grid_size)
     split = kfold_split(data.size, cfg.folds, cfg.seed)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            scores = list(pool.map(lambda e: _score_one(data, split, e, cfg), grid))
-    else:
-        scores = [_score_one(data, split, e, cfg) for e in grid]
-    scores = np.asarray(scores)
+    scores = np.empty(grid.size)
+    stalled = 0
+    for i, eps in enumerate(grid):
+        train_cfg = TrainConfig(eps, rule=rule, tolerance=tolerance, max_centers=cfg.max_centers)
+        scores[i], width_stalled = _score_one(data, split, train_cfg)
+        stalled += width_stalled
     best = select_best(grid, scores)
-    return CvResult(epsilon=float(grid[best]), grid=grid, scores=scores, best_index=best)
+    return CvResult(epsilon=float(grid[best]), grid=grid, scores=scores, best_index=best,
+                    stalled_widths=stalled)

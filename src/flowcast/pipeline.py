@@ -14,7 +14,6 @@ and wall time gains the way benchmark tables report them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -107,8 +106,8 @@ class OfflineConfig:
 
     ``cases`` is a sequence of ((mu components), dt) pairs; the same mu may
     appear with several step sizes. ``epsilon=None`` selects the width by
-    cross validation with ``cv``; a fixed value bypasses it. ``jobs`` is the
-    number of cross-validation worker threads; nothing else runs in parallel.
+    cross validation with ``cv``, whose folds are trained with ``rule`` and
+    ``tolerance``; a fixed value bypasses it.
     """
 
     cases: tuple
@@ -122,7 +121,6 @@ class OfflineConfig:
     max_centers: int | None = None
     newton: NewtonConfig = NewtonConfig()
     normalize_inputs: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         cases = tuple(
@@ -140,8 +138,6 @@ class OfflineConfig:
             raise ValueError(f"epsilon must be > 0 or None, got {self.epsilon!r}")
         if not isinstance(self.rule, SelectionRule):
             object.__setattr__(self, "rule", SelectionRule.from_string(self.rule))
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
         object.__setattr__(self, "cases", cases)
 
 
@@ -265,10 +261,7 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
     if cfg.epsilon is not None:
         epsilon = cfg.epsilon
     else:
-        cv_cfg = dataclasses.replace(
-            cfg.cv, rule=cfg.rule, tolerance=cfg.tolerance, jobs=cfg.jobs
-        )
-        cv_result = select_epsilon(data, cv_cfg)
+        cv_result = select_epsilon(data, cfg.cv, rule=cfg.rule, tolerance=cfg.tolerance)
         epsilon = cv_result.epsilon
     result = greedy_train(
         data, TrainConfig(epsilon, rule=cfg.rule, tolerance=cfg.tolerance, max_centers=cfg.max_centers)

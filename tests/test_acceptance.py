@@ -6,7 +6,6 @@ scale through session fixtures, so this file takes a few minutes.
 """
 
 import time
-import warnings
 
 import numpy as np
 from scipy.linalg import solve
@@ -236,13 +235,12 @@ def test_criterion_9_cv_planted_width(capsys):
     )
     X = rng.random((160, 2))
     data = TrainingSet(X, planted(X))
-    with warnings.catch_warnings():
-        # Extreme candidate widths legitimately stall; they score high and lose.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = select_epsilon(
-            data,
-            CvConfig(epsilon_min=1e-2, epsilon_max=1e1, grid_size=15, max_centers=80),
-        )
+    result = select_epsilon(
+        data,
+        CvConfig(epsilon_min=1e-2, epsilon_max=1e1, grid_size=15, max_centers=80),
+        rule=SelectionRule.F_GREEDY,
+        tolerance=1e-12,
+    )
     elapsed = time.perf_counter() - start
     ok = abs(result.best_index - planted_index) <= 1 and elapsed < 60.0
     report_criterion(

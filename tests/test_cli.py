@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +135,13 @@ def test_load_experiment_round_trip(tiny_cfg):
     assert exp.test_cases() == [((3.4, 0.2), 0.05), ((3.2, 0.4), 0.05)]
 
 
+def test_load_experiment_omitted_keys_take_library_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("[offline]\ntrain_params = (3.4, 0.2)\ntrain_dts = 0.05\n")
+    exp = load_experiment(str(path))
+    assert exp.offline == OfflineConfig(cases=[((3.4, 0.2), 0.05)])
+
+
 def test_shipped_presets_load():
     exp1 = load_experiment("experiment1")
     assert exp1.offline.cases == (((3.4, 0.2), 0.01),)
@@ -178,6 +187,10 @@ def test_load_experiment_errors(tmp_path):
         lambda s: s.replace("test_dts = 0.05", "test_dts = 0.05\ntest_dt_logspace = (0.01, 0.1, 3)"),
     )
     with pytest.raises(ConfigError, match="not both"):
+        load_experiment(bad)
+
+    bad = variant("rule", lambda s: s.replace("rule = p", "rule = x"))
+    with pytest.raises(ConfigError, match="unknown selection rule 'x'"):
         load_experiment(bad)
 
     bad = variant("reps", lambda s: s.replace("repetitions = 1", "repetitions = 0"))
@@ -245,6 +258,27 @@ def test_cli_offline_with_cv_writes_curve(tiny_cfg, tmp_path, capsys):
     assert payload["provenance"]["cv"]["grid_size"] == 4
 
 
+def test_cli_reports_stalled_widths_once(tmp_path, capsys):
+    # At widths near 1e-6 the kernel columns of the 10 training pairs are
+    # near-singular, so unbounded f-greedy runs stall in some fold.
+    cfg = tmp_path / "stalls.cfg"
+    cfg.write_text(
+        TINY_CFG.replace("epsilon = 0.3\n", "")
+        .replace("rule = p\ntolerance = 1e-12", "rule = f\ntolerance = 0")
+        .replace("epsilon_min = 0.01", "epsilon_min = 1e-6")
+        .replace("max_centers = 8\n\n[newton]", "max_centers = None\n\n[newton]")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cv", "--config", str(cfg), "--out", str(tmp_path / "cv.csv")]) == 0
+        cv_err = capsys.readouterr().err
+        assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 0
+        offline_err = capsys.readouterr().err
+    for err in (cv_err, offline_err):
+        assert re.fullmatch(r"warning: greedy selection stalled in some fold at [1-4] of 4 "
+                            r"widths \(near-singular kernel columns\)\n", err)
+
+
 def test_cli_overrides(tiny_cfg, tmp_path):
     model_path = tmp_path / "model.json"
     assert main([
@@ -277,13 +311,40 @@ def test_cli_determinism(tiny_cfg, tmp_path):
     assert trimmed_a == trimmed_b
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
     assert main(["offline", "--config", "missing.cfg", "--out", "x.json"]) == 1
     assert "error:" in capsys.readouterr().err
 
     assert main(["online", "--model", str(tmp_path / "nope.json"), "--mu", "(1, 2)",
                  "--dt", "0.1", "-T", "1.0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+    model_path = tmp_path / "model.json"
+    assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    bench_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--config", tiny_cfg, "--model", str(model_path),
+                 "--out", str(bench_csv), "--repetitions", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: repetitions must be >= 1")
+    assert not bench_csv.exists()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", "--config", tiny_cfg, "--out", str(tmp_path / "cv.csv"), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_cli_bench_uses_newton_section(tiny_cfg, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    one_iteration = tmp_path / "one-iteration.cfg"
+    one_iteration.write_text(TINY_CFG.replace("max_iterations = 100", "max_iterations = 1"))
+    with pytest.warns(RuntimeWarning, match="excluded"):
+        code = main(["bench", "--config", str(one_iteration), "--model", str(model_path),
+                     "--out", str(tmp_path / "bench.csv")])
+    assert code == 1
+    assert "every benchmark case failed" in capsys.readouterr().err
 
 
 def test_cli_online_bad_mu(tiny_cfg, tmp_path, capsys):

@@ -1,11 +1,9 @@
 """Cross-validation width search: grids, folds, scoring, selection."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from flowcast.greedy import TrainingSet
+from flowcast.greedy import SelectionRule, TrainingSet
 from flowcast.kernels import KernelExpansion
 from flowcast.model_selection import (
     CrossValidationError,
@@ -65,8 +63,10 @@ def test_cv_config_validation():
         CvConfig(grid_size=0)
     with pytest.raises(ValueError, match="folds"):
         CvConfig(folds=1)
-    with pytest.raises(ValueError, match="jobs"):
-        CvConfig(jobs=0)
+
+
+# The folds' greedy settings: the default rule and tolerance of OfflineConfig.
+F_RULE = dict(rule=SelectionRule.F_GREEDY, tolerance=1e-12)
 
 
 def planted_data(rng, n=120):
@@ -78,26 +78,12 @@ def planted_data(rng, n=120):
 def test_select_epsilon_recovers_planted_width(rng):
     data = planted_data(rng)
     cfg = CvConfig(epsilon_min=1e-1, epsilon_max=1e1, grid_size=9, max_centers=60)
-    with warnings.catch_warnings():
-        # Near-flat candidate widths may stall; they score high and lose.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = select_epsilon(data, cfg)
+    result = select_epsilon(data, cfg, **F_RULE)
     assert result.grid.shape == (9,)
     assert result.scores.shape == (9,)
     assert result.epsilon == result.grid[result.best_index]
     # Planted width 1.0 sits at the grid midpoint (index 4).
     assert abs(result.best_index - 4) <= 1
-
-
-def test_select_epsilon_parallel_matches_serial(rng):
-    data = planted_data(rng, n=60)
-    kwargs = dict(epsilon_min=0.5, epsilon_max=2.0, grid_size=5, max_centers=30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        serial = select_epsilon(data, CvConfig(**kwargs, jobs=1))
-        parallel = select_epsilon(data, CvConfig(**kwargs, jobs=4))
-    assert np.array_equal(serial.scores, parallel.scores)
-    assert serial.best_index == parallel.best_index
 
 
 def test_failing_widths_score_infinite(rng):
@@ -106,9 +92,8 @@ def test_failing_widths_score_infinite(rng):
     inputs, targets = make_training_set(rng, 40, 2, 1, spread=2.0)
     inputs[1] = inputs[0] + 1e-12
     data = TrainingSet(inputs, targets)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = select_epsilon(
-            data, CvConfig(epsilon_min=1e-6, epsilon_max=10.0, grid_size=6)
-        )
+    result = select_epsilon(
+        data, CvConfig(epsilon_min=1e-6, epsilon_max=10.0, grid_size=6), **F_RULE
+    )
     assert np.isfinite(result.scores[result.best_index])
+    assert 0 < result.stalled_widths <= 6

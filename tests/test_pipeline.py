@@ -116,8 +116,6 @@ def test_offline_config_validation():
         OfflineConfig(cases=[((1.0,), 0.3)], horizon=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         tiny_config(epsilon=-1.0)
-    with pytest.raises(ValueError, match="jobs"):
-        tiny_config(jobs=0)
     cfg = tiny_config(rule="p")
     assert cfg.rule is SelectionRule.P_GREEDY
     assert cfg.cases == (((3.4, 0.2), 0.05),)
