@@ -36,7 +36,7 @@ from .ode import (
     surrogate_initializer,
 )
 from .pipeline import (
-    ComparisonReport,
+    CaseResult,
     OfflineConfig,
     SurrogateModel,
     assemble_training_set,
@@ -80,7 +80,7 @@ __all__ = [
     "integrate",
     "newton_solve",
     "surrogate_initializer",
-    "ComparisonReport",
+    "CaseResult",
     "OfflineConfig",
     "SurrogateModel",
     "assemble_training_set",

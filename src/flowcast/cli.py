@@ -28,7 +28,7 @@ import numpy as np
 from .model_selection import CrossValidationError, CvConfig, CvResult
 from .ode import NewtonConfig, _nearest_step_count
 from .pipeline import (
-    ComparisonReport,
+    CaseResult,
     DataInconsistencyError,
     ModelLoadError,
     OfflineConfig,
@@ -258,14 +258,14 @@ def _write_cv_csv(path, result: CvResult) -> None:
             writer.writerow([repr(float(eps)), repr(float(score))])
 
 
-def _write_bench_csv(path, report: ComparisonReport) -> None:
+def _write_bench_csv(path, results: list[CaseResult]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["mu", "dt", "iter_old", "iter_vkoga", "time_old_s", "time_vkoga_s",
              "gain_iter_pct", "gain_time_pct"]
         )
-        for r in report.rows + report.failures:
+        for r in results:
             writer.writerow(
                 [str(r.mu), repr(r.dt), repr(r.iter_old), repr(r.iter_vkoga),
                  repr(r.time_old_s), repr(r.time_vkoga_s),
@@ -273,19 +273,32 @@ def _write_bench_csv(path, report: ComparisonReport) -> None:
             )
 
 
-def _format_table(agg: dict) -> str:
+def _format_table(results: list[CaseResult]) -> str:
+    """Old/VKOGA/Gain table over the completed cases.
+
+    Mean averages each column, gains included; Min and Max are the cases
+    with the lowest and highest iteration gain (the first one on ties),
+    labelled by mu when all cases share one dt and by dt otherwise.
+    """
+    done = [r for r in results if r.completed]
+    table = np.array([[r.iter_old, r.time_old_s, r.iter_vkoga, r.time_vkoga_s,
+                       r.gain_iter_pct, r.gain_time_pct] for r in done])
+    lo, hi = int(np.argmin(table[:, 4])), int(np.argmax(table[:, 4]))
+    one_dt = len({r.dt for r in done}) == 1
+    rows = [("Mean", [np.mean(column) for column in table.T], "")] + [
+        (name, table[i], f"mu={done[i].mu}" if one_dt else f"dt={done[i].dt:g}")
+        for name, i in (("Min", lo), ("Max", hi))
+    ]
     lines = [
         f"{'':6s}|{'Old value':^21s}|{'VKOGA':^21s}|{'Gain':^21s}|",
         f"{'':6s}|{'iter':>10s}{'time[s]':>11s}|{'iter':>10s}{'time[s]':>11s}"
         f"|{'iter':>10s}{'time':>11s}|",
         "-" * 73,
     ]
-    for name in ("mean", "min", "max"):
-        e = agg[name]
+    for name, v, label in rows:
         lines.append(
-            f"{name.capitalize():6s}|{e['iter_old']:10.2f}{e['time_old_s']:11.3f}"
-            f"|{e['iter_vkoga']:10.2f}{e['time_vkoga_s']:11.3f}"
-            f"|{e['gain_iter_pct']:9.2f}%{e['gain_time_pct']:10.2f}%| {e['label']}"
+            f"{name:6s}|{v[0]:10.2f}{v[1]:11.3f}|{v[2]:10.2f}{v[3]:11.3f}"
+            f"|{v[4]:9.2f}%{v[5]:10.2f}%| {label}"
         )
     return "\n".join(lines)
 
@@ -369,18 +382,21 @@ def cmd_bench(args) -> int:
     exp = load_experiment(args.config)
     model = load_model(args.model)
     repetitions = args.repetitions if args.repetitions is not None else exp.repetitions
-    report = compare_cases(model, exp.test_cases(), exp.test_horizon, repetitions=repetitions,
-                           newton=exp.offline.newton)
-    if not report.rows:
-        print("error: every benchmark case failed", file=sys.stderr)
+    results = compare_cases(model, exp.test_cases(), exp.test_horizon, repetitions=repetitions,
+                            newton=exp.offline.newton)
+    failed = [r for r in results if not r.completed]
+    count = f"{len(failed)} of {len(results)}"
+    first = next((f"; first at mu={r.mu}, dt={r.dt:g}: {r.error}" for r in failed), "")
+    if len(failed) == len(results):  # also when the config yields no case
+        print(f"error: every benchmark case failed ({count}){first}", file=sys.stderr)
         return 1
-    _write_bench_csv(args.out, report)
-    print(f"{len(report.rows)} cases, T = {exp.test_horizon:g}, "
-          f"repetitions = {repetitions}")
-    if report.failures:
-        print(f"warning: {len(report.failures)} case(s) failed and were excluded",
+    if failed:
+        print(f"warning: {count} cases failed and were left out of the table{first}",
               file=sys.stderr)
-    print(_format_table(report.aggregates()))
+    _write_bench_csv(args.out, results)
+    print(f"{len(results) - len(failed)} cases, T = {exp.test_horizon:g}, "
+          f"repetitions = {repetitions}")
+    print(_format_table(results))
     notes = model.provenance.get("problem_notes")
     if notes:
         print(f"problem: {notes}")

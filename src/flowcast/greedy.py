@@ -183,8 +183,9 @@ class GreedyState:
         return crit
 
 
-def select_next(state: GreedyState, rule: SelectionRule) -> int | None:
-    """Index of the criterion-maximizing candidate; ties go to the lowest index.
+def select_next(state: GreedyState, rule: SelectionRule) -> tuple[int, float] | None:
+    """Index and squared criterion value of the criterion-maximizing
+    candidate; ties go to the lowest index.
 
     Returns None when every unselected point sits at the power floor, which
     signals termination to the caller.
@@ -192,7 +193,8 @@ def select_next(state: GreedyState, rule: SelectionRule) -> int | None:
     crit = state.criterion_values(rule)
     if not np.any(np.isfinite(crit)):
         return None
-    return int(np.argmax(crit))
+    k = int(np.argmax(crit))
+    return k, float(crit[k])
 
 
 def update_basis(state: GreedyState, new_index: int) -> GreedyState:
@@ -266,18 +268,14 @@ def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
     state = GreedyState(data, GaussianKernel(cfg.epsilon), cfg.max_centers)
     crit_history: list[float] = []
     power_history: list[float] = []
-    status = "exhausted"
     while True:
-        unselected = ~state.is_selected
-        if not unselected.any():
-            status = "exhausted"
-            break
-        power_history.append(float(np.max(state.power_sq[unselected])))
-        k = select_next(state, cfg.rule)
-        if k is None:
+        # The cap check below ends the loop before every point is selected.
+        power_history.append(float(np.max(state.power_sq[~state.is_selected])))
+        best = select_next(state, cfg.rule)
+        if best is None:
             status = "stalled"
             break
-        crit_k = float(state.criterion_values(cfg.rule)[k])
+        k, crit_k = best
         crit_history.append(crit_k)
         if crit_k <= cfg.tolerance:
             status = "tolerance"

@@ -8,14 +8,13 @@ that can be persisted to a versioned JSON file.
 
 Online: the surrogate predicts each next state and Newton polishes it, which
 cuts iterations without changing the converged states. ``compare_cases``
-runs the baseline and the surrogate side by side and aggregates iteration
-and wall time gains the way benchmark tables report them.
+runs the baseline and the surrogate side by side and reports iteration and
+wall time gains per case.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "OfflineConfig",
     "SurrogateModel",
     "CaseResult",
-    "ComparisonReport",
     "assemble_training_set",
     "build_training_data",
     "offline",
@@ -345,12 +343,17 @@ def percent_gain(old: float, new: float) -> float:
     """Relative improvement of new over old in percent; 0 for a zero baseline."""
     if old == 0:
         return 0.0
-    return (old - new) / old * 100.0
+    return float((old - new) / old * 100.0)
 
 
 @dataclass
 class CaseResult:
-    """Baseline vs surrogate outcome of one (mu, dt) benchmark case."""
+    """Baseline vs surrogate outcome of one (mu, dt) benchmark case.
+
+    ``baseline`` and ``surrogate`` are the first run of each initializer and
+    supply the iteration counts; the times are means over all repetitions.
+    Gains are NaN unless both runs completed.
+    """
 
     mu: tuple
     dt: float
@@ -360,74 +363,10 @@ class CaseResult:
     time_vkoga_s: float
     gain_iter_pct: float
     gain_time_pct: float
-    completed: bool = True
-    error: str | None = None
-    trajectories: tuple | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class ComparisonReport:
-    """Per-case results plus mean/min/max summary aggregates.
-
-    ``rows`` holds successful cases only; failed ones live in ``failures``
-    and are excluded from every aggregate. Aggregate gains are means of the
-    per-case gain percentages; min/max rows are the cases extremizing the
-    iteration gain.
-    """
-
-    rows: list[CaseResult]
-    failures: list[CaseResult]
-    horizon: float
-    repetitions: int
-
-    def _gains(self) -> np.ndarray:
-        return np.array([r.gain_iter_pct for r in self.rows])
-
-    @property
-    def mean_gain_iter_pct(self) -> float:
-        return float(np.mean(self._gains())) if self.rows else float("nan")
-
-    @property
-    def mean_gain_time_pct(self) -> float:
-        if not self.rows:
-            return float("nan")
-        return float(np.mean([r.gain_time_pct for r in self.rows]))
-
-    @property
-    def min_row(self) -> CaseResult:
-        return self.rows[int(np.argmin(self._gains()))]
-
-    @property
-    def max_row(self) -> CaseResult:
-        return self.rows[int(np.argmax(self._gains()))]
-
-    def aggregates(self) -> dict:
-        """Mean/min/max summary in the shape benchmark tables are printed."""
-        if not self.rows:
-            raise ValueError("no successful cases to aggregate")
-
-        def from_row(r: CaseResult) -> dict:
-            label = f"mu={r.mu}" if len({row.dt for row in self.rows}) == 1 else f"dt={r.dt:g}"
-            return {
-                "iter_old": r.iter_old,
-                "time_old_s": r.time_old_s,
-                "iter_vkoga": r.iter_vkoga,
-                "time_vkoga_s": r.time_vkoga_s,
-                "gain_iter_pct": r.gain_iter_pct,
-                "gain_time_pct": r.gain_time_pct,
-                "label": label,
-            }
-
-        mean = {
-            "iter_old": float(np.mean([r.iter_old for r in self.rows])),
-            "time_old_s": float(np.mean([r.time_old_s for r in self.rows])),
-            "iter_vkoga": float(np.mean([r.iter_vkoga for r in self.rows])),
-            "time_vkoga_s": float(np.mean([r.time_vkoga_s for r in self.rows])),
-            "gain_iter_pct": self.mean_gain_iter_pct,
-            "gain_time_pct": self.mean_gain_time_pct,
-            "label": "",
-        }
-        return {"mean": mean, "min": from_row(self.min_row), "max": from_row(self.max_row)}
+    completed: bool
+    error: str | None
+    baseline: Trajectory = field(repr=False, compare=False)
+    surrogate: Trajectory = field(repr=False, compare=False)
 
 
 def compare_cases(
@@ -437,60 +376,49 @@ def compare_cases(
     repetitions: int = 1,
     problem: IvpProblem | None = None,
     newton: NewtonConfig | None = None,
-    keep_trajectories: bool = False,
-) -> ComparisonReport:
+) -> list[CaseResult]:
     """Benchmark baseline vs surrogate initialization over (mu, dt) cases.
 
-    The first run per case supplies iteration counts and the first timing
-    sample; ``repetitions - 1`` further runs refine the timings (iteration
-    counts are deterministic, timings are not).
+    Returns one result per case, in case order, failed cases included. The
+    first run per case supplies iteration counts and the first timing
+    sample; if both complete, ``repetitions - 1`` further runs refine the
+    timings (iteration counts are deterministic, timings are not). The
+    initializer that runs first alternates with (case index + repetition)
+    so that one-time costs do not all land on one of them.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
     problem = problem if problem is not None else model.build_problem()
     _check_dims(model, problem)
-    cases = [
-        (tuple(float(v) for v in np.atleast_1d(np.asarray(mu, dtype=float))), float(dt))
-        for mu, dt in cases
-    ]
     init_new = surrogate_initializer(model.predict)
-
-    rows: list[CaseResult] = []
-    failures: list[CaseResult] = []
-    for mu, dt in cases:
-        t_old = integrate(problem, mu, dt, T, newton, PREVIOUS_VALUE)
-        t_new = integrate(problem, mu, dt, T, newton, init_new)
-        ok = t_old.completed and t_new.completed
-        times_old = [t_old.wall_time_s]
-        times_new = [t_new.wall_time_s]
-        if ok:
-            for _ in range(repetitions - 1):
-                times_old.append(integrate(problem, mu, dt, T, newton, PREVIOUS_VALUE).wall_time_s)
-                times_new.append(integrate(problem, mu, dt, T, newton, init_new).wall_time_s)
-        row = CaseResult(
+    results: list[CaseResult] = []
+    for index, (mu, dt) in enumerate(cases):
+        mu = tuple(float(v) for v in np.atleast_1d(np.asarray(mu, dtype=float)))
+        dt = float(dt)
+        runs = {PREVIOUS_VALUE: [], init_new: []}
+        for rep in range(repetitions):
+            for init in list(runs)[:: 1 if (index + rep) % 2 == 0 else -1]:
+                runs[init].append(integrate(problem, mu, dt, T, newton, init))
+            base, sur = runs[PREVIOUS_VALUE][0], runs[init_new][0]
+            ok = base.completed and sur.completed
+            if not ok:
+                break
+        time_old, time_new = (float(np.mean([t.wall_time_s for t in ts])) for ts in runs.values())
+        results.append(CaseResult(
             mu=mu,
             dt=dt,
-            iter_old=t_old.mean_iterations,
-            iter_vkoga=t_new.mean_iterations,
-            time_old_s=float(np.mean(times_old)),
-            time_vkoga_s=float(np.mean(times_new)),
-            gain_iter_pct=percent_gain(t_old.mean_iterations, t_new.mean_iterations) if ok else float("nan"),
-            gain_time_pct=percent_gain(np.mean(times_old), np.mean(times_new)) if ok else float("nan"),
+            iter_old=base.mean_iterations,
+            iter_vkoga=sur.mean_iterations,
+            time_old_s=time_old,
+            time_vkoga_s=time_new,
+            gain_iter_pct=percent_gain(base.mean_iterations, sur.mean_iterations) if ok else float("nan"),
+            gain_time_pct=percent_gain(time_old, time_new) if ok else float("nan"),
             completed=ok,
-            error=t_old.error or t_new.error,
-            trajectories=(t_old, t_new) if keep_trajectories else None,
-        )
-        if ok:
-            rows.append(row)
-        else:
-            failures.append(row)
-            warnings.warn(
-                f"benchmark case mu={mu}, dt={dt} failed and is excluded "
-                f"from aggregates: {row.error}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return ComparisonReport(rows=rows, failures=failures, horizon=T, repetitions=repetitions)
+            error=base.error or sur.error,
+            baseline=base,
+            surrogate=sur,
+        ))
+    return results
 
 
 def _expansion_to_dict(exp: KernelExpansion) -> dict:

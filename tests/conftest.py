@@ -56,18 +56,14 @@ def exp2_model(exp2):
 
 
 @pytest.fixture(scope="session")
-def exp1_report(exp1, exp1_model):
+def exp1_results(exp1, exp1_model):
     # Iteration counts are deterministic, so one repetition suffices here.
-    return compare_cases(
-        exp1_model, exp1.test_cases(), exp1.test_horizon, keep_trajectories=True
-    )
+    return compare_cases(exp1_model, exp1.test_cases(), exp1.test_horizon)
 
 
 @pytest.fixture(scope="session")
-def exp2_report(exp2, exp2_model):
-    return compare_cases(
-        exp2_model, exp2.test_cases(), exp2.test_horizon, keep_trajectories=True
-    )
+def exp2_results(exp2, exp2_model):
+    return compare_cases(exp2_model, exp2.test_cases(), exp2.test_horizon)
 
 
 @pytest.fixture()

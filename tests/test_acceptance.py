@@ -84,9 +84,10 @@ def test_criterion_2_power_monotonicity(capsys, exp1_model, exp2_model):
             state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.5))
             prev = np.inf
             for _ in range(25):
-                k = select_next(state, rule)
-                if k is None:
+                best = select_next(state, rule)
+                if best is None:
                     break
+                k, _ = best
                 current = float(np.max(state.power_sq[~state.is_selected]))
                 max_rise = max(max_rise, current - prev)
                 prev = current
@@ -167,8 +168,8 @@ def test_criterion_4_burgers_physics(capsys):
     assert ok
 
 
-def test_criterion_5_training_parameter_gain(capsys, exp1_report):
-    row = next(r for r in exp1_report.rows if r.mu == (3.4, 0.2))
+def test_criterion_5_training_parameter_gain(capsys, exp1_results):
+    row = next(r for r in exp1_results if r.mu == (3.4, 0.2))
     ok = row.gain_iter_pct >= 20.0
     report_criterion(
         capsys, 5, "experiment-1 gain at training parameter",
@@ -179,19 +180,20 @@ def test_criterion_5_training_parameter_gain(capsys, exp1_report):
     assert ok
 
 
-def test_criterion_6_generalization_gain(capsys, exp2_report):
+def test_criterion_6_generalization_gain(capsys, exp2_results):
+    gains = [r.gain_iter_pct for r in exp2_results]
+    mean_gain = float(np.mean(gains))
     ok = (
-        len(exp2_report.rows) == 9
-        and not exp2_report.failures
-        and exp2_report.mean_gain_iter_pct >= 10.0
-        and all(r.gain_iter_pct >= 0.0 for r in exp2_report.rows)
+        len(exp2_results) == 9
+        and all(r.completed for r in exp2_results)
+        and mean_gain >= 10.0
+        and min(gains) >= 0.0
     )
-    worst = min(r.gain_iter_pct for r in exp2_report.rows)
     report_criterion(
         capsys, 6, "experiment-2 generalization",
         ok,
-        f"mean gain {exp2_report.mean_gain_iter_pct:.2f}% >= 10%, "
-        f"min gain {worst:.2f}% >= 0% over {len(exp2_report.rows)} parameters",
+        f"mean gain {mean_gain:.2f}% >= 10%, "
+        f"min gain {min(gains):.2f}% >= 0% over {len(exp2_results)} parameters",
     )
     assert ok
 
@@ -211,13 +213,12 @@ def test_criterion_7_sparsity(capsys, exp1_model, exp2_model):
     assert ok
 
 
-def test_criterion_8_accuracy_preservation(capsys, exp2_report):
+def test_criterion_8_accuracy_preservation(capsys, exp2_results):
     worst = 0.0
-    for row in exp2_report.rows:
-        baseline, surrogate = row.trajectories
-        assert baseline.completed and surrogate.completed
-        worst = max(worst, float(np.max(np.abs(baseline.states - surrogate.states))))
-    ok = worst <= 1e-10 and len(exp2_report.rows) == 9
+    for row in exp2_results:
+        assert row.baseline.completed and row.surrogate.completed
+        worst = max(worst, float(np.max(np.abs(row.baseline.states - row.surrogate.states))))
+    ok = worst <= 1e-10 and len(exp2_results) == 9
     report_criterion(
         capsys, 8, "accuracy preservation",
         ok, f"max |baseline - surrogate| = {worst:.2e} <= 1e-10 over 9 parameters",

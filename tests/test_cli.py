@@ -236,6 +236,10 @@ def test_cli_offline_online_bench_cv(tiny_cfg, tmp_path, capsys):
     assert rows[0] == ["mu", "dt", "iter_old", "iter_vkoga", "time_old_s",
                        "time_vkoga_s", "gain_iter_pct", "gain_time_pct"]
     assert len(rows) == 3  # header + two cases
+    for row in rows[1:]:
+        for cell in row[1:]:  # plain numbers, not reprs such as np.float64(...)
+            assert "np." not in cell
+            float(cell)
 
     cv_csv = tmp_path / "cv.csv"
     assert main(["cv", "--config", tiny_cfg, "--out", str(cv_csv)]) == 0
@@ -340,11 +344,40 @@ def test_cli_bench_uses_newton_section(tiny_cfg, tmp_path, capsys):
     capsys.readouterr()
     one_iteration = tmp_path / "one-iteration.cfg"
     one_iteration.write_text(TINY_CFG.replace("max_iterations = 100", "max_iterations = 1"))
-    with pytest.warns(RuntimeWarning, match="excluded"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["bench", "--config", str(one_iteration), "--model", str(model_path),
                      "--out", str(tmp_path / "bench.csv")])
     assert code == 1
-    assert "every benchmark case failed" in capsys.readouterr().err
+    assert re.fullmatch(r"error: every benchmark case failed \(2 of 2\); first at "
+                        r"mu=\(3\.4, 0\.2\), dt=0\.05: step 1: step did not converge "
+                        r"within 1 iterations \(residual [^)]+\)\n",
+                        capsys.readouterr().err)
+
+
+def test_cli_bench_reports_partial_failures_once(tiny_cfg, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    # dt = 0.25 needs more than 4 Newton iterations on some step; dt = 0.05 does not.
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(TINY_CFG.replace("max_iterations = 100", "max_iterations = 4")
+                   .replace("test_dts = 0.05", "test_dts = (0.25, 0.05)"))
+    bench_csv = tmp_path / "bench.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", "--config", str(cfg), "--model", str(model_path),
+                     "--out", str(bench_csv)]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"warning: 2 of 4 cases failed and were left out of the table; "
+                        r"first at mu=\(3\.4, 0\.2\), dt=0\.25: step \d+: step did not "
+                        r"converge within 4 iterations \(residual [^)]+\)\n", captured.err)
+    assert captured.out.startswith("2 cases, T = 0.25")
+    # Rows come in case order, failed ones included.
+    rows = read_csv(bench_csv)[1:]
+    assert [(r[0], r[1]) for r in rows] == [("(3.4, 0.2)", "0.25"), ("(3.4, 0.2)", "0.05"),
+                                          ("(3.2, 0.4)", "0.25"), ("(3.2, 0.4)", "0.05")]
+    assert [r[6] == "nan" for r in rows] == [True, False, True, False]
 
 
 def test_cli_online_bad_mu(tiny_cfg, tmp_path, capsys):

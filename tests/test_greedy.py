@@ -86,9 +86,9 @@ def test_f_greedy_picks_largest_residual():
     inputs = np.array([[0.0], [5.0], [10.0]])
     targets = np.array([[1.0], [-7.0], [2.0]])
     state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.0))
-    assert select_next(state, SelectionRule.F_GREEDY) == 1
+    assert select_next(state, SelectionRule.F_GREEDY) == (1, 49.0)
     # All powers start equal, so p-greedy falls back to the lowest index.
-    assert select_next(state, SelectionRule.P_GREEDY) == 0
+    assert select_next(state, SelectionRule.P_GREEDY) == (0, 1.0)
 
 
 def test_fp_greedy_balances_residual_and_power():
@@ -101,13 +101,14 @@ def test_fp_greedy_balances_residual_and_power():
     crit = state.criterion_values(SelectionRule.FP_GREEDY)
     assert crit[0] == -np.inf
     assert np.argmax(crit) == 1  # residual^2 / power^2 rewards the near point
+    assert select_next(state, SelectionRule.FP_GREEDY) == (1, crit[1])
 
 
 def test_tie_breaks_to_lowest_index():
     inputs = np.array([[-1.0], [1.0], [0.0]])
     targets = np.array([[3.0], [3.0], [0.1]])
     state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(0.5))
-    assert select_next(state, SelectionRule.F_GREEDY) == 0
+    assert select_next(state, SelectionRule.F_GREEDY) == (0, 9.0)
 
 
 def test_update_basis_invariants(rng):

@@ -1,10 +1,13 @@
 """Offline/online pipeline: data assembly, training, benchmarking, persistence."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from flowcast import pipeline
+from flowcast.cli import _format_table
 from flowcast.greedy import SelectionRule
 from flowcast.model_selection import CvConfig
 from flowcast.ode import NewtonConfig, NewtonStats, Trajectory, integrate
@@ -194,50 +197,70 @@ def test_percent_gain():
 
 
 def test_compare_reports_gains(tiny_model):
-    report = compare_cases(tiny_model, [((3.4, 0.2), 0.05), ((3.0, 0.4), 0.05)], 0.5)
-    assert len(report.rows) == 2
-    assert not report.failures
-    row = report.rows[0]
-    assert row.mu == (3.4, 0.2)
+    results = compare_cases(tiny_model, [((3.4, 0.2), 0.05), ((3.0, 0.4), 0.05)], 0.5)
+    assert [r.mu for r in results] == [(3.4, 0.2), (3.0, 0.4)]
+    assert all(r.completed and r.error is None for r in results)
+    row = results[0]
     assert row.iter_old > 0 and row.iter_vkoga > 0
     assert row.gain_iter_pct == percent_gain(row.iter_old, row.iter_vkoga)
-    agg = report.aggregates()
-    assert set(agg) == {"mean", "min", "max"}
-    assert agg["mean"]["gain_iter_pct"] == pytest.approx(report.mean_gain_iter_pct)
-    assert agg["min"]["label"].startswith("mu=")
-    assert report.min_row.gain_iter_pct <= report.max_row.gain_iter_pct
+    for r in results:
+        for name in ("dt", "iter_old", "iter_vkoga", "time_old_s", "time_vkoga_s",
+                     "gain_iter_pct", "gain_time_pct"):
+            assert type(getattr(r, name)) is float, name
+    table = _format_table(results).splitlines()
+    gains = [r.gain_iter_pct for r in results]
+    assert table[3].startswith("Mean  |") and f"{np.mean(gains):9.2f}%" in table[3]
+    assert table[4].startswith("Min   |") and table[4].endswith(f"| mu={results[int(np.argmin(gains))].mu}")
+    assert table[5].startswith("Max   |") and table[5].endswith(f"| mu={results[int(np.argmax(gains))].mu}")
     with pytest.raises(ValueError, match="repetitions"):
         compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, repetitions=0)
 
 
 def test_compare_cases_labels_by_dt_when_dts_vary(tiny_model):
-    report = compare_cases(
+    results = compare_cases(
         tiny_model, [((3.4, 0.2), 0.05), ((3.4, 0.2), 0.025)], 0.5
     )
-    assert len(report.rows) == 2
-    assert report.aggregates()["min"]["label"].startswith("dt=")
+    assert len(results) == 2
+    assert _format_table(results).splitlines()[4].split("| ")[-1].startswith("dt=")
 
 
-def test_compare_keeps_trajectories_on_request(tiny_model):
-    report = compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, keep_trajectories=True)
-    t_old, t_new = report.rows[0].trajectories
-    assert t_old.initializer == "previous"
-    assert t_new.initializer == "surrogate"
-    plain = compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5)
-    assert plain.rows[0].trajectories is None
+def test_compare_keeps_first_run_trajectories(tiny_model):
+    (row,) = compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, repetitions=2)
+    assert row.baseline.initializer == "previous"
+    assert row.surrogate.initializer == "surrogate"
+    assert row.iter_old == row.baseline.mean_iterations
+    assert row.iter_vkoga == row.surrogate.mean_iterations
 
 
-def test_compare_excludes_failures_with_warning(tiny_model):
-    with pytest.warns(RuntimeWarning, match="excluded"):
-        report = compare_cases(
-            tiny_model, [((3.4, 0.2), 0.05)], 0.5,
-            newton=NewtonConfig(max_iterations=1),
+def test_compare_alternates_run_order(tiny_model, monkeypatch):
+    order = []
+
+    def recording_integrate(problem, mu, dt, T, newton, initializer):
+        order.append(initializer.name)
+        return integrate(problem, mu, dt, T, newton, initializer)
+
+    monkeypatch.setattr(pipeline, "integrate", recording_integrate)
+    compare_cases(tiny_model, [((3.4, 0.2), 0.05), ((3.0, 0.4), 0.05)], 0.5, repetitions=2)
+    # (case index + repetition) even: baseline first; odd: surrogate first.
+    assert order == ["previous", "surrogate", "surrogate", "previous",
+                     "surrogate", "previous", "previous", "surrogate"]
+
+
+def test_compare_excludes_failures_with_warning(tiny_model, capsys):
+    # dt = 0.25 needs more than 4 Newton iterations on some step; dt = 0.05 does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = compare_cases(
+            tiny_model, [((3.4, 0.2), 0.25), ((3.4, 0.2), 0.05)], 0.5,
+            newton=NewtonConfig(max_iterations=4),
         )
-    assert not report.rows
-    assert len(report.failures) == 1
-    assert not report.failures[0].completed
-    with pytest.raises(ValueError, match="no successful cases"):
-        report.aggregates()
+    assert capsys.readouterr().err == ""  # a failure is recorded, not warned about
+    failed, ok = results
+    assert not failed.completed and "did not converge within 4 iterations" in failed.error
+    assert np.isnan(failed.gain_iter_pct) and np.isnan(failed.gain_time_pct)
+    assert ok.completed
+    # The summary covers completed cases only.
+    assert _format_table(results) == _format_table([ok])
 
 
 def test_save_load_roundtrip(tiny_model, tmp_path):
