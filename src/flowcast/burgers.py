@@ -109,17 +109,19 @@ def burgers_rhs(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) -> np.n
 
 
 def burgers_jacobian(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) -> np.ndarray:
-    """Exact tridiagonal derivative of :func:`burgers_rhs` (dense d x d array)."""
+    """Exact tridiagonal derivative of :func:`burgers_rhs` in LAPACK band
+    storage, shape (3, d): row 0 holds the super-diagonal in columns 1..d-1,
+    row 1 the diagonal and row 2 the sub-diagonal in columns 0..d-2; the two
+    unused corners are zero."""
     u = _check_state(u, grid)
     w = _with_ghosts(u, params)
     dfa, dfb = _flux_partials(w[:-1], w[1:])
-    d, h = grid.cells, grid.h
-    jac = np.zeros((d, d))
-    idx = np.arange(d)
-    jac[idx, idx] = (dfb[:-1] - dfa[1:]) / h
-    jac[idx[1:], idx[:-1]] = dfa[1:-1] / h
-    jac[idx[:-1], idx[1:]] = -dfb[1:-1] / h
-    return jac
+    h = grid.h
+    ab = np.zeros((3, grid.cells))
+    ab[0, 1:] = -dfb[1:-1] / h
+    ab[1] = (dfb[:-1] - dfa[1:]) / h
+    ab[2, :-1] = dfa[1:-1] / h
+    return ab
 
 
 def burgers_initial(params: BurgersParams, grid: BurgersGrid) -> np.ndarray:
@@ -156,6 +158,7 @@ def make_burgers_problem(cells: int = 200, half_width: float = 5.0) -> IvpProble
         rhs=partial(_rhs_mu, grid=grid),
         initial_value=partial(_initial_mu, grid=grid),
         jacobian=partial(_jacobian_mu, grid=grid),
+        jacobian_bands=(1, 1),
         param_dim=2,
         name="burgers",
         notes=(

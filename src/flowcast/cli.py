@@ -90,7 +90,10 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
     if isinstance(value, (int, float)):
         return [float(value)]
-    return [float(v) for v in value]
+    values = [float(v) for v in value]
+    if not values:
+        raise ConfigError("empty number list")
+    return values
 
 
 def _preset_names() -> list[str]:
@@ -235,6 +238,10 @@ def load_experiment(source) -> ExperimentConfig:
     elif logspace is not None:
         if test_dts is not None:
             raise ConfigError("give either test_dts or test_dt_logspace, not both")
+        if len(logspace) != 3 or int(logspace[2]) < 1:
+            raise ConfigError(
+                f"test_dt_logspace must be (lo, hi, count) with count >= 1, got {tuple(logspace)}"
+            )
         lo, hi, count = logspace
         test_dts = list(np.logspace(np.log10(lo), np.log10(hi), int(count)))
     exp = ExperimentConfig(

@@ -4,7 +4,9 @@ Each step solves the nonlinear system
 
     g(u) = (u - u_prev) - dt * f(u, mu) = 0
 
-with a dense Newton iteration. The grouping of g matters: evaluating the
+with a Newton iteration. A problem that declares a banded Jacobian gets a
+banded linear solve (LAPACK ``gtsv`` for a tridiagonal one); any other
+problem gets a dense LU. The grouping of g matters: evaluating the
 difference of states before subtracting the scaled right-hand side keeps the
 attainable residual plateau well below tight tolerances for states of
 moderate magnitude.
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 __all__ = [
     "NewtonConfig",
@@ -92,14 +95,32 @@ class NewtonStats:
     initializer_residual_norm: float
 
 
+def _linear_solve(jac: np.ndarray, rhs: np.ndarray, bands: tuple[int, int] | None) -> np.ndarray:
+    """Solve ``jac @ x = rhs``; ``jac`` is dense, or LAPACK band storage when
+    ``bands = (lower, upper)`` is given. Raises LinAlgError when singular."""
+    if bands is None:
+        return np.linalg.solve(jac, rhs)
+    # solve_banded divides a 1x1 system by its pivot without checking it.
+    if jac.shape == (bands[0] + bands[1] + 1, 1):
+        pivot = jac[bands[1], 0]
+        if pivot == 0 or not np.isfinite(pivot):
+            raise np.linalg.LinAlgError("singular matrix")
+    # Unchecked, as on the dense path: non-finite entries give a non-finite
+    # step, which newton_solve reports as DivergenceError.
+    return solve_banded(bands, jac, rhs, check_finite=False)
+
+
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     u0: np.ndarray,
     cfg: NewtonConfig | None = None,
+    bands: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, NewtonStats]:
     """Damped-free Newton iteration on a square system.
 
+    ``jacobian`` returns a dense matrix, or LAPACK band storage of shape
+    ``(lower + upper + 1, d)`` when ``bands = (lower, upper)`` is given.
     Returns the last iterate and its stats; hitting the iteration cap yields
     ``converged=False`` rather than an exception. Singular linear systems and
     non-finite iterates raise SingularJacobianError / DivergenceError.
@@ -115,7 +136,7 @@ def newton_solve(
     while norm > cfg.tolerance and iterations < cfg.max_iterations:
         jac = np.asarray(jacobian(u), dtype=float)
         try:
-            delta = np.linalg.solve(jac, -g)
+            delta = _linear_solve(jac, -g, bands)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 f"linear solve failed at iteration {iterations}: {exc}"
@@ -154,7 +175,10 @@ class IvpProblem:
     """Parametric initial value problem u' = rhs(u, mu), u(0) = initial_value(mu).
 
     ``jacobian(u, mu)`` is optional; a central finite-difference fallback is
-    used when it is None.
+    used when it is None. It returns the dense ``(dim, dim)`` matrix, or, when
+    ``jacobian_bands = (lower, upper)`` counts its nonzero sub- and
+    super-diagonals, LAPACK band storage of shape ``(lower + upper + 1, dim)``
+    with entry (i, j) at ``[upper + i - j, j]``.
     """
 
     dim: int
@@ -164,10 +188,24 @@ class IvpProblem:
     param_dim: int = 0
     name: str = ""
     notes: str = ""
+    jacobian_bands: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
+        bands = self.jacobian_bands
+        if bands is None:
+            return
+        if self.jacobian is None:
+            raise ValueError(
+                "jacobian_bands needs a jacobian: the finite-difference fallback is dense"
+            )
+        if not (
+            isinstance(bands, tuple)
+            and len(bands) == 2
+            and all(isinstance(n, (int, np.integer)) and n >= 0 for n in bands)
+        ):
+            raise ValueError(f"jacobian_bands must be two integers >= 0, got {bands!r}")
 
     def jacobian_at(self, u: np.ndarray, mu: np.ndarray) -> np.ndarray:
         if self.jacobian is not None:
@@ -220,16 +258,26 @@ def ie_step(
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     u_prev = np.asarray(u_prev, dtype=float)
-    ident = np.eye(problem.dim)
+    bands = problem.jacobian_bands
 
     def residual(u):
         return (u - u_prev) - dt * problem.rhs(u, mu)
 
-    def jacobian(u):
-        return ident - dt * problem.jacobian_at(u, mu)
+    if bands is None:
+        ident = np.eye(problem.dim)
+
+        def jacobian(u):
+            return ident - dt * problem.jacobian_at(u, mu)
+
+    else:
+
+        def jacobian(u):
+            ab = -dt * problem.jacobian_at(u, mu)
+            ab[bands[1]] += 1.0  # the diagonal's row in band storage
+            return ab
 
     u0 = initializer(problem, u_prev, mu, dt)
-    u, stats = newton_solve(residual, jacobian, u0, cfg)
+    u, stats = newton_solve(residual, jacobian, u0, cfg, bands=bands)
     if not stats.converged:
         raise StepError(
             f"step did not converge within {stats.iterations} iterations "
@@ -281,7 +329,8 @@ class Trajectory:
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        """Last state, copied so that keeping it does not keep ``states``."""
+        return self.states[-1].copy()
 
 
 def _nearest_step_count(T: float, dt: float) -> tuple[int, bool]:

@@ -1,5 +1,7 @@
 """Finite-volume Burgers discretization and the problem registry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,20 @@ from flowcast.ode import finite_difference_jacobian, integrate
 from flowcast.problems import available_problems, build_problem, register_problem
 
 PARAMS = BurgersParams(3.4, 0.2)
+
+
+def band_to_dense(ab):
+    """Expand (1, 1) LAPACK band storage to the dense matrix."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+def dense_twin(problem):
+    """The same problem with its Jacobian expanded to dense and no band declared."""
+    return dataclasses.replace(
+        problem,
+        jacobian=lambda u, mu: band_to_dense(problem.jacobian(u, mu)),
+        jacobian_bands=None,
+    )
 
 
 def test_grid_geometry():
@@ -60,7 +76,7 @@ def test_rhs_rejects_wrong_shape():
 def test_jacobian_matches_finite_differences(rng):
     grid = BurgersGrid(30, 5.0)
     u = 0.2 + 3.2 * rng.random(30)
-    exact = burgers_jacobian(u, PARAMS, grid)
+    exact = band_to_dense(burgers_jacobian(u, PARAMS, grid))
     fd = finite_difference_jacobian(lambda w: burgers_rhs(w, PARAMS, grid), u)
     assert np.max(np.abs(exact - fd)) < 1e-7
 
@@ -68,9 +84,34 @@ def test_jacobian_matches_finite_differences(rng):
 def test_jacobian_is_tridiagonal(rng):
     grid = BurgersGrid(25, 5.0)
     u = 0.2 + 3.2 * rng.random(25)
-    jac = burgers_jacobian(u, PARAMS, grid)
-    band = np.tri(25, 25, 1) * np.tri(25, 25, 1).T
-    assert np.array_equal(jac[band == 0], np.zeros(np.count_nonzero(band == 0)))
+    ab = burgers_jacobian(u, PARAMS, grid)
+    assert ab.shape == (3, 25)
+    # Band storage leaves the top-left and bottom-right corners unused.
+    assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
+    assert np.all(ab[1] != 0.0)
+    assert make_burgers_problem(cells=25).jacobian_bands == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "cells, mu, dt, completes",
+    [
+        (200, (3.4, 0.2), 0.01, True),
+        (200, (3.4, 0.2), 0.05, True),
+        (200, (3.4, 0.2), 0.1, False),  # the known stall
+        (200, (1.0, 0.5), 0.01, True),
+        (1, (3.4, 0.2), 0.1, True),  # a band wider than the 1x1 system
+    ],
+)
+def test_banded_newton_matches_dense(cells, mu, dt, completes):
+    banded = make_burgers_problem(cells=cells)
+    want = integrate(dense_twin(banded), mu, dt, 1.0)
+    got = integrate(banded, mu, dt, 1.0)
+    assert [s.iterations for s in got.newton_stats] == [s.iterations for s in want.newton_stats]
+    assert got.completed == want.completed == completes
+    assert np.max(np.abs(got.final_state - want.final_state)) <= 1e-12
+    if not completes:
+        # Both fail at the same step after the same iterations.
+        assert got.error.split(" (residual")[0] == want.error.split(" (residual")[0]
 
 
 def test_shock_position_tracks_interface():

@@ -189,6 +189,17 @@ def test_load_experiment_errors(tmp_path):
     with pytest.raises(ConfigError, match="not both"):
         load_experiment(bad)
 
+    bad = variant("no-test-dts", lambda s: s.replace("test_dts = 0.05", "test_dts = ()"))
+    with pytest.raises(ConfigError, match="empty number list"):
+        load_experiment(bad)
+
+    bad = variant(
+        "no-logspace-count",
+        lambda s: s.replace("test_dts = 0.05", "test_dt_logspace = (0.01, 0.1, 0)"),
+    )
+    with pytest.raises(ConfigError, match="count >= 1"):
+        load_experiment(bad)
+
     bad = variant("rule", lambda s: s.replace("rule = p", "rule = x"))
     with pytest.raises(ConfigError, match="unknown selection rule 'x'"):
         load_experiment(bad)

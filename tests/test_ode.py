@@ -54,6 +54,18 @@ def test_newton_singular_jacobian():
         newton_solve(lambda x: x + 1.0, lambda x: np.zeros((1, 1)), np.array([0.0]))
 
 
+def test_newton_singular_banded_jacobian():
+    # A 1x1 system: solve_banded itself would divide by the zero pivot.
+    for pivot in (0.0, np.inf, np.nan):
+        ab = np.array([[0.0], [pivot], [0.0]])
+        with pytest.raises(SingularJacobianError):
+            newton_solve(lambda x: x + 1.0, lambda x: ab, np.array([0.0]), bands=(1, 1))
+    # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: equal first two rows.
+    ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(SingularJacobianError):
+        newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+
+
 def test_newton_divergence():
     with pytest.raises(DivergenceError, match="starting guess"):
         newton_solve(lambda x: x * np.inf, lambda x: np.eye(1), np.array([1.0]))
@@ -63,6 +75,12 @@ def test_newton_divergence():
 
     with pytest.raises(DivergenceError, match="iteration 1"):
         newton_solve(residual, lambda x: np.eye(1), np.array([0.0]))
+
+    # A non-finite band entry, like a non-finite dense one, gives a
+    # non-finite step rather than a ValueError from the solver.
+    ab = np.array([[0.0, 1.0, np.nan], [1.0, 2.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(DivergenceError, match="iteration 1"):
+        newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
 
 
 def test_newton_iteration_cap_does_not_raise():
@@ -104,6 +122,36 @@ def test_problem_jacobian_fallback():
     assert np.allclose(without.jacobian_at(u, []), with_jac.jacobian_at(u, []), atol=1e-8)
     with pytest.raises(ValueError, match="dim"):
         IvpProblem(dim=0, rhs=with_jac.rhs, initial_value=with_jac.initial_value)
+
+
+def test_problem_validates_jacobian_bands():
+    base = decay_problem()
+    # A band wider than the system is allowed (a 1-cell grid keeps (1, 1)).
+    assert IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value,
+                      jacobian=base.jacobian, jacobian_bands=(1, 1)).jacobian_bands == (1, 1)
+    with pytest.raises(ValueError, match="needs a jacobian"):
+        IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value, jacobian_bands=(0, 0))
+    for bad in [(-1, 1), (1, -1), (1.0, 1), (1, 0.5), (1,), (1, 1, 1), 1]:
+        with pytest.raises(ValueError, match="two integers >= 0"):
+            IvpProblem(dim=3, rhs=base.rhs, initial_value=base.initial_value,
+                       jacobian=base.jacobian, jacobian_bands=bad)
+
+
+def test_ie_step_banded_matches_dense():
+    # u' = A u with a tridiagonal A, declared once as a band and once dense.
+    ab = np.array([[0.0, 0.3, -0.2], [-1.0, -2.0, -0.5], [0.4, 0.1, 0.0]])
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    common = dict(dim=3, rhs=lambda u, mu: dense @ u, initial_value=lambda mu: np.ones(3))
+    banded = IvpProblem(jacobian=lambda u, mu: ab, jacobian_bands=(1, 1), **common)
+    full = IvpProblem(jacobian=lambda u, mu: dense, **common)
+    u_prev = np.array([1.0, -2.0, 0.5])
+    got, got_stats = ie_step(banded, u_prev, [], 0.1)
+    want, want_stats = ie_step(full, u_prev, [], 0.1)
+    assert got_stats.iterations == want_stats.iterations
+    assert np.allclose(got, np.linalg.solve(np.eye(3) - 0.1 * dense, u_prev), rtol=0, atol=1e-15)
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    # The problem's band is not modified in place.
+    assert ab[1, 0] == -1.0
 
 
 def test_builtin_initializers():
@@ -169,6 +217,9 @@ def test_integrate_geometric_decay():
     assert traj.total_iterations == sum(s.iterations for s in traj.newton_stats)
     assert traj.mean_iterations == traj.total_iterations / 10
     assert traj.initializer == "previous"
+    # The final state is a copy: keeping it does not keep every state alive.
+    assert not np.shares_memory(traj.final_state, traj.states)
+    assert np.array_equal(traj.final_state, traj.states[-1])
 
 
 def test_integrate_rejects_bad_horizon():
