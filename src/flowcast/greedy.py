@@ -17,6 +17,10 @@ Update equations for a new point x_k at step n (0-based):
 where B holds the Newton basis values at all training inputs. Coefficients
 in the plain kernel basis are recovered at the end by back-substitution
 through the triangular factor B[selected, :n].
+
+Excluded rows never become centers, but the update runs on every row, so
+their residuals are the held-out errors of the interpolant: cross validation
+scores its folds this way, with kernel columns from a shared distance matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dger
 
-from .kernels import GaussianKernel, KernelExpansion, _check_epsilon
+from .kernels import GaussianKernel, KernelExpansion, _check_epsilon, _gaussian
 
 __all__ = [
     "POWER_FLOOR",
@@ -38,6 +43,7 @@ __all__ = [
     "GreedyResult",
     "select_next",
     "update_basis",
+    "run_greedy",
     "greedy_train",
 ]
 
@@ -145,15 +151,23 @@ class GreedyState:
         Length-N squared power function; exactly 0 at selected indices.
     newton_coeffs
         (n_max, q) projection coefficients of the targets on the basis.
+    in_pool
+        Length-N mask of the rows neither ``excluded`` nor selected.
+    sq_dists
+        Optional (N, N) squared input distances supplying the kernel columns.
     max_centers
-        n_max, the requested center cap limited to the data size N.
+        n_max, the requested center cap limited to the unexcluded rows.
     """
 
-    def __init__(self, data: TrainingSet, kernel: GaussianKernel, max_centers: int | None = None):
-        n_max = data.size if max_centers is None else min(data.size, max_centers)
-        self.max_centers = n_max
+    def __init__(self, data: TrainingSet, kernel: GaussianKernel, max_centers: int | None = None,
+                 excluded=None, sq_dists: np.ndarray | None = None):
+        self.in_pool = np.ones(data.size, dtype=bool)
+        self.in_pool[[] if excluded is None else excluded] = False
+        pool = int(np.count_nonzero(self.in_pool))
+        self.max_centers = n_max = pool if max_centers is None else min(pool, max_centers)
         self.data = data
         self.kernel = kernel
+        self.sq_dists = sq_dists
         self.newton_basis = np.zeros((data.size, n_max))
         self.residuals = data.targets.copy()
         self.power_sq = np.ones(data.size)  # K(x, x) = 1 for the Gaussian
@@ -166,20 +180,18 @@ class GreedyState:
         return len(self.selected)
 
     def candidate_mask(self) -> np.ndarray:
-        """Unselected points whose power is safely above the numerical floor."""
-        return ~self.is_selected & (self.power_sq > POWER_FLOOR)
+        """Pool points whose power is safely above the numerical floor."""
+        return self.in_pool & (self.power_sq > POWER_FLOOR)
 
     def criterion_values(self, rule: SelectionRule) -> np.ndarray:
         """Squared selection criterion per point; -inf outside the candidate set."""
         mask = self.candidate_mask()
         crit = np.full(self.data.size, -np.inf)
-        res_sq = np.sum(self.residuals[mask] ** 2, axis=1)
-        if rule is SelectionRule.F_GREEDY:
-            crit[mask] = res_sq
-        elif rule is SelectionRule.P_GREEDY:
+        if rule is SelectionRule.P_GREEDY:
             crit[mask] = self.power_sq[mask]
-        else:
-            crit[mask] = res_sq / self.power_sq[mask]
+            return crit
+        res_sq = np.sum(self.residuals[mask] ** 2, axis=1)
+        crit[mask] = res_sq if rule is SelectionRule.F_GREEDY else res_sq / self.power_sq[mask]
         return crit
 
 
@@ -203,8 +215,8 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     Mutates ``state`` in place and returns it. Only the single kernel-matrix
     column of the new point is evaluated; the step costs O(N * n).
     """
-    if state.is_selected[new_index]:
-        raise ValueError(f"point {new_index} is already selected")
+    if not state.in_pool[new_index]:
+        raise ValueError(f"point {new_index} is already selected or excluded")
     pivot = state.power_sq[new_index]
     if pivot <= POWER_FLOOR:
         raise ValueError(
@@ -212,7 +224,10 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
             f"({pivot:.3e}); the basis update would be near-singular"
         )
     n = state.n_selected
-    col = state.kernel(state.data.inputs, state.data.inputs[[new_index]])[:, 0]
+    if state.sq_dists is None:
+        col = state.kernel(state.data.inputs, state.data.inputs[[new_index]])[:, 0]
+    else:
+        col = _gaussian(state.sq_dists[:, new_index], state.kernel.epsilon)
     if n:
         col -= state.newton_basis[:, :n] @ state.newton_basis[new_index, :n]
     v = col / np.sqrt(pivot)
@@ -220,9 +235,11 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     # c_n = residual[k] / v_k makes the updated residual vanish exactly at x_k.
     c = state.residuals[new_index] / v[new_index]
     state.newton_coeffs[n] = c
-    state.residuals -= np.outer(v, c)
+    # In-place rank-1 update residuals -= v c^T (residuals.T is a Fortran view).
+    dger(-1.0, c, v, a=state.residuals.T, overwrite_a=1)
     state.power_sq -= v * v
     state.power_sq[new_index] = 0.0
+    state.in_pool[new_index] = False
     state.is_selected[new_index] = True
     state.selected.append(int(new_index))
     return state
@@ -233,12 +250,12 @@ class GreedyResult:
     """Trained expansion plus per-iteration diagnostics of the greedy run.
 
     ``status`` is one of "tolerance" (criterion dropped below the threshold),
-    "max_centers", "exhausted" (every point selected), or "stalled" (all
+    "max_centers", "exhausted" (every pool point selected), or "stalled" (all
     remaining candidates at the power floor). A stall is recorded here only,
     not warned about: cross validation stalls routinely at extreme widths
     and counts those runs instead.
     The histories record, at each loop entry, the maximum squared selection
-    criterion and the maximum squared power over unselected points.
+    criterion and the maximum squared power over the remaining pool.
     """
 
     model: KernelExpansion
@@ -263,27 +280,31 @@ def _finalize(state: GreedyState, epsilon: float) -> KernelExpansion:
     return KernelExpansion(state.data.inputs[state.selected], alpha, epsilon)
 
 
-def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
-    """Run greedy selection until tolerance, budget, pool, or floor exhaustion."""
-    state = GreedyState(data, GaussianKernel(cfg.epsilon), cfg.max_centers)
+def run_greedy(state: GreedyState, cfg: TrainConfig):
+    """Select until tolerance, budget, pool, or floor exhaustion; return the
+    status and the criterion and max-power histories."""
     crit_history: list[float] = []
     power_history: list[float] = []
     while True:
-        # The cap check below ends the loop before every point is selected.
-        power_history.append(float(np.max(state.power_sq[~state.is_selected])))
+        # The cap check below ends the loop before the pool is empty.
+        power_history.append(float(np.max(state.power_sq[state.in_pool])))
         best = select_next(state, cfg.rule)
         if best is None:
-            status = "stalled"
-            break
+            return "stalled", crit_history, power_history
         k, crit_k = best
         crit_history.append(crit_k)
         if crit_k <= cfg.tolerance:
-            status = "tolerance"
-            break
+            return "tolerance", crit_history, power_history
         update_basis(state, k)
         if state.n_selected >= state.max_centers:
-            status = "exhausted" if state.max_centers == data.size else "max_centers"
-            break
+            status = "max_centers" if state.in_pool.any() else "exhausted"
+            return status, crit_history, power_history
+
+
+def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
+    """Train an expansion on ``data`` with one greedy run."""
+    state = GreedyState(data, GaussianKernel(cfg.epsilon), cfg.max_centers)
+    status, crit_history, power_history = run_greedy(state, cfg)
     return GreedyResult(
         model=_finalize(state, cfg.epsilon),
         selected_indices=np.asarray(state.selected, dtype=int),

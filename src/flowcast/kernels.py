@@ -41,9 +41,9 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-def _gaussian(X: np.ndarray, Y: np.ndarray, epsilon: float) -> np.ndarray:
-    """exp(-epsilon^2 ||x - y||_2^2) for every pair of rows of `X` and `Y`."""
-    return np.exp(-(epsilon**2) * cdist(X, Y, "sqeuclidean"))
+def _gaussian(sq_dists: np.ndarray, epsilon: float) -> np.ndarray:
+    """exp(-epsilon^2 d) for squared distances d = ||x - y||_2^2 (from cdist)."""
+    return np.exp(-(epsilon**2) * sq_dists)
 
 
 class GaussianKernel:
@@ -66,7 +66,7 @@ class GaussianKernel:
             raise ValueError(
                 f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}"
             )
-        return _gaussian(X, Y, self.epsilon)
+        return _gaussian(cdist(X, Y, "sqeuclidean"), self.epsilon)
 
     def __repr__(self):
         return f"GaussianKernel(epsilon={self.epsilon!r})"
@@ -94,7 +94,7 @@ def kernel_matrix(X, epsilon) -> np.ndarray:
     eps = _check_epsilon(epsilon)
     if np.unique(X, axis=0).shape[0] != X.shape[0]:
         raise ValueError("points must be pairwise distinct (duplicate rows found)")
-    return _gaussian(X, X, eps)
+    return _gaussian(cdist(X, X, "sqeuclidean"), eps)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class KernelExpansion:
             raise ValueError(
                 f"expected points of dimension {self.input_dim}, got shape {x.shape}"
             )
-        out = _gaussian(pts, self.centers, self.epsilon) @ self.coefficients
+        out = _gaussian(cdist(pts, self.centers, "sqeuclidean"), self.epsilon) @ self.coefficients
         return out[0] if single else out
 
     __call__ = evaluate

@@ -2,9 +2,11 @@
 
 For each candidate width a sparse greedy interpolant is trained on k-1 folds
 and scored by mean squared prediction error on the held-out fold (mean over
-points and output components, then over folds). Widths whose training or
-evaluation fails anywhere get an infinite score instead of aborting the
-search. Ties are broken toward the smallest width.
+points and output components, then over folds). Each fold is one greedy run
+over all N rows with the fold masked out of the candidates, so its residuals
+at the fold rows are the held-out errors; one (N, N) squared-distance matrix
+serves every width and fold. Non-finite scores count as infinite, and ties
+go to the smallest width.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .greedy import SelectionRule, TrainConfig, TrainingSet, greedy_train
+from .greedy import GreedyState, SelectionRule, TrainConfig, TrainingSet, run_greedy
+from .kernels import GaussianKernel
 
 __all__ = [
     "CvConfig",
@@ -84,32 +88,13 @@ def kfold_split(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def select_best(grid: np.ndarray, scores: np.ndarray) -> int:
-    """Index of the lowest score; on ties the smallest width wins."""
+    """Index of the lowest finite score; on ties the smallest width wins."""
     scores = np.asarray(scores, dtype=float)
     if not np.any(np.isfinite(scores)):
         raise CrossValidationError(
             "every candidate width failed validation (all scores non-finite)"
         )
-    return int(np.argmin(scores))
-
-
-def _score_one(data: TrainingSet, split: list[np.ndarray], cfg: TrainConfig) -> tuple[float, bool]:
-    """Mean held-out score of one width, and whether some fold's run stalled."""
-    fold_scores = []
-    stalled = False
-    for fold in split:
-        mask = np.ones(data.size, dtype=bool)
-        mask[fold] = False
-        try:
-            result = greedy_train(TrainingSet(data.inputs[mask], data.targets[mask]), cfg)
-            stalled |= result.status == "stalled"
-            pred = result.model(data.inputs[fold])
-            fold_scores.append(float(np.mean((pred - data.targets[fold]) ** 2)))
-        except Exception:
-            # Extreme widths routinely break down numerically; score them out
-            # of the running rather than aborting the whole search.
-            return np.inf, stalled
-    return float(np.mean(fold_scores)), stalled
+    return int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))
 
 
 def select_epsilon(
@@ -123,12 +108,20 @@ def select_epsilon(
     """
     grid = epsilon_grid(cfg.epsilon_min, cfg.epsilon_max, cfg.grid_size)
     split = kfold_split(data.size, cfg.folds, cfg.seed)
+    sq_dists = cdist(data.inputs, data.inputs, "sqeuclidean")
     scores = np.empty(grid.size)
     stalled = 0
     for i, eps in enumerate(grid):
         train_cfg = TrainConfig(eps, rule=rule, tolerance=tolerance, max_centers=cfg.max_centers)
-        scores[i], width_stalled = _score_one(data, split, train_cfg)
-        stalled += width_stalled
+        fold_scores, statuses = [], []
+        for fold in split:
+            state = GreedyState(data, GaussianKernel(eps), cfg.max_centers, fold, sq_dists)
+            statuses.append(run_greedy(state, train_cfg)[0])
+            fold_scores.append(np.mean(state.residuals[fold] ** 2))
+        scores[i] = np.mean(fold_scores)
+        stalled += "stalled" in statuses
+    # Extreme widths routinely break down numerically; they never win.
+    scores[~np.isfinite(scores)] = np.inf
     best = select_best(grid, scores)
     return CvResult(epsilon=float(grid[best]), grid=grid, scores=scores, best_index=best,
                     stalled_widths=stalled)

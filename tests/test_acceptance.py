@@ -1,8 +1,8 @@
 """Acceptance gate: ten end-to-end criteria with pinned tolerances.
 
-Each test prints one always-visible ACCEPTANCE line (PASS/FAIL plus the
-measured numbers). Criteria 5-8 run the shipped experiment presets at full
-scale through session fixtures, so this file takes a few minutes.
+Each criterion test prints one always-visible ACCEPTANCE line (PASS/FAIL
+plus the measured numbers). Criteria 5-8 run the shipped experiment presets
+at full scale through session fixtures, so this file takes about a minute.
 """
 
 import time
@@ -267,3 +267,9 @@ def test_criterion_10_persistence_roundtrip(capsys, exp1_model, tmp_path):
         ok, f"bit-identical evaluation at 100 inputs: {identical}",
     )
     assert ok
+
+
+def test_preset_cv_choices(exp1_model, exp2_model):
+    # The widths each preset's 50-width 5-fold cross validation picks.
+    assert (exp1_model.cv.best_index, exp1_model.cv.epsilon) == (22, 0.04941713361323833)
+    assert (exp2_model.cv.best_index, exp2_model.cv.epsilon) == (18, 0.015998587196060572)

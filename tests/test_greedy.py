@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import solve
+from scipy.spatial.distance import cdist
 
 from flowcast.greedy import (
     POWER_FLOOR,
@@ -13,6 +14,7 @@ from flowcast.greedy import (
     TrainConfig,
     TrainingSet,
     greedy_train,
+    run_greedy,
     select_next,
     update_basis,
 )
@@ -123,6 +125,56 @@ def test_update_basis_invariants(rng):
     state.power_sq[5] = POWER_FLOOR / 2
     with pytest.raises(ValueError, match="numerically zero"):
         update_basis(state, 5)
+
+
+def test_update_basis_updates_residuals_in_place(rng):
+    state = GreedyState(small_data(rng), GaussianKernel(1.0))
+    update_basis(state, 2)
+    buffer = state.residuals
+    before = buffer.copy()
+    update_basis(state, 5)
+    v, c = state.newton_basis[:, 1], state.newton_coeffs[1]
+    assert np.shares_memory(state.residuals, buffer)
+    assert np.max(np.abs(state.residuals - (before - np.outer(v, c)))) <= 1e-14
+
+
+def test_p_criterion_ignores_residuals(rng):
+    state = GreedyState(small_data(rng), GaussianKernel(1.0))
+    update_basis(state, 0)
+    want = state.criterion_values(SelectionRule.P_GREEDY)
+    state.residuals[:] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = state.criterion_values(SelectionRule.P_GREEDY)
+    assert np.array_equal(got, want)
+    assert select_next(state, SelectionRule.P_GREEDY) == (int(np.argmax(want)), float(np.max(want)))
+
+
+def test_excluded_rows_are_never_candidates(rng):
+    data = small_data(rng, n=10)
+    excluded = np.array([1, 4, 7])
+    state = GreedyState(data, GaussianKernel(1.0), max_centers=20, excluded=excluded)
+    assert state.max_centers == 7
+    assert np.all(state.criterion_values(SelectionRule.F_GREEDY)[excluded] == -np.inf)
+    with pytest.raises(ValueError, match="already selected or excluded"):
+        update_basis(state, 4)
+    status, _, _ = run_greedy(state, TrainConfig(1.0, tolerance=0.0))
+    assert status == "exhausted"
+    assert sorted(state.selected) == [0, 2, 3, 5, 6, 8, 9]
+    capped = GreedyState(data, GaussianKernel(1.0), max_centers=3, excluded=excluded)
+    assert run_greedy(capped, TrainConfig(1.0, tolerance=0.0))[0] == "max_centers"
+
+
+def test_shared_distance_matrix_gives_identical_run(rng):
+    data = small_data(rng)
+    cfg = TrainConfig(0.7, tolerance=0.0)
+    on_demand = GreedyState(data, GaussianKernel(0.7))
+    shared = GreedyState(data, GaussianKernel(0.7),
+                         sq_dists=cdist(data.inputs, data.inputs, "sqeuclidean"))
+    assert run_greedy(on_demand, cfg) == run_greedy(shared, cfg)
+    assert shared.selected == on_demand.selected
+    assert np.array_equal(shared.newton_basis, on_demand.newton_basis)
+    assert np.array_equal(shared.residuals, on_demand.residuals)
 
 
 def test_status_tolerance(rng):

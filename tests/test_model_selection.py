@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from flowcast.greedy import SelectionRule, TrainingSet
-from flowcast.kernels import KernelExpansion
+from flowcast.greedy import (
+    GreedyState,
+    SelectionRule,
+    TrainConfig,
+    TrainingSet,
+    greedy_train,
+    run_greedy,
+)
+from flowcast.kernels import GaussianKernel, KernelExpansion
 from flowcast.model_selection import (
     CrossValidationError,
     CvConfig,
@@ -14,7 +22,7 @@ from flowcast.model_selection import (
     select_epsilon,
 )
 
-from conftest import make_training_set
+from conftest import make_training_set, well_separated_set
 
 
 def test_epsilon_grid_shape_and_endpoints():
@@ -52,6 +60,11 @@ def test_select_best():
     assert select_best(grid, np.array([np.inf, np.inf, 0.5])) == 2
     with pytest.raises(CrossValidationError, match="non-finite"):
         select_best(grid, np.full(3, np.inf))
+    # NaN scores never win, wherever they sit.
+    assert select_best(grid, np.array([np.nan, 1.0, 2.0])) == 1
+    assert select_best(grid, np.array([3.0, np.nan, 2.0])) == 2
+    with pytest.raises(CrossValidationError, match="non-finite"):
+        select_best(grid, np.full(3, np.nan))
 
 
 def test_cv_config_validation():
@@ -97,3 +110,41 @@ def test_failing_widths_score_infinite(rng):
     )
     assert np.isfinite(result.scores[result.best_index])
     assert 0 < result.stalled_widths <= 6
+
+
+@pytest.mark.parametrize("rule", list(SelectionRule))
+def test_masked_fold_run_matches_explicit_fold_training(rng, rule):
+    inputs, targets, eps = well_separated_set(rng, 30, 2, 2)
+    data = TrainingSet(inputs, targets)
+    sq_dists = cdist(inputs, inputs, "sqeuclidean")
+    for width in (eps, 2.0 * eps):
+        for fold in kfold_split(data.size, 5, seed=0):
+            state = GreedyState(data, GaussianKernel(width), excluded=fold, sq_dists=sq_dists)
+            cfg = TrainConfig(width, rule=rule, tolerance=0.0)
+            status, _, _ = run_greedy(state, cfg)
+            keep = np.setdiff1d(np.arange(data.size), fold)
+            explicit = greedy_train(TrainingSet(inputs[keep], targets[keep]), cfg)
+            assert state.selected == keep[explicit.selected_indices].tolist()
+            assert not np.any(np.isin(state.selected, fold))
+            assert status == "exhausted"
+            assert state.n_selected == data.size - len(fold)
+            held_out = targets[fold] - explicit.model(inputs[fold])
+            err = np.max(np.abs(state.residuals[fold] - held_out))
+            assert err <= 1e-10 * np.max(np.abs(held_out))
+
+
+def test_scores_are_mean_held_out_errors(rng):
+    inputs, targets, eps = well_separated_set(rng, 40, 2, 1)
+    data = TrainingSet(inputs, targets)
+    cfg = CvConfig(epsilon_min=eps, epsilon_max=3.0 * eps, grid_size=3, max_centers=20)
+    result = select_epsilon(data, cfg, **F_RULE)
+    for width, score in zip(result.grid, result.scores):
+        fold_scores = []
+        for fold in kfold_split(data.size, cfg.folds, cfg.seed):
+            keep = np.setdiff1d(np.arange(data.size), fold)
+            model = greedy_train(
+                TrainingSet(inputs[keep], targets[keep]),
+                TrainConfig(width, max_centers=cfg.max_centers, **F_RULE),
+            ).model
+            fold_scores.append(np.mean((model(inputs[fold]) - targets[fold]) ** 2))
+        assert score == pytest.approx(np.mean(fold_scores), rel=1e-10)
