@@ -44,10 +44,10 @@ class BurgersParams:
 
     @classmethod
     def from_mu(cls, mu) -> "BurgersParams":
-        mu = np.asarray(mu, dtype=float).ravel()
-        if mu.size != 2:
-            raise ValueError(f"mu must have two components (u_l, u_r), got {mu.size}")
-        return cls(float(mu[0]), float(mu[1]))
+        values = np.asarray(mu, dtype=float).ravel().tolist()
+        if len(values) != 2:
+            raise ValueError(f"mu must have two components (u_l, u_r), got {len(values)}")
+        return cls(*values)
 
 
 @dataclass(frozen=True)
@@ -72,40 +72,40 @@ class BurgersGrid:
         return -self.half_width + (np.arange(self.cells) + 0.5) * self.h
 
 
-def _flux(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lam = np.maximum(np.abs(a), np.abs(b))
-    return 0.25 * (a * a + b * b) - 0.5 * lam * (b - a)
+def _flux(w: np.ndarray) -> np.ndarray:
+    """F(a, b) at the interfaces (a, b) = (w[:-1], w[1:]) of a ghosted state."""
+    abs_w, sq = np.abs(w), w * w
+    lam = np.maximum(abs_w[:-1], abs_w[1:])
+    return 0.25 * (sq[:-1] + sq[1:]) - 0.5 * lam * (w[1:] - w[:-1])
 
 
-def _flux_partials(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dF/da and dF/db; at |a| == |b| the b-branch of the max is taken."""
-    lam = np.maximum(np.abs(a), np.abs(b))
-    a_wins = np.abs(a) > np.abs(b)
-    dlam_da = np.where(a_wins, np.sign(a), 0.0)
-    dlam_db = np.where(a_wins, 0.0, np.sign(b))
-    jump = b - a
-    dfa = 0.5 * a - 0.5 * dlam_da * jump + 0.5 * lam
-    dfb = 0.5 * b - 0.5 * dlam_db * jump - 0.5 * lam
+def _flux_partials(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dF/da and dF/db at the interfaces of :func:`_flux`; at |a| == |b| the
+    b-branch of the max is taken."""
+    abs_w, sign, half_w = np.abs(w), np.sign(w), 0.5 * w
+    a_wins = abs_w[:-1] > abs_w[1:]
+    half_lam = 0.5 * np.maximum(abs_w[:-1], abs_w[1:])
+    # The sign is 0 or +-1, so sign * (0.5 * jump) rounds as (0.5 * sign) * jump.
+    half_jump = 0.5 * (w[1:] - w[:-1])
+    dfa = half_w[:-1] - np.where(a_wins, sign[:-1], 0.0) * half_jump + half_lam
+    dfb = half_w[1:] - np.where(a_wins, 0.0, sign[1:]) * half_jump - half_lam
     return dfa, dfb
 
 
-def _check_state(u, grid: BurgersGrid) -> np.ndarray:
+def _ghosted(u, params: BurgersParams, grid: BurgersGrid) -> np.ndarray:
+    """The state with one ghost cell per side holding the boundary state."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.cells,):
         raise ValueError(f"state has shape {u.shape}, expected ({grid.cells},)")
-    return u
-
-
-def _with_ghosts(u: np.ndarray, params: BurgersParams) -> np.ndarray:
-    return np.concatenate(([params.u_l], u, [params.u_r]))
+    w = np.empty(grid.cells + 2)
+    w[0], w[1:-1], w[-1] = params.u_l, u, params.u_r
+    return w
 
 
 def burgers_rhs(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) -> np.ndarray:
     """Semi-discrete right-hand side du_c/dt = -(F_{c+1/2} - F_{c-1/2})/h."""
-    u = _check_state(u, grid)
-    w = _with_ghosts(u, params)
-    f = _flux(w[:-1], w[1:])
-    return -np.diff(f) / grid.h
+    f = _flux(_ghosted(u, params, grid))
+    return (f[1:] - f[:-1]) / -grid.h  # -x / h, down to the sign of a zero
 
 
 def burgers_jacobian(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) -> np.ndarray:
@@ -113,14 +113,12 @@ def burgers_jacobian(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) ->
     storage, shape (3, d): row 0 holds the super-diagonal in columns 1..d-1,
     row 1 the diagonal and row 2 the sub-diagonal in columns 0..d-2; the two
     unused corners are zero."""
-    u = _check_state(u, grid)
-    w = _with_ghosts(u, params)
-    dfa, dfb = _flux_partials(w[:-1], w[1:])
+    dfa, dfb = _flux_partials(_ghosted(u, params, grid))
     h = grid.h
     ab = np.zeros((3, grid.cells))
-    ab[0, 1:] = -dfb[1:-1] / h
-    ab[1] = (dfb[:-1] - dfa[1:]) / h
-    ab[2, :-1] = dfa[1:-1] / h
+    np.divide(dfb[1:-1], -h, out=ab[0, 1:])  # -(x / h), as -x / h rounds
+    np.divide(dfb[:-1] - dfa[1:], h, out=ab[1])
+    np.divide(dfa[1:-1], h, out=ab[2, :-1])
     return ab
 
 

@@ -5,7 +5,9 @@ Each step solves the nonlinear system
     g(u) = (u - u_prev) - dt * f(u, mu) = 0
 
 with a Newton iteration. A problem that declares a banded Jacobian gets a
-banded linear solve (LAPACK ``gtsv`` for a tridiagonal one); any other
+banded linear solve: a tridiagonal one calls LAPACK ``dgtsv`` directly (the
+routine ``scipy.linalg.solve_banded`` runs for it, minus that function's
+validation layer) and other widths go through ``solve_banded``. Any other
 problem gets a dense LU. The grouping of g matters: evaluating the
 difference of states before subtracting the scaled right-hand side keeps the
 attainable residual plateau well below tight tolerances for states of
@@ -25,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "NewtonConfig",
@@ -100,14 +103,22 @@ def _linear_solve(jac: np.ndarray, rhs: np.ndarray, bands: tuple[int, int] | Non
     ``bands = (lower, upper)`` is given. Raises LinAlgError when singular."""
     if bands is None:
         return np.linalg.solve(jac, rhs)
-    # solve_banded divides a 1x1 system by its pivot without checking it.
+    # A 1x1 system is a division, as in solve_banded, with its pivot checked.
     if jac.shape == (bands[0] + bands[1] + 1, 1):
         pivot = jac[bands[1], 0]
         if pivot == 0 or not np.isfinite(pivot):
             raise np.linalg.LinAlgError("singular matrix")
-    # Unchecked, as on the dense path: non-finite entries give a non-finite
-    # step, which newton_solve reports as DivergenceError.
-    return solve_banded(bands, jac, rhs, check_finite=False)
+        return rhs / pivot
+    # Both paths below are unchecked, as the dense one: non-finite entries
+    # give a non-finite step, which newton_solve reports as DivergenceError.
+    if bands != (1, 1):
+        return solve_banded(bands, jac, rhs, check_finite=False)
+    # solve_banded's own gtsv call for (1, 1), minus its validation layer; the
+    # zero overwrite flags leave the caller's band and right-hand side intact.
+    _, _, _, x, info = dgtsv(jac[2, :-1], jac[1], jac[0, 1:], rhs, 0, 0, 0, 0)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def newton_solve(

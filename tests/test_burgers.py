@@ -8,13 +8,14 @@ import pytest
 from flowcast.burgers import (
     BurgersGrid,
     BurgersParams,
+    _flux_partials,
     burgers_initial,
     burgers_jacobian,
     burgers_rhs,
     make_burgers_problem,
     shock_position,
 )
-from flowcast.ode import finite_difference_jacobian, integrate
+from flowcast.ode import NewtonConfig, finite_difference_jacobian, integrate
 from flowcast.problems import available_problems, build_problem, register_problem
 
 PARAMS = BurgersParams(3.4, 0.2)
@@ -112,6 +113,82 @@ def test_banded_newton_matches_dense(cells, mu, dt, completes):
     if not completes:
         # Both fail at the same step after the same iterations.
         assert got.error.split(" (residual")[0] == want.error.split(" (residual")[0]
+
+
+def reference_flux(a, b):
+    lam = np.maximum(np.abs(a), np.abs(b))
+    return 0.25 * (a * a + b * b) - 0.5 * lam * (b - a)
+
+
+def reference_flux_partials(a, b):
+    lam = np.maximum(np.abs(a), np.abs(b))
+    a_wins = np.abs(a) > np.abs(b)
+    dlam_da = np.where(a_wins, np.sign(a), 0.0)
+    dlam_db = np.where(a_wins, 0.0, np.sign(b))
+    jump = b - a
+    dfa = 0.5 * a - 0.5 * dlam_da * jump + 0.5 * lam
+    dfb = 0.5 * b - 0.5 * dlam_db * jump - 0.5 * lam
+    return dfa, dfb
+
+
+def same_bits(got, want):
+    """Equal values and equal signs, so that -0.0 and 0.0 also count as different."""
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+def bit_identity_cases():
+    rng = np.random.default_rng(7)
+    ties = np.array([2.0, -2.0, 2.0, 2.0, -2.0, -2.0, 0.5, -0.5])
+    cases = [
+        ("random", rng.uniform(-4.0, 4.0, 60), (3.4, 0.2)),
+        ("random-wide", rng.standard_normal(60) * 10.0 ** rng.integers(-8, 8, 60), (-1.5, 2.5)),
+        ("ties", ties, (2.0, -0.5)),
+        ("a-equals-minus-b", np.tile([1.0, -1.0], 10), (-1.0, 1.0)),
+        ("a-equals-b", np.full(12, 2.5), (2.5, 2.5)),
+        ("zeros", np.zeros(15), (0.0, 0.0)),
+        ("signed-zeros", np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0]), (-0.0, 0.0)),
+        ("negative", -rng.uniform(0.1, 3.0, 40), (-0.2, -3.4)),
+        ("one-cell", np.array([0.7]), (3.4, 0.2)),
+        ("one-cell-tie", np.array([-3.4]), (3.4, 3.4)),
+        ("one-cell-zero", np.array([0.0]), (0.0, -1.0)),
+    ]
+    return [pytest.param(u, mu, id=name) for name, u, mu in cases]
+
+
+@pytest.mark.parametrize("u, mu", bit_identity_cases())
+def test_flux_partials_bit_identical(u, mu):
+    # The shared-operation forms give the textbook formulas' bits, signs of
+    # zeros included; the reference functions above are those formulas.
+    params = BurgersParams(*mu)
+    grid = BurgersGrid(u.size, 5.0)
+    w = np.concatenate(([params.u_l], u, [params.u_r]))
+    a, b = w[:-1], w[1:]
+    for got, want in zip(_flux_partials(w), reference_flux_partials(a, b)):
+        assert same_bits(got, want)
+    assert same_bits(burgers_rhs(u, params, grid), -np.diff(reference_flux(a, b)) / grid.h)
+    dfa, dfb = reference_flux_partials(a, b)
+    want = np.zeros((3, u.size))
+    want[0, 1:] = -dfb[1:-1] / grid.h
+    want[1] = (dfb[:-1] - dfa[1:]) / grid.h
+    want[2, :-1] = dfa[1:-1] / grid.h
+    assert same_bits(burgers_jacobian(u, params, grid), want)
+
+
+def test_baseline_iteration_counts_pinned():
+    # Total Newton iterations from the previous state, 200 steps on 200 cells,
+    # the counts the benchmark's iteration metrics report. A rewrite of the
+    # residual, Jacobian or solve can move them without reaching the
+    # acceptance tests; smaller round-off changes are left to the bit-identity
+    # tests.
+    problem = make_burgers_problem(cells=200)
+    for mu, total in [((1.0, 0.5), 600), ((5.0, -1.0), 841), ((3.4, 0.2), 801)]:
+        traj = integrate(problem, mu, 0.01, 2.0, NewtonConfig())
+        assert traj.completed
+        assert traj.total_iterations == total, mu
 
 
 def test_shock_position_tracks_interface():

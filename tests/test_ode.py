@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from flowcast.burgers import make_burgers_problem
 from flowcast.ode import (
     EXPLICIT_EULER,
     PREVIOUS_VALUE,
@@ -12,6 +14,7 @@ from flowcast.ode import (
     NewtonConfig,
     SingularJacobianError,
     StepError,
+    _linear_solve,
     finite_difference_jacobian,
     ie_step,
     integrate,
@@ -64,6 +67,29 @@ def test_newton_singular_banded_jacobian():
     ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
     with pytest.raises(SingularJacobianError):
         newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+
+
+def test_tridiagonal_solve_matches_solve_banded(rng):
+    # Random diagonally dominant tridiagonal systems, and the first Newton
+    # system of a Burgers step from the previous state, once a shock has formed.
+    systems = []
+    for n in (1, 2, 3, 200):
+        ab = rng.uniform(-1.0, 1.0, (3, n))
+        ab[1] += np.sign(ab[1]) * 2.0
+        ab[0, 0] = ab[2, -1] = 0.0
+        systems.append((ab, rng.standard_normal(n)))
+    problem = make_burgers_problem()
+    mu = np.array([3.4, 0.2])
+    u = integrate(problem, mu, 0.01, 0.5).final_state
+    ab = -0.01 * problem.jacobian(u, mu)
+    ab[1] += 1.0
+    systems.append((ab, 0.01 * problem.rhs(u, mu)))
+    for ab, b in systems:
+        ab_before, b_before = ab.copy(), b.copy()
+        got = _linear_solve(ab, b, (1, 1))
+        want = solve_banded((1, 1), ab_before, b_before)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ab.tobytes() == ab_before.tobytes() and b.tobytes() == b_before.tobytes()
 
 
 def test_newton_divergence():
