@@ -44,10 +44,17 @@ class BurgersParams:
 
     @classmethod
     def from_mu(cls, mu) -> "BurgersParams":
-        values = np.asarray(mu, dtype=float).ravel().tolist()
-        if len(values) != 2:
-            raise ValueError(f"mu must have two components (u_l, u_r), got {len(values)}")
-        return cls(*values)
+        return cls(*_boundary_states(mu))
+
+    def __iter__(self):
+        return iter((self.u_l, self.u_r))
+
+
+def _boundary_states(mu) -> list[float]:
+    values = np.asarray(mu, dtype=float).ravel().tolist()
+    if len(values) != 2:
+        raise ValueError(f"mu must have two components (u_l, u_r), got {len(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -92,18 +99,20 @@ def _flux_partials(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dfa, dfb
 
 
-def _ghosted(u, params: BurgersParams, grid: BurgersGrid) -> np.ndarray:
+def _ghosted(u, params, grid: BurgersGrid) -> np.ndarray:
     """The state with one ghost cell per side holding the boundary state."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.cells,):
         raise ValueError(f"state has shape {u.shape}, expected ({grid.cells},)")
     w = np.empty(grid.cells + 2)
-    w[0], w[1:-1], w[-1] = params.u_l, u, params.u_r
+    w[0], w[-1] = params
+    w[1:-1] = u
     return w
 
 
 def burgers_rhs(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) -> np.ndarray:
-    """Semi-discrete right-hand side du_c/dt = -(F_{c+1/2} - F_{c-1/2})/h."""
+    """Semi-discrete right-hand side du_c/dt = -(F_{c+1/2} - F_{c-1/2})/h;
+    ``params`` may also be the plain pair (u_l, u_r)."""
     f = _flux(_ghosted(u, params, grid))
     return (f[1:] - f[:-1]) / -grid.h  # -x / h, down to the sign of a zero
 
@@ -112,7 +121,7 @@ def burgers_jacobian(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) ->
     """Exact tridiagonal derivative of :func:`burgers_rhs` in LAPACK band
     storage, shape (3, d): row 0 holds the super-diagonal in columns 1..d-1,
     row 1 the diagonal and row 2 the sub-diagonal in columns 0..d-2; the two
-    unused corners are zero."""
+    unused corners are zero. ``params`` may also be the pair (u_l, u_r)."""
     dfa, dfb = _flux_partials(_ghosted(u, params, grid))
     h = grid.h
     ab = np.zeros((3, grid.cells))
@@ -137,11 +146,11 @@ def shock_position(u: np.ndarray, params: BurgersParams, grid: BurgersGrid) -> f
 
 
 def _rhs_mu(u, mu, grid):
-    return burgers_rhs(u, BurgersParams.from_mu(mu), grid)
+    return burgers_rhs(u, _boundary_states(mu), grid)
 
 
 def _jacobian_mu(u, mu, grid):
-    return burgers_jacobian(u, BurgersParams.from_mu(mu), grid)
+    return burgers_jacobian(u, _boundary_states(mu), grid)
 
 
 def _initial_mu(mu, grid):

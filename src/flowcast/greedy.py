@@ -2,25 +2,26 @@
 
 The trainer builds the interpolant one center at a time. Each step picks the
 training point maximizing a selection criterion, extends an orthonormal
-Newton basis by one function, and updates residuals and the squared power
-function in O(N) work. The Newton basis columns are exactly the columns of a
-partial Cholesky factorization of the kernel matrix, so only the kernel
-columns of selected points are ever evaluated.
+Newton basis by one function, and updates the squared power function (and
+the residuals, for the rules that read them) in O(N) work. The Newton basis
+columns are exactly the columns of a partial Cholesky factorization of the
+kernel matrix, so only the kernel columns of selected points are evaluated.
 
 Update equations for a new point x_k at step n (0-based):
 
     v_i  = (K(x_i, x_k) - sum_{m<n} B[i,m] B[k,m]) / sqrt(power_sq[k])
-    c_n  = residual[k] / v_k                     (vector in R^q)
-    residual[i]  -= v_i c_n
     power_sq[i]  -= v_i^2
+    residual[i]  -= v_i residual[k] / v_k        (F and FP rules only)
 
-where B holds the Newton basis values at all training inputs. Coefficients
-in the plain kernel basis are recovered at the end by back-substitution
-through the triangular factor B[selected, :n].
+where B holds the Newton basis values at all training inputs, so a P-rule
+run never touches the targets. After the loop, forward substitution through
+the lower-triangular B[selected, :n] gives the Newton coefficients c, and
+back-substitution through its transpose the plain kernel coefficients.
 
-Excluded rows never become centers, but the update runs on every row, so
-their residuals are the held-out errors of the interpolant: cross validation
-scores its folds this way, with kernel columns from a shared distance matrix.
+Excluded rows never become centers, but the basis covers every row, so
+targets[i] - B[i, :n] c at an excluded row i is a held-out error: cross
+validation scores its folds this way, with kernel columns from a shared
+distance matrix.
 """
 
 from __future__ import annotations
@@ -146,13 +147,12 @@ class GreedyState:
         (N, n_max) array; column m holds the m-th Newton basis function
         evaluated at every training input (filled up to ``n_selected``).
     residuals
-        (N, q) current target minus current interpolant at each input.
+        (N, q) targets minus the interpolant at each input; None under the P rule.
     power_sq
         Length-N squared power function; exactly 0 at selected indices.
-    newton_coeffs
-        (n_max, q) projection coefficients of the targets on the basis.
-    in_pool
-        Length-N mask of the rows neither ``excluded`` nor selected.
+    pool_power
+        ``power_sq`` on the pool (the rows neither ``excluded`` nor selected)
+        and -inf elsewhere; the P criterion.
     sq_dists
         Optional (N, N) squared input distances supplying the kernel columns.
     max_centers
@@ -160,18 +160,17 @@ class GreedyState:
     """
 
     def __init__(self, data: TrainingSet, kernel: GaussianKernel, max_centers: int | None = None,
-                 excluded=None, sq_dists: np.ndarray | None = None):
-        self.in_pool = np.ones(data.size, dtype=bool)
-        self.in_pool[[] if excluded is None else excluded] = False
-        pool = int(np.count_nonzero(self.in_pool))
+                 excluded=None, sq_dists: np.ndarray | None = None, rule=SelectionRule.F_GREEDY):
+        self.pool_power = np.ones(data.size)
+        self.pool_power[[] if excluded is None else excluded] = -np.inf
+        pool = int(np.count_nonzero(np.isfinite(self.pool_power)))
         self.max_centers = n_max = pool if max_centers is None else min(pool, max_centers)
         self.data = data
         self.kernel = kernel
         self.sq_dists = sq_dists
         self.newton_basis = np.zeros((data.size, n_max))
-        self.residuals = data.targets.copy()
+        self.residuals = None if rule is SelectionRule.P_GREEDY else data.targets.copy()
         self.power_sq = np.ones(data.size)  # K(x, x) = 1 for the Gaussian
-        self.newton_coeffs = np.zeros((n_max, data.output_dim))
         self.selected: list[int] = []
         self.is_selected = np.zeros(data.size, dtype=bool)
 
@@ -179,20 +178,21 @@ class GreedyState:
     def n_selected(self) -> int:
         return len(self.selected)
 
-    def candidate_mask(self) -> np.ndarray:
-        """Pool points whose power is safely above the numerical floor."""
-        return self.in_pool & (self.power_sq > POWER_FLOOR)
-
     def criterion_values(self, rule: SelectionRule) -> np.ndarray:
-        """Squared selection criterion per point; -inf outside the candidate set."""
-        mask = self.candidate_mask()
-        crit = np.full(self.data.size, -np.inf)
+        """Squared selection criterion per point; -inf off the pool and at the floor."""
+        mask = self.pool_power > POWER_FLOOR
         if rule is SelectionRule.P_GREEDY:
-            crit[mask] = self.power_sq[mask]
-            return crit
+            return np.where(mask, self.pool_power, -np.inf)
+        crit = np.full(self.data.size, -np.inf)
         res_sq = np.sum(self.residuals[mask] ** 2, axis=1)
         crit[mask] = res_sq if rule is SelectionRule.F_GREEDY else res_sq / self.power_sq[mask]
         return crit
+
+    def newton_coefficients(self) -> np.ndarray:
+        """(n, q) Newton coefficients: forward substitution through B[selected, :n]."""
+        sel = self.selected
+        return solve_triangular(self.newton_basis[sel, :len(sel)], self.data.targets[sel],
+                                lower=True, check_finite=False)
 
 
 def select_next(state: GreedyState, rule: SelectionRule) -> tuple[int, float] | None:
@@ -202,6 +202,9 @@ def select_next(state: GreedyState, rule: SelectionRule) -> tuple[int, float] | 
     Returns None when every unselected point sits at the power floor, which
     signals termination to the caller.
     """
+    if rule is SelectionRule.P_GREEDY:  # one argmax; a maximum at the floor leaves no candidate
+        k = int(state.pool_power.argmax())
+        return (k, float(state.pool_power[k])) if state.pool_power[k] > POWER_FLOOR else None
     crit = state.criterion_values(rule)
     if not np.any(np.isfinite(crit)):
         return None
@@ -215,7 +218,7 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     Mutates ``state`` in place and returns it. Only the single kernel-matrix
     column of the new point is evaluated; the step costs O(N * n).
     """
-    if not state.in_pool[new_index]:
+    if state.pool_power[new_index] == -np.inf:
         raise ValueError(f"point {new_index} is already selected or excluded")
     pivot = state.power_sq[new_index]
     if pivot <= POWER_FLOOR:
@@ -227,19 +230,20 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     if state.sq_dists is None:
         col = state.kernel(state.data.inputs, state.data.inputs[[new_index]])[:, 0]
     else:
-        col = _gaussian(state.sq_dists[:, new_index], state.kernel.epsilon)
+        # The contiguous row; cdist output is symmetric bit for bit.
+        col = _gaussian(state.sq_dists[new_index], state.kernel.epsilon)
     if n:
         col -= state.newton_basis[:, :n] @ state.newton_basis[new_index, :n]
     v = col / np.sqrt(pivot)
     state.newton_basis[:, n] = v
-    # c_n = residual[k] / v_k makes the updated residual vanish exactly at x_k.
-    c = state.residuals[new_index] / v[new_index]
-    state.newton_coeffs[n] = c
-    # In-place rank-1 update residuals -= v c^T (residuals.T is a Fortran view).
-    dger(-1.0, c, v, a=state.residuals.T, overwrite_a=1)
-    state.power_sq -= v * v
+    if state.residuals is not None:
+        # residuals -= v c^T in place; c = residual[k] / v_k zeroes it at x_k.
+        dger(-1.0, state.residuals[new_index] / v[new_index], v, a=state.residuals.T, overwrite_a=1)
+    v *= v
+    state.power_sq -= v
+    state.pool_power -= v
     state.power_sq[new_index] = 0.0
-    state.in_pool[new_index] = False
+    state.pool_power[new_index] = -np.inf
     state.is_selected[new_index] = True
     state.selected.append(int(new_index))
     return state
@@ -269,26 +273,15 @@ class GreedyResult:
         return self.model.n_centers
 
 
-def _finalize(state: GreedyState, epsilon: float) -> KernelExpansion:
-    n = state.n_selected
-    if n == 0:
-        return KernelExpansion.empty(state.data.input_dim, state.data.output_dim, epsilon)
-    # The Newton basis values at the selected points form the lower-triangular
-    # Cholesky factor of the selected kernel submatrix.
-    lower = state.newton_basis[state.selected, :n]
-    alpha = solve_triangular(lower.T, state.newton_coeffs[:n], lower=False)
-    return KernelExpansion(state.data.inputs[state.selected], alpha, epsilon)
-
-
 def run_greedy(state: GreedyState, cfg: TrainConfig):
     """Select until tolerance, budget, pool, or floor exhaustion; return the
     status and the criterion and max-power histories."""
     crit_history: list[float] = []
     power_history: list[float] = []
     while True:
-        # The cap check below ends the loop before the pool is empty.
-        power_history.append(float(np.max(state.power_sq[state.in_pool])))
-        best = select_next(state, cfg.rule)
+        best = select_next(state, cfg.rule)  # a P-rule value is the maximum pool power
+        power_history.append(best[1] if best and cfg.rule is SelectionRule.P_GREEDY
+                             else float(np.max(state.pool_power)))
         if best is None:
             return "stalled", crit_history, power_history
         k, crit_k = best
@@ -297,16 +290,20 @@ def run_greedy(state: GreedyState, cfg: TrainConfig):
             return "tolerance", crit_history, power_history
         update_basis(state, k)
         if state.n_selected >= state.max_centers:
-            status = "max_centers" if state.in_pool.any() else "exhausted"
+            status = "max_centers" if np.isfinite(state.pool_power).any() else "exhausted"
             return status, crit_history, power_history
 
 
 def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
     """Train an expansion on ``data`` with one greedy run."""
-    state = GreedyState(data, GaussianKernel(cfg.epsilon), cfg.max_centers)
+    state = GreedyState(data, GaussianKernel(cfg.epsilon), cfg.max_centers, rule=cfg.rule)
     status, crit_history, power_history = run_greedy(state, cfg)
+    # The Newton basis values at the selected points form the lower-triangular
+    # Cholesky factor of the selected kernel submatrix (0 x 0 without centers).
+    lower = state.newton_basis[state.selected, :state.n_selected]
+    alpha = solve_triangular(lower.T, state.newton_coefficients(), lower=False)
     return GreedyResult(
-        model=_finalize(state, cfg.epsilon),
+        model=KernelExpansion(data.inputs[state.selected], alpha, cfg.epsilon),
         selected_indices=np.asarray(state.selected, dtype=int),
         status=status,
         criterion_history=np.asarray(crit_history),

@@ -3,8 +3,9 @@
 For each candidate width a sparse greedy interpolant is trained on k-1 folds
 and scored by mean squared prediction error on the held-out fold (mean over
 points and output components, then over folds). Each fold is one greedy run
-over all N rows with the fold masked out of the candidates, so its residuals
-at the fold rows are the held-out errors; one (N, N) squared-distance matrix
+over all N rows with the fold masked out of the candidates, whose held-out
+errors at the fold rows follow from one triangular solve after the run (a
+P-rule run never reads the targets); one (N, N) squared-distance matrix
 serves every width and fold. Non-finite scores count as infinite, and ties
 go to the smallest width.
 """
@@ -115,9 +116,11 @@ def select_epsilon(
         train_cfg = TrainConfig(eps, rule=rule, tolerance=tolerance, max_centers=cfg.max_centers)
         fold_scores, statuses = [], []
         for fold in split:
-            state = GreedyState(data, GaussianKernel(eps), cfg.max_centers, fold, sq_dists)
+            state = GreedyState(data, GaussianKernel(eps), cfg.max_centers, fold, sq_dists, rule)
             statuses.append(run_greedy(state, train_cfg)[0])
-            fold_scores.append(np.mean(state.residuals[fold] ** 2))
+            basis = state.newton_basis[fold, :state.n_selected]
+            errors = data.targets[fold] - basis @ state.newton_coefficients()
+            fold_scores.append(np.mean(errors ** 2))
         scores[i] = np.mean(fold_scores)
         stalled += "stalled" in statuses
     # Extreme widths routinely break down numerically; they never win.

@@ -273,3 +273,6 @@ def test_preset_cv_choices(exp1_model, exp2_model):
     # The widths each preset's 50-width 5-fold cross validation picks.
     assert (exp1_model.cv.best_index, exp1_model.cv.epsilon) == (22, 0.04941713361323833)
     assert (exp2_model.cv.best_index, exp2_model.cv.epsilon) == (18, 0.015998587196060572)
+    # Widths at which some fold's greedy run stalled at the power floor.
+    assert exp1_model.cv.stalled_widths == 12
+    assert exp2_model.cv.stalled_widths == 0

@@ -53,6 +53,12 @@ def test_params_from_mu():
     assert (p.u_l, p.u_r) == (3.4, 0.2)
     with pytest.raises(ValueError, match="two components"):
         BurgersParams.from_mu([1.0])
+    problem = make_burgers_problem(cells=4)
+    for mu in ([1.0], (1.0, 0.5, 0.0)):
+        with pytest.raises(ValueError, match="two components"):
+            problem.rhs(np.zeros(4), mu)
+        with pytest.raises(ValueError, match="two components"):
+            problem.jacobian(np.zeros(4), mu)
 
 
 def test_initial_profile_is_step():

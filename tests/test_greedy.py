@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import solve
+from scipy.linalg.blas import dger
 from scipy.spatial.distance import cdist
 
 from flowcast.greedy import (
@@ -18,9 +19,9 @@ from flowcast.greedy import (
     select_next,
     update_basis,
 )
-from flowcast.kernels import GaussianKernel, KernelExpansion, kernel_matrix
+from flowcast.kernels import GaussianKernel, KernelExpansion, _gaussian, kernel_matrix
 
-from conftest import make_training_set
+from conftest import make_training_set, well_separated_set
 
 
 def small_data(rng, n=12, p=2, q=2):
@@ -133,7 +134,8 @@ def test_update_basis_updates_residuals_in_place(rng):
     buffer = state.residuals
     before = buffer.copy()
     update_basis(state, 5)
-    v, c = state.newton_basis[:, 1], state.newton_coeffs[1]
+    v = state.newton_basis[:, 1]
+    c = before[5] / v[5]
     assert np.shares_memory(state.residuals, buffer)
     assert np.max(np.abs(state.residuals - (before - np.outer(v, c)))) <= 1e-14
 
@@ -177,6 +179,99 @@ def test_shared_distance_matrix_gives_identical_run(rng):
     assert np.array_equal(shared.residuals, on_demand.residuals)
 
 
+def incremental_reference(data, eps, rule, max_centers=None, excluded=None, sq_dists=None):
+    """The greedy loop that updates every residual with ``dger`` at each step
+    and stores c_n = residual[k] / v_k, whatever the rule; kernel columns come
+    from the columns of ``sq_dists``. Returns the selection, status, Newton
+    basis, Newton coefficients and residuals."""
+    size = data.size
+    in_pool = np.ones(size, dtype=bool)
+    in_pool[[] if excluded is None else excluded] = False
+    pool = int(np.count_nonzero(in_pool))
+    n_max = pool if max_centers is None else min(pool, max_centers)
+    basis = np.zeros((size, n_max))
+    residuals = data.targets.copy()
+    power_sq = np.ones(size)
+    coeffs = np.zeros((n_max, data.output_dim))
+    selected = []
+    while True:
+        mask = in_pool & (power_sq > POWER_FLOOR)
+        crit = np.full(size, -np.inf)
+        if rule is SelectionRule.P_GREEDY:
+            crit[mask] = power_sq[mask]
+        else:
+            res_sq = np.sum(residuals[mask] ** 2, axis=1)
+            crit[mask] = res_sq if rule is SelectionRule.F_GREEDY else res_sq / power_sq[mask]
+        if not np.any(np.isfinite(crit)):
+            status = "stalled"
+            break
+        k = int(np.argmax(crit))
+        n = len(selected)
+        if sq_dists is None:
+            col = GaussianKernel(eps)(data.inputs, data.inputs[[k]])[:, 0]
+        else:
+            col = _gaussian(sq_dists[:, k], eps)
+        if n:
+            col -= basis[:, :n] @ basis[k, :n]
+        v = col / np.sqrt(power_sq[k])
+        basis[:, n] = v
+        c = residuals[k] / v[k]
+        coeffs[n] = c
+        dger(-1.0, c, v, a=residuals.T, overwrite_a=1)
+        power_sq -= v * v
+        power_sq[k] = 0.0
+        in_pool[k] = False
+        selected.append(k)
+        if len(selected) >= n_max:
+            status = "max_centers" if in_pool.any() else "exhausted"
+            break
+    n = len(selected)
+    return selected, status, basis[:, :n], coeffs[:n], residuals
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["on-demand", "shared"])
+@pytest.mark.parametrize("held_out", [False, True], ids=["all-rows", "excluded"])
+@pytest.mark.parametrize("rule", list(SelectionRule))
+def test_p_rule_matches_incremental_reference(rule, held_out, shared):
+    # Well-separated inputs keep the kernel matrix well conditioned, so the
+    # forward substitution and the incremental coefficients differ only by
+    # round-off.
+    rng = np.random.default_rng(2024)
+    inputs, targets, eps = well_separated_set(rng, 36, 2, 3)
+    data = TrainingSet(inputs, targets)
+    excluded = rng.choice(data.size, 9, replace=False) if held_out else None
+    sq_dists = cdist(inputs, inputs, "sqeuclidean") if shared else None
+    cfg = TrainConfig(eps, rule=rule, tolerance=0.0, max_centers=20)
+    want, want_status, basis, coeffs, residuals = incremental_reference(
+        data, eps, rule, 20, excluded, sq_dists)
+    state = GreedyState(data, GaussianKernel(eps), 20, excluded, sq_dists, rule)
+    buffer = state.residuals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, _, _ = run_greedy(state, cfg)
+    assert (state.selected, status) == (want, want_status)
+    assert np.array_equal(state.newton_basis, basis)
+    got = state.newton_coefficients()
+    assert np.max(np.abs(got - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
+    rows = np.arange(data.size) if excluded is None else excluded
+    held_out = targets[rows] - state.newton_basis[rows, :state.n_selected] @ got
+    err = np.max(np.abs(held_out - residuals[rows]))
+    assert err <= 1e-10 * np.max(np.abs(residuals[rows]))
+    if rule is SelectionRule.P_GREEDY:
+        # The P run never reads the targets: NaN targets select the same centers.
+        assert state.residuals is None
+        blind = GreedyState(TrainingSet(inputs, np.full_like(targets, np.nan)), GaussianKernel(eps),
+                            20, excluded, sq_dists, rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_greedy(blind, cfg)[0] == want_status
+        assert blind.selected == want
+    else:
+        # F and FP read residuals, so they still update them in place.
+        assert np.shares_memory(state.residuals, buffer)
+        assert np.array_equal(state.residuals, residuals)
+
+
 def test_status_tolerance(rng):
     # Smooth targets so the residual decays well before every point is used.
     inputs = 3.0 * rng.random((40, 2))
@@ -213,11 +308,12 @@ def test_status_stalled_without_warning():
     inputs = np.array([[0.0], [1e-9], [3.0]])
     targets = np.array([[1.0], [2.0], [0.5]])
     data = TrainingSet(inputs, targets)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = greedy_train(data, TrainConfig(1.0, tolerance=0.0))
-    assert result.status == "stalled"
-    assert result.n_centers == 2
+    for rule in SelectionRule:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = greedy_train(data, TrainConfig(1.0, rule=rule, tolerance=0.0))
+        assert result.status == "stalled"
+        assert result.n_centers == 2
 
 
 def test_select_next_returns_none_at_floor():
@@ -225,7 +321,8 @@ def test_select_next_returns_none_at_floor():
     targets = np.array([[1.0], [2.0]])
     state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.0))
     update_basis(state, 0)
-    assert select_next(state, SelectionRule.F_GREEDY) is None
+    for rule in SelectionRule:
+        assert select_next(state, rule) is None
 
 
 def test_zero_targets_give_empty_model(rng):

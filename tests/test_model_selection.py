@@ -119,7 +119,8 @@ def test_masked_fold_run_matches_explicit_fold_training(rng, rule):
     sq_dists = cdist(inputs, inputs, "sqeuclidean")
     for width in (eps, 2.0 * eps):
         for fold in kfold_split(data.size, 5, seed=0):
-            state = GreedyState(data, GaussianKernel(width), excluded=fold, sq_dists=sq_dists)
+            state = GreedyState(data, GaussianKernel(width), excluded=fold, sq_dists=sq_dists,
+                                rule=rule)
             cfg = TrainConfig(width, rule=rule, tolerance=0.0)
             status, _, _ = run_greedy(state, cfg)
             keep = np.setdiff1d(np.arange(data.size), fold)
@@ -129,7 +130,8 @@ def test_masked_fold_run_matches_explicit_fold_training(rng, rule):
             assert status == "exhausted"
             assert state.n_selected == data.size - len(fold)
             held_out = targets[fold] - explicit.model(inputs[fold])
-            err = np.max(np.abs(state.residuals[fold] - held_out))
+            fit = state.newton_basis[fold, :state.n_selected] @ state.newton_coefficients()
+            err = np.max(np.abs(targets[fold] - fit - held_out))
             assert err <= 1e-10 * np.max(np.abs(held_out))
 
 
