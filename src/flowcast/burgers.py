@@ -17,6 +17,7 @@ traveling at speed (u_l + u_r)/2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -65,10 +66,11 @@ class BurgersGrid:
     half_width: float = 5.0
 
     def __post_init__(self):
-        if self.cells < 1:
-            raise ValueError(f"cells must be >= 1, got {self.cells!r}")
-        if not np.isfinite(self.half_width) or self.half_width <= 0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width!r}")
+        if not isinstance(self.cells, numbers.Integral) or self.cells < 1:
+            raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
+        hw = self.half_width
+        if not isinstance(hw, numbers.Real) or not np.isfinite(hw) or hw <= 0:
+            raise ValueError(f"half_width must be a real number > 0, got {hw!r}")
 
     @property
     def h(self) -> float:

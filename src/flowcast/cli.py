@@ -39,6 +39,7 @@ from .pipeline import (
     online,
     save_model,
 )
+from .problems import build_problem
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "snap_dt", "main"]
 
@@ -48,16 +49,11 @@ class ConfigError(Exception):
 
 
 def _literal(text: str):
-    """Python literal if possible, bare string otherwise ('true'/'false' -> bool)."""
+    """Python literal if possible, bare string otherwise."""
     text = text.strip()
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
-        low = text.lower()
-        if low in ("true", "yes", "on"):
-            return True
-        if low in ("false", "no", "off"):
-            return False
         return text
 
 
@@ -149,18 +145,16 @@ class _Section:
             )
 
 
-def _bool(text) -> bool:
-    value = _literal(str(text))
-    if not isinstance(value, bool):
-        raise ValueError(f"expected a boolean, got {text!r}")
-    return value
+def _opt_int(text: str):
+    return None if text.strip().lower() == "none" else int(text)
 
 
-def _opt_int(text):
-    value = _literal(str(text))
-    if value is None or (isinstance(value, str) and value.lower() == "none"):
-        return None
-    return int(value)
+def _build(section: str, factory, /, *args, **kwargs):
+    """``factory(*args, **kwargs)``, its ValueError reported against [section]."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{section}] settings: {exc}") from exc
 
 
 def snap_dt(T: float, dt: float) -> float:
@@ -204,30 +198,26 @@ def load_experiment(source) -> ExperimentConfig:
     problem_options = {k: _literal(v) for k, v in prob.raw.items()}
 
     cv_sec = section("cv")
-    cv = CvConfig(**cv_sec.present(epsilon_min=float, epsilon_max=float, grid_size=int,
-                                   folds=int, seed=int, max_centers=_opt_int))
+    cv = _build("cv", CvConfig, **cv_sec.present(epsilon_min=float, epsilon_max=float,
+                                                 grid_size=int, folds=int, seed=int,
+                                                 max_centers=_opt_int))
     cv_sec.finish()
 
     newton_sec = section("newton")
-    newton = NewtonConfig(**newton_sec.present(tolerance=float, max_iterations=int))
+    newton = _build("newton", NewtonConfig,
+                    **newton_sec.present(tolerance=float, max_iterations=int))
     newton_sec.finish()
 
     off_sec = section("offline")
     train_params = off_sec.take("train_params", _parse_params, required=True)
     train_dts = off_sec.take("train_dts", _parse_floats, required=True)
     settings.update(off_sec.present(horizon=float, epsilon=float, rule=str, tolerance=float,
-                                    max_centers=_opt_int, normalize_inputs=_bool))
-    try:
-        off = OfflineConfig(
-            cases=tuple((mu, dt) for mu in train_params for dt in train_dts),
-            problem_options=problem_options,
-            cv=cv,
-            newton=newton,
-            **settings,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [offline] settings: {exc}") from exc
+                                    max_centers=_opt_int))
+    cases = tuple((mu, dt) for mu in train_params for dt in train_dts)
+    off = _build("offline", OfflineConfig, cases=cases, problem_options=problem_options,
+                 cv=cv, newton=newton, **settings)
     off_sec.finish()
+    _build("problem", build_problem, off.problem, **off.problem_options)
 
     on_sec = section("online")
     test_params = on_sec.take("test_params", _parse_params, default=train_params)

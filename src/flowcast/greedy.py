@@ -27,6 +27,7 @@ distance matrix.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,10 +133,21 @@ class TrainConfig:
         object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
         if not isinstance(self.rule, SelectionRule):
             object.__setattr__(self, "rule", SelectionRule.from_string(self.rule))
-        if not np.isfinite(self.tolerance) or self.tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance!r}")
-        if self.max_centers is not None and self.max_centers < 1:
-            raise ValueError(f"max_centers must be >= 1 or None, got {self.max_centers!r}")
+        _check_tolerance(self.tolerance)
+        _check_max_centers(self.max_centers)
+
+
+def _check_tolerance(tolerance):
+    if not np.isfinite(tolerance) or tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+
+
+def _check_max_centers(max_centers):
+    """None, or an integer center budget of at least one."""
+    if max_centers is not None and not (
+        isinstance(max_centers, numbers.Integral) and max_centers >= 1
+    ):
+        raise ValueError(f"max_centers must be an integer >= 1 or None, got {max_centers!r}")
 
 
 class GreedyState:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .greedy import GreedyState, SelectionRule, TrainConfig, TrainingSet, run_greedy
+from .greedy import _check_max_centers
 from .kernels import GaussianKernel
 
 __all__ = [
@@ -61,6 +62,7 @@ class CvConfig:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds!r}")
+        _check_max_centers(self.max_centers)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Offline: integrate the problem at the training parameters with the baseline
 initializer, collect ((dt, u_i) -> u_{i+1}) pairs from every step of every
 trajectory, pick the kernel width (cross validation unless fixed), and run
-the sparse greedy trainer. The result is a surrogate of the one-step map
-that can be persisted to a versioned JSON file.
+the sparse greedy trainer on those pairs as they are, without rescaling.
+The result is a surrogate of the one-step map that can be persisted to a
+versioned JSON file.
 
 Online: the surrogate predicts each next state and Newton polishes it, which
 cuts iterations without changing the converged states. ``compare_cases``
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .greedy import GreedyResult, SelectionRule, TrainConfig, TrainingSet, greedy_train
+from .greedy import _check_max_centers, _check_tolerance
 from .kernels import KernelExpansion
 from .model_selection import CvConfig, CvResult, select_epsilon
 from .ode import (
@@ -38,7 +40,6 @@ __all__ = [
     "DataInconsistencyError",
     "OfflineError",
     "ModelLoadError",
-    "Normalization",
     "OfflineConfig",
     "SurrogateModel",
     "CaseResult",
@@ -68,37 +69,6 @@ class ModelLoadError(Exception):
 
 
 @dataclass(frozen=True)
-class Normalization:
-    """Per-coordinate affine input map x -> (x - offsets) / scales."""
-
-    offsets: np.ndarray
-    scales: np.ndarray
-
-    def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=float)
-        scales = np.asarray(self.scales, dtype=float)
-        if offsets.ndim != 1 or offsets.shape != scales.shape:
-            raise ValueError("offsets and scales must be 1-d and of equal length")
-        if not np.all(scales > 0):
-            raise ValueError("scales must be strictly positive")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "scales", scales)
-
-    @classmethod
-    def fit(cls, inputs: np.ndarray) -> "Normalization":
-        """Min-max fit; near-constant coordinates get scale 1 so that
-        rescaling does not amplify round-off level variation."""
-        inputs = np.asarray(inputs, dtype=float)
-        lo = inputs.min(axis=0)
-        span = inputs.max(axis=0) - lo
-        tiny = 1e-12 * np.maximum(1.0, np.abs(lo))
-        return cls(lo, np.where(span > tiny, span, 1.0))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.offsets) / self.scales
-
-
-@dataclass(frozen=True)
 class OfflineConfig:
     """Everything the offline phase needs.
 
@@ -118,7 +88,6 @@ class OfflineConfig:
     tolerance: float = 1e-12
     max_centers: int | None = None
     newton: NewtonConfig = NewtonConfig()
-    normalize_inputs: bool = False
 
     def __post_init__(self):
         cases = tuple(
@@ -134,6 +103,8 @@ class OfflineConfig:
                 raise ValueError(f"{exc} (training case mu={mu})") from None
         if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
             raise ValueError(f"epsilon must be > 0 or None, got {self.epsilon!r}")
+        _check_tolerance(self.tolerance)
+        _check_max_centers(self.max_centers)
         if not isinstance(self.rule, SelectionRule):
             object.__setattr__(self, "rule", SelectionRule.from_string(self.rule))
         object.__setattr__(self, "cases", cases)
@@ -143,24 +114,17 @@ class OfflineConfig:
 class SurrogateModel:
     """A trained one-step-map surrogate bound to a named problem.
 
-    The expansion takes (dt, state) inputs of dimension d+1 and returns the
-    predicted next state. ``diagnostics`` and ``cv`` carry training traces
+    The expansion takes raw (dt, state) inputs of dimension d+1 and returns
+    the predicted next state. ``diagnostics`` and ``cv`` carry training traces
     for inspection; they are not persisted.
     """
 
     expansion: KernelExpansion
     problem_id: str
     problem_options: dict = field(default_factory=dict)
-    normalization: Normalization | None = None
     provenance: dict = field(default_factory=dict)
     diagnostics: GreedyResult | None = field(default=None, repr=False, compare=False)
     cv: CvResult | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.normalization is not None and (
-            self.normalization.offsets.shape[0] != self.expansion.input_dim
-        ):
-            raise ValueError("normalization length does not match the expansion input")
 
     @property
     def state_dim(self) -> int:
@@ -174,10 +138,6 @@ class SurrogateModel:
         return sorted({float(dt) for _, dt in self.provenance.get("cases", [])})
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at raw (dt, state) inputs; normalization is applied here."""
-        x = np.asarray(x, dtype=float)
-        if self.normalization is not None:
-            x = self.normalization.apply(x)
         return self.expansion(x)
 
     __call__ = predict
@@ -219,15 +179,12 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
     return TrainingSet(np.asarray(rows_x), np.asarray(rows_y))
 
 
-def build_training_data(
-    cfg: OfflineConfig,
-) -> tuple[TrainingSet, Normalization | None, int, IvpProblem]:
-    """Integrate the training cases and assemble (possibly normalized) data.
+def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int, IvpProblem]:
+    """Integrate the training cases and assemble their (dt, u_i) -> u_{i+1} pairs.
 
-    Returns the training set, the fitted normalization (None unless
-    requested), the pair count before deduplication, and the problem the
-    cases were integrated on. Raises OfflineError naming the case if any
-    training integration fails.
+    Returns the training set, the pair count before deduplication, and the
+    problem the cases were integrated on. Raises OfflineError naming the
+    case if any training integration fails.
     """
     problem = build_problem(cfg.problem, **cfg.problem_options)
     trajectories = [
@@ -240,12 +197,7 @@ def build_training_data(
                 f"training integration failed at mu={mu}, dt={dt}: {traj.error}"
             )
     n_before = sum(t.n_steps for t in trajectories)
-    data = assemble_training_set(trajectories)
-    normalization = None
-    if cfg.normalize_inputs:
-        normalization = Normalization.fit(data.inputs)
-        data = TrainingSet(normalization.apply(data.inputs), data.targets)
-    return data, normalization, n_before, problem
+    return assemble_training_set(trajectories), n_before, problem
 
 
 def offline(cfg: OfflineConfig) -> SurrogateModel:
@@ -254,7 +206,7 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
     Raises OfflineError naming the case if any training integration fails;
     cross-validation failures propagate unchanged.
     """
-    data, normalization, n_before, problem = build_training_data(cfg)
+    data, n_before, problem = build_training_data(cfg)
     cv_result = None
     if cfg.epsilon is not None:
         epsilon = cfg.epsilon
@@ -276,7 +228,6 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
         "newton_tolerance": cfg.newton.tolerance,
         "newton_max_iterations": cfg.newton.max_iterations,
         "residual_norm": "euclidean",
-        "normalize_inputs": cfg.normalize_inputs,
         "n_training_before_dedup": n_before,
         "n_training": data.size,
         "n_centers": result.n_centers,
@@ -296,7 +247,6 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
         expansion=result.model,
         problem_id=cfg.problem,
         problem_options=dict(cfg.problem_options),
-        normalization=normalization,
         provenance=provenance,
         diagnostics=result,
         cv=cv_result,
@@ -438,12 +388,6 @@ def save_model(model: SurrogateModel, path) -> None:
         "problem_id": model.problem_id,
         "problem_options": model.problem_options,
         **_expansion_to_dict(model.expansion),
-        "normalization": None
-        if model.normalization is None
-        else {
-            "offsets": model.normalization.offsets.tolist(),
-            "scales": model.normalization.scales.tolist(),
-        },
         "provenance": model.provenance,
     }
     with open(path, "w") as fh:
@@ -452,7 +396,9 @@ def save_model(model: SurrogateModel, path) -> None:
 
 
 def load_model(path) -> SurrogateModel:
-    """Read a model written by :func:`save_model`; raises ModelLoadError."""
+    """Read a model written by :func:`save_model`; raises ModelLoadError,
+    also for a file whose problem cannot be built or does not fit the model,
+    and for one holding a non-null ``normalization`` (rescaled inputs)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -468,20 +414,19 @@ def load_model(path) -> SurrogateModel:
         p, q = int(raw["input_dim"]), int(raw["output_dim"])
         centers = np.asarray(raw["centers"], dtype=float).reshape(-1, p)
         coefficients = np.asarray(raw["coefficients"], dtype=float).reshape(-1, q)
-        expansion = KernelExpansion(centers, coefficients, float(raw["epsilon"]))
-        normalization = None
         if raw.get("normalization") is not None:
-            normalization = Normalization(
-                np.asarray(raw["normalization"]["offsets"], dtype=float),
-                np.asarray(raw["normalization"]["scales"], dtype=float),
+            raise ModelLoadError(
+                f"model file {path} expects normalized inputs, which this build "
+                "does not support; retrain the model"
             )
-        return SurrogateModel(
-            expansion=expansion,
+        model = SurrogateModel(
+            expansion=KernelExpansion(centers, coefficients, float(raw["epsilon"])),
             problem_id=str(raw["problem_id"]),
             problem_options=dict(raw.get("problem_options", {})),
-            normalization=normalization,
             provenance=dict(raw.get("provenance", {})),
         )
+        _check_dims(model, model.build_problem())
+        return model
     except ModelLoadError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from .burgers import make_burgers_problem
@@ -19,12 +20,18 @@ def register_problem(name: str, factory: Callable[..., IvpProblem], replace: boo
     _REGISTRY[name] = factory
 
 
-def build_problem(name: str, **options) -> IvpProblem:
+def build_problem(name: str, /, **options) -> IvpProblem:
+    """Call the factory registered as ``name``; an unknown name, or options
+    its signature does not accept, raise ValueError."""
     try:
         factory = _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "none"
         raise ValueError(f"unknown problem {name!r} (registered: {known})") from None
+    try:
+        inspect.signature(factory).bind(**options)
+    except TypeError as exc:
+        raise ValueError(f"bad options for problem {name!r}: {exc}") from None
     return factory(**options)
 
 

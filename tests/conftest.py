@@ -1,4 +1,4 @@
-"""Shared fixtures: small deterministic data makers and the two full-scale
+"""Shared fixtures: small deterministic data makers and the three full-scale
 experiment models used by the acceptance tests (session scoped, built once)."""
 
 import numpy as np
@@ -56,6 +56,17 @@ def exp2_model(exp2):
 
 
 @pytest.fixture(scope="session")
+def exp3():
+    return load_experiment("experiment3")
+
+
+@pytest.fixture(scope="session")
+def exp3_model(exp3):
+    # The slowest fixture: 5,200 training pairs and a 50-width 5-fold search.
+    return offline(exp3.offline)
+
+
+@pytest.fixture(scope="session")
 def exp1_results(exp1, exp1_model):
     # Iteration counts are deterministic, so one repetition suffices here.
     return compare_cases(exp1_model, exp1.test_cases(), exp1.test_horizon)
@@ -64,6 +75,11 @@ def exp1_results(exp1, exp1_model):
 @pytest.fixture(scope="session")
 def exp2_results(exp2, exp2_model):
     return compare_cases(exp2_model, exp2.test_cases(), exp2.test_horizon)
+
+
+@pytest.fixture(scope="session")
+def exp3_results(exp3, exp3_model):
+    return compare_cases(exp3_model, exp3.test_cases(), exp3.test_horizon)
 
 
 @pytest.fixture()

@@ -1,8 +1,9 @@
-"""Acceptance gate: ten end-to-end criteria with pinned tolerances.
+"""Acceptance gate: eleven end-to-end criteria with pinned tolerances.
 
 Each criterion test prints one always-visible ACCEPTANCE line (PASS/FAIL
-plus the measured numbers). Criteria 5-8 run the shipped experiment presets
-at full scale through session fixtures, so this file takes about a minute.
+plus the measured numbers). Criteria 5-8 and 11 run the shipped experiment
+presets at full scale through session fixtures, so this file takes about
+two and a half minutes.
 """
 
 import time
@@ -265,6 +266,35 @@ def test_criterion_10_persistence_roundtrip(capsys, exp1_model, tmp_path):
     report_criterion(
         capsys, 10, "persistence round-trip",
         ok, f"bit-identical evaluation at 100 inputs: {identical}",
+    )
+    assert ok
+
+
+def test_criterion_11_step_size_generalization(capsys, exp3_model, exp3_results):
+    # Floors fixed from the first measured run (mean 30.99%, min 19.40%,
+    # gap 7.51e-14); they are not to be tuned to later runs.
+    cv = exp3_model.cv
+    n_centers = exp3_model.expansion.n_centers
+    done = [r for r in exp3_results if r.completed]
+    gains = [r.gain_iter_pct for r in done] or [float("nan")]
+    gap = max((float(np.max(np.abs(r.baseline.states - r.surrogate.states))) for r in done),
+              default=float("inf"))
+    mean_gain, min_gain = float(np.mean(gains)), min(gains)
+    ok = (
+        (cv.best_index, cv.epsilon) == (22, 0.04941713361323833)
+        and n_centers == 450
+        and len(exp3_results) == len(done) == 10
+        and gap <= 1e-10
+        and mean_gain >= 25.0
+        and min_gain >= 15.0
+    )
+    report_criterion(
+        capsys, 11, "experiment-3 step-size generalization",
+        ok,
+        f"CV index {cv.best_index} (eps {cv.epsilon:.4g}), n={n_centers}; "
+        f"{len(done)} of {len(exp3_results)} step sizes complete; "
+        f"mean gain {mean_gain:.2f}% >= 25%, min gain {min_gain:.2f}% >= 15%; "
+        f"max |baseline - surrogate| = {gap:.2e} <= 1e-10",
     )
     assert ok
 

@@ -48,6 +48,21 @@ def test_grid_geometry():
         BurgersGrid(10, -1.0)
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"foo": 1}, "bad options for problem 'burgers': .*'foo'"),
+    ({"name": "burgers"}, "bad options for problem 'burgers': .*'name'"),
+    ({"cells": 250.0}, "cells must be an integer >= 1, got 250.0"),
+    ({"cells": "200"}, "cells must be an integer >= 1, got '200'"),
+    ({"half_width": "5"}, "half_width must be a real number > 0, got '5'"),
+    ({"half_width": None}, "half_width must be a real number > 0, got None"),
+])
+def test_build_problem_rejects_bad_options(options, message):
+    """Unknown and ill-typed options raise ValueError before any grid is used."""
+    with pytest.raises(ValueError, match=message):
+        build_problem("burgers", **options)
+    assert build_problem("burgers", cells=np.int64(12), half_width=2).dim == 12
+
+
 def test_params_from_mu():
     p = BurgersParams.from_mu([3.4, 0.2])
     assert (p.u_l, p.u_r) == (3.4, 0.2)

@@ -212,6 +212,45 @@ def test_load_experiment_errors(tmp_path):
     with pytest.raises(ConfigError, match="invalid \\[offline\\]"):
         load_experiment(bad)
 
+    # Greedy settings are checked before any training integration runs, and
+    # a fractional budget is refused, not truncated.
+    for old, new, message in [
+        ("max_centers = 8\nepsilon", "max_centers = 0\nepsilon",
+         r"invalid \[offline\] settings: max_centers must be"),
+        ("max_centers = 8\nepsilon", "max_centers = 1.5\nepsilon",
+         r"bad value for 'max_centers' in \[offline\]"),
+        ("tolerance = 1e-12\nmax", "tolerance = -1e-12\nmax",
+         r"invalid \[offline\] settings: tolerance must be"),
+        ("max_centers = 8\n\n[newton]", "max_centers = 0\n\n[newton]",
+         r"invalid \[cv\] settings: max_centers must be"),
+        ("max_centers = 8\n\n[newton]", "max_centers = 1.5\n\n[newton]",
+         r"bad value for 'max_centers' in \[cv\]"),
+        ("rule = p", "rule = p\nnormalize_inputs = true",
+         r"unknown keys in section \[offline\]: normalize_inputs$"),
+    ]:
+        assert TINY_CFG.count(old) == 1
+        with pytest.raises(ConfigError, match=message):
+            load_experiment(variant("greedy", lambda s: s.replace(old, new)))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("foo = 1", "bad options for problem 'burgers': .*'foo'"),
+    ("cells = 2.5e2", "cells must be an integer >= 1, got 250.0"),
+    ("half_width = wide", "half_width must be a real number > 0, got 'wide'"),
+    ("name = nonexistent", "unknown problem 'nonexistent'"),
+])
+def test_bad_problem_options_fail_cleanly(line, message, tmp_path, capsys):
+    key = line.split(" = ")[0]
+    text = re.sub(rf"\n{key} = [^\n]*", "", TINY_CFG).replace("[problem]", f"[problem]\n{line}")
+    cfg = tmp_path / "bad-problem.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=r"invalid \[problem\] settings: " + message):
+        load_experiment(str(cfg))
+    assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid [problem] settings") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
+
 
 def test_cli_offline_online_bench_cv(tiny_cfg, tmp_path, capsys):
     model_path = tmp_path / "model.json"
@@ -342,6 +381,14 @@ def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
                  "--out", str(bench_csv), "--repetitions", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: repetitions must be >= 1")
     assert not bench_csv.exists()
+
+    raw = json.loads(model_path.read_text())
+    raw["problem_options"]["foo"] = 1
+    model_path.write_text(json.dumps(raw))
+    assert main(["online", "--model", str(model_path), "--mu", "(3.4, 0.2)",
+                 "--dt", "0.05", "-T", "0.25"]) == 1
+    assert re.fullmatch(r"error: malformed model file .*: bad options for problem 'burgers': "
+                        r".*'foo'\n", capsys.readouterr().err)
 
     with pytest.raises(SystemExit) as exc:
         main(["cv", "--config", tiny_cfg, "--out", str(tmp_path / "cv.csv"), "--jobs", "2"])

@@ -76,6 +76,10 @@ def test_cv_config_validation():
         CvConfig(grid_size=0)
     with pytest.raises(ValueError, match="folds"):
         CvConfig(folds=1)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="max_centers must be an integer >= 1 or None"):
+            CvConfig(max_centers=bad)
+    assert CvConfig(max_centers=None).max_centers is None
 
 
 # The folds' greedy settings: the default rule and tolerance of OfflineConfig.

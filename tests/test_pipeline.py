@@ -14,12 +14,9 @@ from flowcast.ode import NewtonConfig, NewtonStats, Trajectory, integrate
 from flowcast.pipeline import (
     DataInconsistencyError,
     ModelLoadError,
-    Normalization,
     OfflineConfig,
     OfflineError,
-    SurrogateModel,
     assemble_training_set,
-    build_training_data,
     compare_cases,
     load_model,
     offline,
@@ -63,29 +60,6 @@ def fake_trajectory(dt, states):
     )
 
 
-def test_normalization_fit_apply():
-    inputs = np.array([[0.0, 10.0], [2.0, 30.0], [1.0, 20.0]])
-    norm = Normalization.fit(inputs)
-    mapped = norm.apply(inputs)
-    assert np.allclose(mapped.min(axis=0), 0.0)
-    assert np.allclose(mapped.max(axis=0), 1.0)
-
-
-def test_normalization_keeps_near_constant_coordinates_inert():
-    inputs = np.array([[5.0, 1.0], [5.0 + 1e-13, 2.0]])
-    norm = Normalization.fit(inputs)
-    assert norm.scales[0] == 1.0  # a span at round-off must not be amplified
-    assert norm.scales[1] == 1.0
-    assert np.allclose(norm.apply(inputs)[:, 0], [0.0, 1e-13])
-
-
-def test_normalization_validation():
-    with pytest.raises(ValueError, match="positive"):
-        Normalization(np.zeros(2), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="equal length"):
-        Normalization(np.zeros(2), np.ones(3))
-
-
 def test_assemble_training_set_stacks_steps():
     t1 = fake_trajectory(0.1, [[0.0, 0.0], [1.0, 1.0], [2.0, 4.0]])
     t2 = fake_trajectory(0.2, [[5.0, 5.0], [6.0, 7.0]])
@@ -119,6 +93,16 @@ def test_offline_config_validation():
         OfflineConfig(cases=[((1.0,), 0.3)], horizon=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         tiny_config(epsilon=-1.0)
+    # The greedy settings are checked when the config is built, before any
+    # training integration runs.
+    for bad in (0, -3, 1.5):
+        with pytest.raises(ValueError, match="max_centers must be an integer >= 1 or None"):
+            tiny_config(max_centers=bad)
+    for bad in (-1e-12, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            tiny_config(tolerance=bad)
+    assert tiny_config(max_centers=None, tolerance=0.0).max_centers is None
+    assert tiny_config(max_centers=np.int64(3)).max_centers == 3
     cfg = tiny_config(rule="p")
     assert cfg.rule is SelectionRule.P_GREEDY
     assert cfg.cases == (((3.4, 0.2), 0.05),)
@@ -159,15 +143,6 @@ def test_offline_reports_failing_case():
     cfg = tiny_config(newton=NewtonConfig(max_iterations=1))
     with pytest.raises(OfflineError, match="mu="):
         offline(cfg)
-
-
-def test_build_training_data_normalizes():
-    data, norm, n_before, problem = build_training_data(tiny_config(normalize_inputs=True))
-    assert n_before == 20
-    assert problem.dim == 16
-    assert norm is not None
-    assert data.inputs.min() >= -1e-12
-    assert data.inputs.max() <= 1.0 + 1e-12
 
 
 def test_online_runs_and_flags_dt(tiny_model):
@@ -275,19 +250,7 @@ def test_save_load_roundtrip(tiny_model, tmp_path):
         loaded.expansion.coefficients, tiny_model.expansion.coefficients
     )
     assert loaded.expansion.epsilon == tiny_model.epsilon
-    assert loaded.normalization is None
     assert loaded.diagnostics is None  # training traces are not persisted
-
-
-def test_save_load_preserves_normalization(tmp_path):
-    model = offline(tiny_config(normalize_inputs=True))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert np.array_equal(loaded.normalization.offsets, model.normalization.offsets)
-    assert np.array_equal(loaded.normalization.scales, model.normalization.scales)
-    x = np.concatenate(([0.05], np.linspace(0.2, 3.4, 16)))
-    assert np.array_equal(loaded.predict(x), model.predict(x))
 
 
 def test_load_model_error_paths(tiny_model, tmp_path):
@@ -318,11 +281,42 @@ def test_load_model_error_paths(tiny_model, tmp_path):
     with pytest.raises(ModelLoadError, match="malformed"):
         load_model(path)
 
+    # The problem is built at load time: bad options or a dimension mismatch
+    # fail here, not when the model is first used.
+    for options in ({**TINY, "foo": 1}, {**TINY, "cells": 16.0}, {**TINY, "cells": 8}):
+        path.write_text(json.dumps(dict(raw, problem_options=options)))
+        with pytest.raises(ModelLoadError, match="malformed"):
+            load_model(path)
+    path.write_text(json.dumps(dict(raw, problem_id="nonexistent")))
+    with pytest.raises(ModelLoadError, match="unknown problem"):
+        load_model(path)
 
-def test_surrogate_model_validates_normalization(tiny_model):
-    with pytest.raises(ValueError, match="normalization length"):
-        SurrogateModel(
-            expansion=tiny_model.expansion,
-            problem_id="burgers",
-            normalization=Normalization(np.zeros(3), np.ones(3)),
-        )
+
+def test_load_model_rejects_normalized_inputs(tiny_model, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(tiny_model, path)
+    raw = json.loads(path.read_text())
+    assert "normalization" not in raw
+    dim = tiny_model.expansion.input_dim
+    raw["normalization"] = {"offsets": [0.0] * dim, "scales": [1.0] * dim}
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ModelLoadError, match="normalized inputs"):
+        load_model(path)
+
+
+def test_load_model_reads_files_with_null_normalization(tiny_model, tmp_path):
+    """Files that record ``"normalization": null`` (the earlier layout of
+    format version 1) load and predict bit for bit."""
+    path = tmp_path / "model.json"
+    save_model(tiny_model, path)
+    raw = json.loads(path.read_text())
+    raw["provenance"]["normalize_inputs"] = False
+    earlier = {k: v for k, v in raw.items() if k != "provenance"}
+    earlier.update(normalization=None, provenance=raw["provenance"])
+    path.write_text(json.dumps(earlier, indent=1))
+    loaded = load_model(path)
+    assert loaded.provenance == raw["provenance"]
+    x = np.random.default_rng(5).uniform(0.0, 3.5, size=(20, tiny_model.expansion.input_dim))
+    x[:, 0] = 0.05
+    assert np.array_equal(loaded.predict(x), tiny_model.predict(x))
+    assert np.array_equal(loaded.expansion.coefficients, tiny_model.expansion.coefficients)
