@@ -20,10 +20,9 @@ from .greedy import (
     TrainingSet,
     greedy_train,
 )
-from .kernels import GaussianKernel, KernelExpansion, gaussian_eval
+from .kernels import GaussianKernel, KernelExpansion
 from .model_selection import CrossValidationError, CvConfig, CvResult, select_epsilon
 from .ode import (
-    EXPLICIT_EULER,
     PREVIOUS_VALUE,
     Initializer,
     IvpProblem,
@@ -64,12 +63,10 @@ __all__ = [
     "greedy_train",
     "GaussianKernel",
     "KernelExpansion",
-    "gaussian_eval",
     "CrossValidationError",
     "CvConfig",
     "CvResult",
     "select_epsilon",
-    "EXPLICIT_EULER",
     "PREVIOUS_VALUE",
     "Initializer",
     "IvpProblem",

@@ -228,9 +228,10 @@ def load_experiment(source) -> ExperimentConfig:
     elif logspace is not None:
         if test_dts is not None:
             raise ConfigError("give either test_dts or test_dt_logspace, not both")
-        if len(logspace) != 3 or int(logspace[2]) < 1:
+        if len(logspace) != 3 or not logspace[2].is_integer() or logspace[2] < 1:
             raise ConfigError(
-                f"test_dt_logspace must be (lo, hi, count) with count >= 1, got {tuple(logspace)}"
+                "test_dt_logspace must be (lo, hi, count) with an integer count >= 1, "
+                f"got {tuple(logspace)}"
             )
         lo, hi, count = logspace
         test_dts = list(np.logspace(np.log10(lo), np.log10(hi), int(count)))

@@ -15,7 +15,6 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "GaussianKernel",
     "KernelExpansion",
-    "gaussian_eval",
     "kernel_matrix",
 ]
 
@@ -25,13 +24,6 @@ def _check_epsilon(epsilon) -> float:
     if not np.isfinite(eps) or eps <= 0.0:
         raise ValueError(f"shape parameter must be a positive real, got {epsilon!r}")
     return eps
-
-
-def _as_point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d point, got array of shape {x.shape}")
-    return x
 
 
 def _as_points(X) -> np.ndarray:
@@ -72,17 +64,6 @@ class GaussianKernel:
         return f"GaussianKernel(epsilon={self.epsilon!r})"
 
 
-def gaussian_eval(x, y, epsilon) -> float:
-    """Evaluate exp(-epsilon^2 ||x - y||_2^2) for two points of equal length."""
-    x = _as_point(x)
-    y = _as_point(y)
-    if x.shape != y.shape:
-        raise ValueError(f"point dimensions differ: {x.shape[0]} vs {y.shape[0]}")
-    eps = _check_epsilon(epsilon)
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-eps * eps * d2))
-
-
 def kernel_matrix(X, epsilon) -> np.ndarray:
     """Gaussian Gram matrix of a set of pairwise distinct points.
 
@@ -104,6 +85,11 @@ class KernelExpansion:
     ``centers`` has shape (n, p) with pairwise distinct rows, ``coefficients``
     shape (n, q) with one coefficient vector per center. An empty expansion
     (n = 0) evaluates to the zero vector; build one with :meth:`empty`.
+
+    Evaluation expands ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with the
+    centers' squared norms cached at construction, so a point costs two
+    matrix-vector products. This differs from a ``cdist`` evaluation (used by
+    :class:`GaussianKernel` and training) at round-off in the distances.
     """
 
     centers: np.ndarray
@@ -131,6 +117,10 @@ class KernelExpansion:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "epsilon", eps)
+        # Derived, so neither a field nor persisted.
+        sq_norms = np.einsum("ij,ij->i", centers, centers)
+        sq_norms.flags.writeable = False
+        object.__setattr__(self, "_center_sq_norms", sq_norms)
 
     @classmethod
     def empty(cls, input_dim: int, output_dim: int, epsilon: float) -> "KernelExpansion":
@@ -153,13 +143,21 @@ class KernelExpansion:
     def evaluate(self, x) -> np.ndarray:
         """Evaluate at one point (shape (p,) -> (q,)) or a batch ((M, p) -> (M, q))."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.ndim != 2 or pts.shape[1] != self.input_dim:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.input_dim:
             raise ValueError(
                 f"expected points of dimension {self.input_dim}, got shape {x.shape}"
             )
-        out = _gaussian(cdist(pts, self.centers, "sqeuclidean"), self.epsilon) @ self.coefficients
-        return out[0] if single else out
+        if x.ndim == 1:
+            sq_dists = self.centers @ x
+            x_sq_norms = x @ x
+        else:
+            sq_dists = x @ self.centers.T
+            x_sq_norms = np.einsum("ij,ij->i", x, x)[:, None]
+        # In place, so a batch allocates one (M, n) array.
+        sq_dists *= -2.0
+        sq_dists += self._center_sq_norms
+        sq_dists += x_sq_norms
+        sq_dists *= -(self.epsilon**2)
+        return np.exp(sq_dists, out=sq_dists) @ self.coefficients
 
     __call__ = evaluate

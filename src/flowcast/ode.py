@@ -15,12 +15,13 @@ moderate magnitude.
 
 The cost of a step is dominated by the Newton iteration count, which in turn
 depends on the quality of the starting guess. Initializers encapsulate that
-choice; besides the classical ones (previous state, one explicit Euler step)
-a trained kernel surrogate of the time-evolution map can be plugged in.
+choice; besides the classical one (the previous state) a trained kernel
+surrogate of the time-evolution map can be plugged in.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,7 +42,6 @@ __all__ = [
     "IvpProblem",
     "Initializer",
     "PREVIOUS_VALUE",
-    "EXPLICIT_EULER",
     "surrogate_initializer",
     "ie_step",
     "integrate",
@@ -58,7 +58,7 @@ class SingularJacobianError(NewtonError):
 
 
 class DivergenceError(NewtonError):
-    """The iteration produced non-finite values."""
+    """The iteration produced a residual whose norm is not finite."""
 
 
 class StepError(Exception):
@@ -133,15 +133,19 @@ def newton_solve(
     ``jacobian`` returns a dense matrix, or LAPACK band storage of shape
     ``(lower + upper + 1, d)`` when ``bands = (lower, upper)`` is given.
     Returns the last iterate and its stats; hitting the iteration cap yields
-    ``converged=False`` rather than an exception. Singular linear systems and
-    non-finite iterates raise SingularJacobianError / DivergenceError.
+    ``converged=False`` rather than an exception. Singular linear systems
+    raise SingularJacobianError. A residual whose 2-norm is not finite raises
+    DivergenceError: besides non-finite entries, that includes finite ones
+    whose squares overflow (entries beyond about 1e154).
     """
     cfg = cfg or NewtonConfig()
     u = np.array(u0, dtype=float)
     g = np.asarray(residual(u), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError("residual of the starting guess is not finite")
-    norm = float(np.linalg.norm(g))
+    # np.linalg.norm computes sqrt(g.g) for a real vector, with the same dot,
+    # bit for bit. vdot, unlike dot and @, does not warn when g.g overflows.
+    norm = math.sqrt(np.vdot(g, g))
+    if not math.isfinite(norm):
+        raise DivergenceError("residual norm of the starting guess is not finite")
     initial = norm
     iterations = 0
     while norm > cfg.tolerance and iterations < cfg.max_iterations:
@@ -155,9 +159,9 @@ def newton_solve(
         u = u + delta
         g = np.asarray(residual(u), dtype=float)
         iterations += 1
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite residual at iteration {iterations}")
-        norm = float(np.linalg.norm(g))
+        norm = math.sqrt(np.vdot(g, g))
+        if not math.isfinite(norm):
+            raise DivergenceError(f"non-finite residual norm at iteration {iterations}")
     return u, NewtonStats(
         iterations=iterations,
         final_residual_norm=norm,
@@ -245,7 +249,6 @@ class Initializer:
 
 
 PREVIOUS_VALUE = Initializer("previous", lambda p, u, mu, dt: u)
-EXPLICIT_EULER = Initializer("explicit-euler", lambda p, u, mu, dt: u + dt * p.rhs(u, mu))
 
 
 def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray], name: str = "surrogate") -> Initializer:

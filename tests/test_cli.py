@@ -161,6 +161,19 @@ def test_shipped_presets_load():
         assert abs(ratio - round(ratio)) < 1e-9  # snapped to divide the horizon
 
 
+@pytest.mark.parametrize("count", ["10", "1e1", "10.7"])
+def test_dt_logspace_count_must_be_an_integer(count, tmp_path):
+    path = tmp_path / "logspace.cfg"
+    path.write_text(
+        TINY_CFG.replace("test_dts = 0.05", f"test_dt_logspace = (0.001, 0.05, {count})")
+    )
+    if count == "10.7":
+        with pytest.raises(ConfigError, match="test_dt_logspace .* integer count"):
+            load_experiment(str(path))
+    else:
+        assert len(load_experiment(str(path)).test_dts) == 10
+
+
 def test_load_experiment_errors(tmp_path):
     with pytest.raises(ConfigError, match="neither a file nor a preset"):
         load_experiment("no-such-preset")

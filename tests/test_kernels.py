@@ -9,9 +9,27 @@ from scipy.linalg import solve
 from flowcast.kernels import (
     GaussianKernel,
     KernelExpansion,
-    gaussian_eval,
+    _check_epsilon,
     kernel_matrix,
 )
+
+
+def _as_point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-d point, got array of shape {x.shape}")
+    return x
+
+
+def gaussian_eval(x, y, epsilon) -> float:
+    """Reference: exp(-epsilon^2 ||x - y||_2^2) for two points of equal length."""
+    x = _as_point(x)
+    y = _as_point(y)
+    if x.shape != y.shape:
+        raise ValueError(f"point dimensions differ: {x.shape[0]} vs {y.shape[0]}")
+    eps = _check_epsilon(epsilon)
+    d2 = float(np.sum((x - y) ** 2))
+    return float(np.exp(-eps * eps * d2))
 
 
 def test_gaussian_eval_known_values():
@@ -78,6 +96,21 @@ def test_expansion_two_center_solve(rng):
     model = KernelExpansion(centers, alpha, eps)
     assert np.allclose(model(centers[0]), targets[0], atol=1e-12)
     assert np.allclose(model(centers[1]), targets[1], atol=1e-12)
+
+
+def test_expansion_with_identity_coefficients_is_the_kernel_row(rng):
+    """The norm-expanded evaluation against cdist and the pointwise reference."""
+    centers = rng.random((9, 4))
+    eps = 1.7
+    model = KernelExpansion(centers, np.eye(9), eps)
+    kernel = GaussianKernel(eps)
+    pts = np.vstack([rng.random((6, 4)), centers])  # includes X == C
+    want = kernel(pts, centers)
+    assert np.allclose(model(pts), want, rtol=0, atol=1e-14)
+    for x, row in zip(pts, want):
+        assert np.allclose(model(x), row, rtol=0, atol=1e-14)
+        ref = [gaussian_eval(x, c, eps) for c in centers]
+        assert np.allclose(model(x), ref, rtol=0, atol=1e-14)
 
 
 def test_expansion_single_vs_batch(rng):

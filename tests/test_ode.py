@@ -6,7 +6,6 @@ from scipy.linalg import solve_banded
 
 from flowcast.burgers import make_burgers_problem
 from flowcast.ode import (
-    EXPLICIT_EULER,
     PREVIOUS_VALUE,
     DivergenceError,
     Initializer,
@@ -21,6 +20,8 @@ from flowcast.ode import (
     newton_solve,
     surrogate_initializer,
 )
+
+EXPLICIT_EULER = Initializer("explicit-euler", lambda p, u, mu, dt: u + dt * p.rhs(u, mu))
 
 
 def decay_problem():
@@ -107,6 +108,27 @@ def test_newton_divergence():
     ab = np.array([[0.0, 1.0, np.nan], [1.0, 2.0, 1.0], [1.0, 0.0, 0.0]])
     with pytest.raises(DivergenceError, match="iteration 1"):
         newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+
+
+def test_newton_residual_norm_overflow_raises():
+    """Finite entries whose squares overflow give a non-finite 2-norm."""
+    with pytest.raises(DivergenceError, match="starting guess"):
+        newton_solve(lambda x: np.full(3, 1e200), lambda x: np.eye(3), np.zeros(3))
+
+    def residual(x):
+        return np.full(3, 1e200) if x[0] != 0.0 else np.ones(3)
+
+    with pytest.raises(DivergenceError, match="iteration 1"):
+        newton_solve(residual, lambda x: np.eye(3), np.zeros(3))
+
+
+def test_newton_residual_norm_is_numpy_norm(rng):
+    cfg = NewtonConfig(max_iterations=1)
+    for scale in (1e-15, 1.0, 1e150):
+        r = scale * rng.standard_normal(200)
+        _, stats = newton_solve(lambda x: r, lambda x: np.eye(200), np.zeros(200), cfg)
+        assert stats.initializer_residual_norm == np.linalg.norm(r)
+        assert stats.final_residual_norm == np.linalg.norm(r)
 
 
 def test_newton_iteration_cap_does_not_raise():
