@@ -15,7 +15,6 @@ from .burgers import (
 )
 from .greedy import (
     GreedyResult,
-    SelectionRule,
     TrainConfig,
     TrainingSet,
     greedy_train,
@@ -57,7 +56,6 @@ __all__ = [
     "burgers_rhs",
     "make_burgers_problem",
     "GreedyResult",
-    "SelectionRule",
     "TrainConfig",
     "TrainingSet",
     "greedy_train",

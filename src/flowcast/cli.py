@@ -211,7 +211,7 @@ def load_experiment(source) -> ExperimentConfig:
     off_sec = section("offline")
     train_params = off_sec.take("train_params", _parse_params, required=True)
     train_dts = off_sec.take("train_dts", _parse_floats, required=True)
-    settings.update(off_sec.present(horizon=float, epsilon=float, rule=str, tolerance=float,
+    settings.update(off_sec.present(horizon=float, epsilon=float, tolerance=float,
                                     max_centers=_opt_int))
     cases = tuple((mu, dt) for mu in train_params for dt in train_dts)
     off = _build("offline", OfflineConfig, cases=cases, problem_options=problem_options,
@@ -305,8 +305,6 @@ def _apply_offline_overrides(off: OfflineConfig, args) -> OfflineConfig:
     changes = {}
     if getattr(args, "epsilon", None) is not None:
         changes["epsilon"] = args.epsilon
-    if getattr(args, "rule", None) is not None:
-        changes["rule"] = args.rule
     if getattr(args, "seed", None) is not None:
         changes["cv"] = dataclasses.replace(off.cv, seed=args.seed)
     return dataclasses.replace(off, **changes) if changes else off
@@ -429,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="config file or preset name (e.g. experiment1)")
     p_off.add_argument("--out", required=True, help="model output path (JSON)")
     p_off.add_argument("--epsilon", type=float, help="fixed kernel width (skips CV)")
-    p_off.add_argument("--rule", choices=["f", "p", "fp"], help="greedy selection rule")
     p_off.add_argument("--seed", type=int, help="cross-validation fold seed")
     p_off.set_defaults(func=cmd_offline)
 
@@ -452,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="kernel width search curve")
     p_cv.add_argument("--config", required=True)
     p_cv.add_argument("--out", required=True, help="(epsilon, score) CSV path")
-    p_cv.add_argument("--rule", choices=["f", "p", "fp"])
     p_cv.add_argument("--seed", type=int)
     p_cv.set_defaults(func=cmd_cv)
     return parser

@@ -4,10 +4,10 @@ For each candidate width a sparse greedy interpolant is trained on k-1 folds
 and scored by mean squared prediction error on the held-out fold (mean over
 points and output components, then over folds). Each fold is one greedy run
 over all N rows with the fold masked out of the candidates, whose held-out
-errors at the fold rows follow from one triangular solve after the run (a
-P-rule run never reads the targets); one (N, N) squared-distance matrix
-serves every width and fold. Non-finite scores count as infinite, and ties
-go to the smallest width.
+errors at the fold rows follow from one triangular solve after the run (the
+greedy selection never reads the targets); one (N, N) squared-distance
+matrix serves every width and fold. Non-finite scores count as infinite, and
+ties go to the smallest width.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .greedy import GreedyState, SelectionRule, TrainConfig, TrainingSet, run_greedy
+from .greedy import GreedyState, TrainConfig, TrainingSet, run_greedy
 from .greedy import _check_max_centers
 from .kernels import GaussianKernel
 
@@ -100,13 +100,11 @@ def select_best(grid: np.ndarray, scores: np.ndarray) -> int:
     return int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))
 
 
-def select_epsilon(
-    data: TrainingSet, cfg: CvConfig, *, rule: SelectionRule, tolerance: float
-) -> CvResult:
+def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float) -> CvResult:
     """Cross-validate kernel widths on ``data`` and return the winner.
 
-    Folds are trained with the ``rule`` and ``tolerance`` of the training
-    that follows. Raises CrossValidationError when no width attains a finite
+    Folds are trained with the greedy ``tolerance`` of the training that
+    follows. Raises CrossValidationError when no width attains a finite
     score.
     """
     grid = epsilon_grid(cfg.epsilon_min, cfg.epsilon_max, cfg.grid_size)
@@ -115,10 +113,10 @@ def select_epsilon(
     scores = np.empty(grid.size)
     stalled = 0
     for i, eps in enumerate(grid):
-        train_cfg = TrainConfig(eps, rule=rule, tolerance=tolerance, max_centers=cfg.max_centers)
+        train_cfg = TrainConfig(eps, tolerance=tolerance, max_centers=cfg.max_centers)
         fold_scores, statuses = [], []
         for fold in split:
-            state = GreedyState(data, GaussianKernel(eps), cfg.max_centers, fold, sq_dists, rule)
+            state = GreedyState(data, GaussianKernel(eps), cfg.max_centers, fold, sq_dists)
             statuses.append(run_greedy(state, train_cfg)[0])
             basis = state.newton_basis[fold, :state.n_selected]
             errors = data.targets[fold] - basis @ state.newton_coefficients()

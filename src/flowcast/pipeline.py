@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import GreedyResult, SelectionRule, TrainConfig, TrainingSet, greedy_train
+from .greedy import GreedyResult, TrainConfig, TrainingSet, greedy_train
 from .greedy import _check_max_centers, _check_tolerance
 from .kernels import KernelExpansion
 from .model_selection import CvConfig, CvResult, select_epsilon
@@ -74,8 +74,9 @@ class OfflineConfig:
 
     ``cases`` is a sequence of ((mu components), dt) pairs; the same mu may
     appear with several step sizes. ``epsilon=None`` selects the width by
-    cross validation with ``cv``, whose folds are trained with ``rule`` and
-    ``tolerance``; a fixed value bypasses it.
+    cross validation with ``cv``, whose folds are trained with the greedy
+    ``tolerance``; a fixed value bypasses it. ``tolerance`` bounds the
+    squared power function, as in ``TrainConfig``.
     """
 
     cases: tuple
@@ -84,7 +85,6 @@ class OfflineConfig:
     problem_options: dict = field(default_factory=dict)
     epsilon: float | None = None
     cv: CvConfig = CvConfig()
-    rule: SelectionRule = SelectionRule.F_GREEDY
     tolerance: float = 1e-12
     max_centers: int | None = None
     newton: NewtonConfig = NewtonConfig()
@@ -105,8 +105,6 @@ class OfflineConfig:
             raise ValueError(f"epsilon must be > 0 or None, got {self.epsilon!r}")
         _check_tolerance(self.tolerance)
         _check_max_centers(self.max_centers)
-        if not isinstance(self.rule, SelectionRule):
-            object.__setattr__(self, "rule", SelectionRule.from_string(self.rule))
         object.__setattr__(self, "cases", cases)
 
 
@@ -211,10 +209,10 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
     if cfg.epsilon is not None:
         epsilon = cfg.epsilon
     else:
-        cv_result = select_epsilon(data, cfg.cv, rule=cfg.rule, tolerance=cfg.tolerance)
+        cv_result = select_epsilon(data, cfg.cv, tolerance=cfg.tolerance)
         epsilon = cv_result.epsilon
     result = greedy_train(
-        data, TrainConfig(epsilon, rule=cfg.rule, tolerance=cfg.tolerance, max_centers=cfg.max_centers)
+        data, TrainConfig(epsilon, tolerance=cfg.tolerance, max_centers=cfg.max_centers)
     )
     provenance = {
         "problem": cfg.problem,
@@ -222,7 +220,6 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
         "problem_notes": problem.notes,
         "cases": [[list(mu), dt] for mu, dt in cfg.cases],
         "horizon": cfg.horizon,
-        "rule": cfg.rule.value,
         "greedy_tolerance": cfg.tolerance,
         "max_centers": cfg.max_centers,
         "newton_tolerance": cfg.newton.tolerance,

@@ -20,7 +20,6 @@ from flowcast.burgers import (
 )
 from flowcast.greedy import (
     GreedyState,
-    SelectionRule,
     TrainConfig,
     TrainingSet,
     greedy_train,
@@ -75,27 +74,28 @@ def test_criterion_2_power_monotonicity(capsys, exp1_model, exp2_model):
         for h in (exp1_model.diagnostics.max_power_history,
                   exp2_model.diagnostics.max_power_history)
     )
-    # Small runs under every rule: track the same maximum while stepping
-    # manually, and check selected points end at exactly zero power.
+    # Small runs: track the same maximum while stepping manually, and check
+    # selected points end at exactly zero power.
     rng = np.random.default_rng(7)
     max_selected = 0.0
-    for rule in SelectionRule:
-        for _ in range(3):
-            inputs, targets = make_training_set(rng, 40, 3, 2)
-            state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.5))
-            prev = np.inf
-            for _ in range(25):
-                best = select_next(state, rule)
-                if best is None:
-                    break
-                k, _ = best
-                current = float(np.max(state.power_sq[~state.is_selected]))
-                max_rise = max(max_rise, current - prev)
-                prev = current
-                update_basis(state, k)
-            max_selected = max(
-                max_selected, float(np.max(np.abs(state.power_sq[state.selected])))
-            )
+    for _ in range(3):
+        inputs, targets = make_training_set(rng, 40, 3, 2)
+        state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.5))
+        prev = np.inf
+        for _ in range(25):
+            best = select_next(state)
+            if best is None:
+                break
+            k, _ = best
+            unselected = np.ones(state.data.size, dtype=bool)
+            unselected[state.selected] = False
+            current = float(np.max(state.power_sq[unselected]))
+            max_rise = max(max_rise, current - prev)
+            prev = current
+            update_basis(state, k)
+        max_selected = max(
+            max_selected, float(np.max(np.abs(state.power_sq[state.selected])))
+        )
     ok = max_rise <= 1e-12 and max_selected <= 1e-12
     report_criterion(
         capsys, 2, "power monotonicity",
@@ -240,7 +240,6 @@ def test_criterion_9_cv_planted_width(capsys):
     result = select_epsilon(
         data,
         CvConfig(epsilon_min=1e-2, epsilon_max=1e1, grid_size=15, max_centers=80),
-        rule=SelectionRule.F_GREEDY,
         tolerance=1e-12,
     )
     elapsed = time.perf_counter() - start

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from flowcast.cli import ConfigError, load_experiment, main, snap_dt
-from flowcast.greedy import SelectionRule
 from flowcast.ode import _nearest_step_count, _step_count, integrate
 from flowcast.pipeline import OfflineConfig
 from flowcast.problems import build_problem
@@ -24,7 +23,6 @@ half_width = 5.0
 train_params = (3.4, 0.2)
 train_dts = 0.05
 horizon = 0.5
-rule = p
 tolerance = 1e-12
 max_centers = 8
 epsilon = 0.3
@@ -123,7 +121,6 @@ def test_load_experiment_round_trip(tiny_cfg):
     assert off.problem_options == {"cells": 12, "half_width": 5.0}
     assert off.cases == (((3.4, 0.2), 0.05),)
     assert off.horizon == 0.5
-    assert off.rule is SelectionRule.P_GREEDY
     assert off.max_centers == 8
     assert off.epsilon == 0.3
     assert off.cv.grid_size == 4
@@ -213,10 +210,6 @@ def test_load_experiment_errors(tmp_path):
     with pytest.raises(ConfigError, match="count >= 1"):
         load_experiment(bad)
 
-    bad = variant("rule", lambda s: s.replace("rule = p", "rule = x"))
-    with pytest.raises(ConfigError, match="unknown selection rule 'x'"):
-        load_experiment(bad)
-
     bad = variant("reps", lambda s: s.replace("repetitions = 1", "repetitions = 0"))
     with pytest.raises(ConfigError, match="repetitions"):
         load_experiment(bad)
@@ -238,8 +231,10 @@ def test_load_experiment_errors(tmp_path):
          r"invalid \[cv\] settings: max_centers must be"),
         ("max_centers = 8\n\n[newton]", "max_centers = 1.5\n\n[newton]",
          r"bad value for 'max_centers' in \[cv\]"),
-        ("rule = p", "rule = p\nnormalize_inputs = true",
+        ("tolerance = 1e-12", "tolerance = 1e-12\nnormalize_inputs = true",
          r"unknown keys in section \[offline\]: normalize_inputs$"),
+        ("tolerance = 1e-12", "rule = p\ntolerance = 1e-12",
+         r"unknown keys in section \[offline\]: rule$"),
     ]:
         assert TINY_CFG.count(old) == 1
         with pytest.raises(ConfigError, match=message):
@@ -275,7 +270,7 @@ def test_cli_offline_online_bench_cv(tiny_cfg, tmp_path, capsys):
     assert not (tmp_path / "model-cv.csv").exists()
     payload = json.loads(model_path.read_text())
     assert payload["format_version"] == 1
-    assert payload["provenance"]["rule"] == "p"
+    assert "rule" not in payload["provenance"]
 
     step_csv = tmp_path / "steps.csv"
     code = main([
@@ -327,11 +322,11 @@ def test_cli_offline_with_cv_writes_curve(tiny_cfg, tmp_path, capsys):
 
 def test_cli_reports_stalled_widths_once(tmp_path, capsys):
     # At widths near 1e-6 the kernel columns of the 10 training pairs are
-    # near-singular, so unbounded f-greedy runs stall in some fold.
+    # near-singular, so unbounded greedy runs stall in some fold.
     cfg = tmp_path / "stalls.cfg"
     cfg.write_text(
         TINY_CFG.replace("epsilon = 0.3\n", "")
-        .replace("rule = p\ntolerance = 1e-12", "rule = f\ntolerance = 0")
+        .replace("tolerance = 1e-12", "tolerance = 0")
         .replace("epsilon_min = 0.01", "epsilon_min = 1e-6")
         .replace("max_centers = 8\n\n[newton]", "max_centers = None\n\n[newton]")
     )
@@ -346,15 +341,18 @@ def test_cli_reports_stalled_widths_once(tmp_path, capsys):
                             r"widths \(near-singular kernel columns\)\n", err)
 
 
-def test_cli_overrides(tiny_cfg, tmp_path):
+def test_cli_overrides(tiny_cfg, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main([
-        "offline", "--config", tiny_cfg, "--out", str(model_path),
-        "--epsilon", "0.4", "--rule", "f",
+        "offline", "--config", tiny_cfg, "--out", str(model_path), "--epsilon", "0.4",
     ]) == 0
     payload = json.loads(model_path.read_text())
     assert payload["epsilon"] == 0.4
-    assert payload["provenance"]["rule"] == "f"
+    # P-greedy is the only selection rule; there is no option to pick another.
+    with pytest.raises(SystemExit) as exc:
+        main(["offline", "--config", tiny_cfg, "--out", str(model_path), "--rule", "p"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rule p" in capsys.readouterr().err
 
 
 def test_cli_determinism(tiny_cfg, tmp_path):

@@ -1,4 +1,4 @@
-"""Greedy trainer: selection rules, Newton basis updates, termination."""
+"""Greedy trainer: P-greedy selection, Newton basis updates, termination."""
 
 import warnings
 
@@ -11,7 +11,6 @@ from scipy.spatial.distance import cdist
 from flowcast.greedy import (
     POWER_FLOOR,
     GreedyState,
-    SelectionRule,
     TrainConfig,
     TrainingSet,
     greedy_train,
@@ -43,9 +42,8 @@ def test_training_set_validation(rng):
 
 
 def test_train_config_validation():
-    cfg = TrainConfig("0.5", rule="p", tolerance=0)
+    cfg = TrainConfig("0.5", tolerance=0)
     assert cfg.epsilon == 0.5
-    assert cfg.rule is SelectionRule.P_GREEDY
     assert cfg.tolerance == 0.0
     with pytest.raises(ValueError, match="positive real"):
         TrainConfig(0.0)
@@ -53,9 +51,8 @@ def test_train_config_validation():
         TrainConfig(1.0, tolerance=-1e-3)
     with pytest.raises(ValueError, match="max_centers"):
         TrainConfig(1.0, max_centers=0)
-    with pytest.raises(ValueError, match="unknown selection rule"):
-        SelectionRule.from_string("q")
-    assert SelectionRule.from_string(" FP ") is SelectionRule.FP_GREEDY
+    with pytest.raises(TypeError, match="rule"):
+        TrainConfig(1.0, rule="p")
 
 
 def test_full_run_matches_dense_solve(rng):
@@ -85,33 +82,16 @@ def test_selected_sets_are_nested(rng):
         assert np.array_equal(part.selected_indices, full[:k])
 
 
-def test_f_greedy_picks_largest_residual():
-    inputs = np.array([[0.0], [5.0], [10.0]])
-    targets = np.array([[1.0], [-7.0], [2.0]])
-    state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.0))
-    assert select_next(state, SelectionRule.F_GREEDY) == (1, 49.0)
-    # All powers start equal, so p-greedy falls back to the lowest index.
-    assert select_next(state, SelectionRule.P_GREEDY) == (0, 1.0)
-
-
-def test_fp_greedy_balances_residual_and_power():
-    inputs = np.array([[0.0], [1.0], [10.0]])
-    targets = np.array([[2.0], [2.0], [1.0]])
-    data = TrainingSet(inputs, targets)
-    state = GreedyState(data, GaussianKernel(1.0))
-    update_basis(state, 0)
-    # Point 1 sits close to the selected center (low power), point 2 far.
-    crit = state.criterion_values(SelectionRule.FP_GREEDY)
-    assert crit[0] == -np.inf
-    assert np.argmax(crit) == 1  # residual^2 / power^2 rewards the near point
-    assert select_next(state, SelectionRule.FP_GREEDY) == (1, crit[1])
-
-
 def test_tie_breaks_to_lowest_index():
     inputs = np.array([[-1.0], [1.0], [0.0]])
     targets = np.array([[3.0], [3.0], [0.1]])
     state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(0.5))
-    assert select_next(state, SelectionRule.F_GREEDY) == (0, 9.0)
+    # Every power starts at K(x, x) = 1.
+    assert select_next(state) == (0, 1.0)
+    # The middle center leaves the two outer points at equal powers.
+    update_basis(state, 2)
+    assert state.pool_power[0] == state.pool_power[1]
+    assert select_next(state) == (0, state.pool_power[0])
 
 
 def test_update_basis_invariants(rng):
@@ -119,7 +99,6 @@ def test_update_basis_invariants(rng):
     state = GreedyState(data, GaussianKernel(1.0))
     update_basis(state, 3)
     assert state.power_sq[3] == 0.0
-    assert np.linalg.norm(state.residuals[3]) < 1e-12
     assert state.selected == [3]
     with pytest.raises(ValueError, match="already selected"):
         update_basis(state, 3)
@@ -128,39 +107,15 @@ def test_update_basis_invariants(rng):
         update_basis(state, 5)
 
 
-def test_update_basis_updates_residuals_in_place(rng):
-    state = GreedyState(small_data(rng), GaussianKernel(1.0))
-    update_basis(state, 2)
-    buffer = state.residuals
-    before = buffer.copy()
-    update_basis(state, 5)
-    v = state.newton_basis[:, 1]
-    c = before[5] / v[5]
-    assert np.shares_memory(state.residuals, buffer)
-    assert np.max(np.abs(state.residuals - (before - np.outer(v, c)))) <= 1e-14
-
-
-def test_p_criterion_ignores_residuals(rng):
-    state = GreedyState(small_data(rng), GaussianKernel(1.0))
-    update_basis(state, 0)
-    want = state.criterion_values(SelectionRule.P_GREEDY)
-    state.residuals[:] = np.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = state.criterion_values(SelectionRule.P_GREEDY)
-    assert np.array_equal(got, want)
-    assert select_next(state, SelectionRule.P_GREEDY) == (int(np.argmax(want)), float(np.max(want)))
-
-
 def test_excluded_rows_are_never_candidates(rng):
     data = small_data(rng, n=10)
     excluded = np.array([1, 4, 7])
     state = GreedyState(data, GaussianKernel(1.0), max_centers=20, excluded=excluded)
     assert state.max_centers == 7
-    assert np.all(state.criterion_values(SelectionRule.F_GREEDY)[excluded] == -np.inf)
+    assert np.all(state.pool_power[excluded] == -np.inf)
     with pytest.raises(ValueError, match="already selected or excluded"):
         update_basis(state, 4)
-    status, _, _ = run_greedy(state, TrainConfig(1.0, tolerance=0.0))
+    status, _ = run_greedy(state, TrainConfig(1.0, tolerance=0.0))
     assert status == "exhausted"
     assert sorted(state.selected) == [0, 2, 3, 5, 6, 8, 9]
     capped = GreedyState(data, GaussianKernel(1.0), max_centers=3, excluded=excluded)
@@ -176,13 +131,12 @@ def test_shared_distance_matrix_gives_identical_run(rng):
     assert run_greedy(on_demand, cfg) == run_greedy(shared, cfg)
     assert shared.selected == on_demand.selected
     assert np.array_equal(shared.newton_basis, on_demand.newton_basis)
-    assert np.array_equal(shared.residuals, on_demand.residuals)
 
 
-def incremental_reference(data, eps, rule, max_centers=None, excluded=None, sq_dists=None):
+def incremental_reference(data, eps, max_centers=None, excluded=None, sq_dists=None):
     """The greedy loop that updates every residual with ``dger`` at each step
-    and stores c_n = residual[k] / v_k, whatever the rule; kernel columns come
-    from the columns of ``sq_dists``. Returns the selection, status, Newton
+    and stores c_n = residual[k] / v_k; kernel columns come from the columns
+    of ``sq_dists``. Returns the selection, status, Newton
     basis, Newton coefficients and residuals."""
     size = data.size
     in_pool = np.ones(size, dtype=bool)
@@ -197,11 +151,7 @@ def incremental_reference(data, eps, rule, max_centers=None, excluded=None, sq_d
     while True:
         mask = in_pool & (power_sq > POWER_FLOOR)
         crit = np.full(size, -np.inf)
-        if rule is SelectionRule.P_GREEDY:
-            crit[mask] = power_sq[mask]
-        else:
-            res_sq = np.sum(residuals[mask] ** 2, axis=1)
-            crit[mask] = res_sq if rule is SelectionRule.F_GREEDY else res_sq / power_sq[mask]
+        crit[mask] = power_sq[mask]
         if not np.any(np.isfinite(crit)):
             status = "stalled"
             break
@@ -231,8 +181,7 @@ def incremental_reference(data, eps, rule, max_centers=None, excluded=None, sq_d
 
 @pytest.mark.parametrize("shared", [False, True], ids=["on-demand", "shared"])
 @pytest.mark.parametrize("held_out", [False, True], ids=["all-rows", "excluded"])
-@pytest.mark.parametrize("rule", list(SelectionRule))
-def test_p_rule_matches_incremental_reference(rule, held_out, shared):
+def test_p_rule_matches_incremental_reference(held_out, shared):
     # Well-separated inputs keep the kernel matrix well conditioned, so the
     # forward substitution and the incremental coefficients differ only by
     # round-off.
@@ -241,14 +190,13 @@ def test_p_rule_matches_incremental_reference(rule, held_out, shared):
     data = TrainingSet(inputs, targets)
     excluded = rng.choice(data.size, 9, replace=False) if held_out else None
     sq_dists = cdist(inputs, inputs, "sqeuclidean") if shared else None
-    cfg = TrainConfig(eps, rule=rule, tolerance=0.0, max_centers=20)
+    cfg = TrainConfig(eps, tolerance=0.0, max_centers=20)
     want, want_status, basis, coeffs, residuals = incremental_reference(
-        data, eps, rule, 20, excluded, sq_dists)
-    state = GreedyState(data, GaussianKernel(eps), 20, excluded, sq_dists, rule)
-    buffer = state.residuals
+        data, eps, 20, excluded, sq_dists)
+    state = GreedyState(data, GaussianKernel(eps), 20, excluded, sq_dists)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        status, _, _ = run_greedy(state, cfg)
+        status, _ = run_greedy(state, cfg)
     assert (state.selected, status) == (want, want_status)
     assert np.array_equal(state.newton_basis, basis)
     got = state.newton_coefficients()
@@ -257,23 +205,16 @@ def test_p_rule_matches_incremental_reference(rule, held_out, shared):
     held_out = targets[rows] - state.newton_basis[rows, :state.n_selected] @ got
     err = np.max(np.abs(held_out - residuals[rows]))
     assert err <= 1e-10 * np.max(np.abs(residuals[rows]))
-    if rule is SelectionRule.P_GREEDY:
-        # The P run never reads the targets: NaN targets select the same centers.
-        assert state.residuals is None
-        blind = GreedyState(TrainingSet(inputs, np.full_like(targets, np.nan)), GaussianKernel(eps),
-                            20, excluded, sq_dists, rule)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_greedy(blind, cfg)[0] == want_status
-        assert blind.selected == want
-    else:
-        # F and FP read residuals, so they still update them in place.
-        assert np.shares_memory(state.residuals, buffer)
-        assert np.array_equal(state.residuals, residuals)
+    # The run never reads the targets: NaN targets select the same centers.
+    blind = GreedyState(TrainingSet(inputs, np.full_like(targets, np.nan)), GaussianKernel(eps),
+                        20, excluded, sq_dists)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_greedy(blind, cfg)[0] == want_status
+    assert blind.selected == want
 
 
 def test_status_tolerance(rng):
-    # Smooth targets so the residual decays well before every point is used.
     inputs = 3.0 * rng.random((40, 2))
     targets = np.column_stack(
         [np.sin(inputs.sum(axis=1)), np.cos(inputs[:, 0] * inputs[:, 1])]
@@ -282,7 +223,13 @@ def test_status_tolerance(rng):
     result = greedy_train(data, TrainConfig(1.0, tolerance=1e-2))
     assert result.status == "tolerance"
     assert result.n_centers < data.size
-    # Squared-scale termination: every residual norm is at most sqrt(tol).
+    # The tolerance bounds the squared power: the run stops at the first
+    # pool maximum at or below it.
+    history = result.max_power_history
+    assert len(history) == result.n_centers + 1
+    assert history[-1] <= 1e-2 < np.min(history[:-1])
+    # The power bounds the pointwise error, |f - s| <= P ||f||_H, so on these
+    # smooth targets every residual norm is at most sqrt(tol).
     final_res = result.model(data.inputs) - data.targets
     assert np.max(np.linalg.norm(final_res, axis=1)) <= 1e-1 + 1e-12
 
@@ -303,17 +250,15 @@ def test_status_exhausted(rng):
 
 def test_status_stalled_without_warning():
     # Two nearly identical points: after one is selected the other's power
-    # collapses below the floor while its residual stays large. The status
-    # is the only record of the stall.
+    # collapses below the floor. The status is the only record of the stall.
     inputs = np.array([[0.0], [1e-9], [3.0]])
     targets = np.array([[1.0], [2.0], [0.5]])
     data = TrainingSet(inputs, targets)
-    for rule in SelectionRule:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = greedy_train(data, TrainConfig(1.0, rule=rule, tolerance=0.0))
-        assert result.status == "stalled"
-        assert result.n_centers == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = greedy_train(data, TrainConfig(1.0, tolerance=0.0))
+    assert result.status == "stalled"
+    assert result.n_centers == 2
 
 
 def test_select_next_returns_none_at_floor():
@@ -321,14 +266,15 @@ def test_select_next_returns_none_at_floor():
     targets = np.array([[1.0], [2.0]])
     state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.0))
     update_basis(state, 0)
-    for rule in SelectionRule:
-        assert select_next(state, rule) is None
+    assert select_next(state) is None
 
 
 def test_zero_targets_give_empty_model(rng):
+    # The selection never reads the targets: a tolerance at the initial
+    # power K(x, x) = 1 stops before the first center.
     inputs = rng.random((5, 2))
     data = TrainingSet(inputs, np.zeros((5, 1)))
-    result = greedy_train(data, TrainConfig(1.0))
+    result = greedy_train(data, TrainConfig(1.0, tolerance=1.0))
     assert result.status == "tolerance"
     assert result.n_centers == 0
     assert np.array_equal(result.model(inputs), np.zeros((5, 1)))
@@ -338,13 +284,11 @@ def test_histories_are_recorded(rng):
     data = small_data(rng)
     result = greedy_train(data, TrainConfig(1.0, tolerance=0.0, max_centers=5))
     assert len(result.max_power_history) == 5
-    assert len(result.criterion_history) == 5
     assert result.max_power_history[0] == 1.0
     assert np.all(np.diff(result.max_power_history) <= 1e-12)
 
 
-def test_single_point_any_rule():
+def test_single_point():
     data = TrainingSet(np.array([[2.0, 1.0]]), np.array([[5.0, -1.0]]))
-    for rule in SelectionRule:
-        model = greedy_train(data, TrainConfig(1.0, rule=rule, tolerance=0.0)).model
-        assert np.allclose(model(data.inputs[0]), data.targets[0], atol=1e-14)
+    model = greedy_train(data, TrainConfig(1.0, tolerance=0.0)).model
+    assert np.allclose(model(data.inputs[0]), data.targets[0], atol=1e-14)

@@ -6,7 +6,6 @@ from scipy.spatial.distance import cdist
 
 from flowcast.greedy import (
     GreedyState,
-    SelectionRule,
     TrainConfig,
     TrainingSet,
     greedy_train,
@@ -82,8 +81,8 @@ def test_cv_config_validation():
     assert CvConfig(max_centers=None).max_centers is None
 
 
-# The folds' greedy settings: the default rule and tolerance of OfflineConfig.
-F_RULE = dict(rule=SelectionRule.F_GREEDY, tolerance=1e-12)
+# The folds' greedy settings: the default tolerance of OfflineConfig.
+GREEDY = dict(tolerance=1e-12)
 
 
 def planted_data(rng, n=120):
@@ -95,7 +94,7 @@ def planted_data(rng, n=120):
 def test_select_epsilon_recovers_planted_width(rng):
     data = planted_data(rng)
     cfg = CvConfig(epsilon_min=1e-1, epsilon_max=1e1, grid_size=9, max_centers=60)
-    result = select_epsilon(data, cfg, **F_RULE)
+    result = select_epsilon(data, cfg, **GREEDY)
     assert result.grid.shape == (9,)
     assert result.scores.shape == (9,)
     assert result.epsilon == result.grid[result.best_index]
@@ -104,29 +103,27 @@ def test_select_epsilon_recovers_planted_width(rng):
 
 
 def test_failing_widths_score_infinite(rng):
-    # Two near-duplicate inputs make tiny widths stall with huge residuals;
-    # the search must survive and pick a finite-score width.
+    # Two near-duplicate inputs make tiny widths stall with huge held-out
+    # errors; the search must survive and pick a finite-score width.
     inputs, targets = make_training_set(rng, 40, 2, 1, spread=2.0)
     inputs[1] = inputs[0] + 1e-12
     data = TrainingSet(inputs, targets)
     result = select_epsilon(
-        data, CvConfig(epsilon_min=1e-6, epsilon_max=10.0, grid_size=6), **F_RULE
+        data, CvConfig(epsilon_min=1e-6, epsilon_max=10.0, grid_size=6), **GREEDY
     )
     assert np.isfinite(result.scores[result.best_index])
     assert 0 < result.stalled_widths <= 6
 
 
-@pytest.mark.parametrize("rule", list(SelectionRule))
-def test_masked_fold_run_matches_explicit_fold_training(rng, rule):
+def test_masked_fold_run_matches_explicit_fold_training(rng):
     inputs, targets, eps = well_separated_set(rng, 30, 2, 2)
     data = TrainingSet(inputs, targets)
     sq_dists = cdist(inputs, inputs, "sqeuclidean")
     for width in (eps, 2.0 * eps):
         for fold in kfold_split(data.size, 5, seed=0):
-            state = GreedyState(data, GaussianKernel(width), excluded=fold, sq_dists=sq_dists,
-                                rule=rule)
-            cfg = TrainConfig(width, rule=rule, tolerance=0.0)
-            status, _, _ = run_greedy(state, cfg)
+            state = GreedyState(data, GaussianKernel(width), excluded=fold, sq_dists=sq_dists)
+            cfg = TrainConfig(width, tolerance=0.0)
+            status, _ = run_greedy(state, cfg)
             keep = np.setdiff1d(np.arange(data.size), fold)
             explicit = greedy_train(TrainingSet(inputs[keep], targets[keep]), cfg)
             assert state.selected == keep[explicit.selected_indices].tolist()
@@ -143,14 +140,14 @@ def test_scores_are_mean_held_out_errors(rng):
     inputs, targets, eps = well_separated_set(rng, 40, 2, 1)
     data = TrainingSet(inputs, targets)
     cfg = CvConfig(epsilon_min=eps, epsilon_max=3.0 * eps, grid_size=3, max_centers=20)
-    result = select_epsilon(data, cfg, **F_RULE)
+    result = select_epsilon(data, cfg, **GREEDY)
     for width, score in zip(result.grid, result.scores):
         fold_scores = []
         for fold in kfold_split(data.size, cfg.folds, cfg.seed):
             keep = np.setdiff1d(np.arange(data.size), fold)
             model = greedy_train(
                 TrainingSet(inputs[keep], targets[keep]),
-                TrainConfig(width, max_centers=cfg.max_centers, **F_RULE),
+                TrainConfig(width, max_centers=cfg.max_centers, **GREEDY),
             ).model
             fold_scores.append(np.mean((model(inputs[fold]) - targets[fold]) ** 2))
         assert score == pytest.approx(np.mean(fold_scores), rel=1e-10)

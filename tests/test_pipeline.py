@@ -8,7 +8,6 @@ import pytest
 
 from flowcast import pipeline
 from flowcast.cli import _format_table
-from flowcast.greedy import SelectionRule
 from flowcast.model_selection import CvConfig
 from flowcast.ode import NewtonConfig, NewtonStats, Trajectory, integrate
 from flowcast.pipeline import (
@@ -103,9 +102,7 @@ def test_offline_config_validation():
             tiny_config(tolerance=bad)
     assert tiny_config(max_centers=None, tolerance=0.0).max_centers is None
     assert tiny_config(max_centers=np.int64(3)).max_centers == 3
-    cfg = tiny_config(rule="p")
-    assert cfg.rule is SelectionRule.P_GREEDY
-    assert cfg.cases == (((3.4, 0.2), 0.05),)
+    assert tiny_config().cases == (((3.4, 0.2), 0.05),)
 
 
 def test_offline_produces_working_surrogate(tiny_model):
