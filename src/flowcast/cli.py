@@ -217,7 +217,7 @@ def load_experiment(source) -> ExperimentConfig:
     off = _build("offline", OfflineConfig, cases=cases, problem_options=problem_options,
                  cv=cv, newton=newton, **settings)
     off_sec.finish()
-    _build("problem", build_problem, off.problem, **off.problem_options)
+    problem = _build("problem", build_problem, off.problem, **off.problem_options)
 
     on_sec = section("online")
     test_params = on_sec.take("test_params", _parse_params, default=train_params)
@@ -245,6 +245,10 @@ def load_experiment(source) -> ExperimentConfig:
     on_sec.finish()
     if exp.repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {exp.repetitions}")
+    _build("online", exp.test_cases)
+    for section_name, params in (("offline", train_params), ("online", test_params)):
+        for mu in params:
+            _build(section_name, problem.initial_value, mu)
     return exp
 
 

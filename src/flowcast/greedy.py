@@ -9,14 +9,17 @@ only the kernel columns of selected points are evaluated.
 
 Update equations for a new point x_k at step n (0-based):
 
-    v_i  = (K(x_i, x_k) - sum_{m<n} B[i,m] B[k,m]) / sqrt(power_sq[k])
-    power_sq[i]  -= v_i^2
+    v_i  = (K(x_i, x_k) - sum_{m<n} B[i,m] B[k,m]) / sqrt(pool_power[k])
+    pool_power[i]  -= v_i^2
 
 where B holds the Newton basis values at all training inputs, so the
-selection never touches the targets. After the loop, forward substitution
-through the lower-triangular B[selected, :n] gives the Newton coefficients
-c, and back-substitution through its transpose the plain kernel
-coefficients.
+selection never touches the targets. ``pool_power`` is the squared power on
+the candidate pool and -inf on selected and excluded rows, which the
+subtraction leaves at -inf; the power at a selected row x_k would be
+1 - sum_m B[k,m]^2, zero up to round-off. After the loop, forward
+substitution through the lower-triangular B[selected, :n] gives the Newton
+coefficients c, and back-substitution through its transpose the plain
+kernel coefficients.
 
 Excluded rows never become centers, but the basis covers every row, so
 targets[i] - B[i, :n] c at an excluded row i is a held-out error: cross
@@ -126,33 +129,33 @@ def _check_max_centers(max_centers):
 class GreedyState:
     """Incremental state of one greedy run over a fixed training set.
 
+    The run's kernel width, tolerance and center budget all come from ``cfg``.
+
     Attributes
     ----------
     newton_basis
         (N, n_max) array; column m holds the m-th Newton basis function
         evaluated at every training input (filled up to ``n_selected``).
-    power_sq
-        Length-N squared power function; exactly 0 at selected indices.
     pool_power
-        ``power_sq`` on the pool (the rows neither ``excluded`` nor selected)
-        and -inf elsewhere; the selection criterion.
+        Length-N squared power function on the pool (the rows neither
+        ``excluded`` nor selected) and -inf elsewhere; the selection criterion.
     sq_dists
         Optional (N, N) squared input distances supplying the kernel columns.
     max_centers
-        n_max, the requested center cap limited to the unexcluded rows.
+        n_max, ``cfg.max_centers`` limited to the unexcluded rows.
     """
 
-    def __init__(self, data: TrainingSet, kernel: GaussianKernel, max_centers: int | None = None,
-                 excluded=None, sq_dists: np.ndarray | None = None):
-        self.pool_power = np.ones(data.size)
+    def __init__(self, data: TrainingSet, cfg: TrainConfig, excluded=None,
+                 sq_dists: np.ndarray | None = None):
+        self.pool_power = np.ones(data.size)  # K(x, x) = 1 for the Gaussian
         self.pool_power[[] if excluded is None else excluded] = -np.inf
         pool = int(np.count_nonzero(np.isfinite(self.pool_power)))
-        self.max_centers = n_max = pool if max_centers is None else min(pool, max_centers)
+        self.max_centers = n_max = pool if cfg.max_centers is None else min(pool, cfg.max_centers)
         self.data = data
-        self.kernel = kernel
+        self.cfg = cfg
+        self.kernel = GaussianKernel(cfg.epsilon)
         self.sq_dists = sq_dists
         self.newton_basis = np.zeros((data.size, n_max))
-        self.power_sq = np.ones(data.size)  # K(x, x) = 1 for the Gaussian
         self.selected: list[int] = []
 
     @property
@@ -185,7 +188,7 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     """
     if state.pool_power[new_index] == -np.inf:
         raise ValueError(f"point {new_index} is already selected or excluded")
-    pivot = state.power_sq[new_index]
+    pivot = state.pool_power[new_index]
     if pivot <= POWER_FLOOR:
         raise ValueError(
             f"power function at point {new_index} is numerically zero "
@@ -202,9 +205,7 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     v = col / np.sqrt(pivot)
     state.newton_basis[:, n] = v
     v *= v
-    state.power_sq -= v
     state.pool_power -= v
-    state.power_sq[new_index] = 0.0
     state.pool_power[new_index] = -np.inf
     state.selected.append(int(new_index))
     return state
@@ -233,9 +234,9 @@ class GreedyResult:
         return self.model.n_centers
 
 
-def run_greedy(state: GreedyState, cfg: TrainConfig):
-    """Select until tolerance, budget, pool, or floor exhaustion; return the
-    status and the max-power history."""
+def run_greedy(state: GreedyState):
+    """Select until ``state.cfg.tolerance``, budget, pool, or floor exhaustion;
+    return the status and the max-power history."""
     power_history: list[float] = []
     while True:
         best = select_next(state)
@@ -243,7 +244,7 @@ def run_greedy(state: GreedyState, cfg: TrainConfig):
         if best is None:
             return "stalled", power_history
         k, power_k = best
-        if power_k <= cfg.tolerance:
+        if power_k <= state.cfg.tolerance:
             return "tolerance", power_history
         update_basis(state, k)
         if state.n_selected >= state.max_centers:
@@ -253,8 +254,8 @@ def run_greedy(state: GreedyState, cfg: TrainConfig):
 
 def greedy_train(data: TrainingSet, cfg: TrainConfig) -> GreedyResult:
     """Train an expansion on ``data`` with one greedy run."""
-    state = GreedyState(data, GaussianKernel(cfg.epsilon), cfg.max_centers)
-    status, power_history = run_greedy(state, cfg)
+    state = GreedyState(data, cfg)
+    status, power_history = run_greedy(state)
     # The Newton basis values at the selected points form the lower-triangular
     # Cholesky factor of the selected kernel submatrix (0 x 0 without centers).
     lower = state.newton_basis[state.selected, :state.n_selected]

@@ -1,5 +1,5 @@
-"""Gaussian kernel primitives: pointwise evaluation, Gram matrices, and
-vector-valued kernel expansions.
+"""Gaussian kernel primitives: kernel matrices and vector-valued kernel
+expansions.
 
 Everything here is a pure function of immutable inputs and safe to call
 concurrently. All arithmetic is double precision.
@@ -15,14 +15,13 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "GaussianKernel",
     "KernelExpansion",
-    "kernel_matrix",
 ]
 
 
 def _check_epsilon(epsilon) -> float:
     eps = float(epsilon)
     if not np.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"shape parameter must be a positive real, got {epsilon!r}")
+        raise ValueError(f"shape parameter epsilon must be a positive real, got {epsilon!r}")
     return eps
 
 
@@ -64,27 +63,13 @@ class GaussianKernel:
         return f"GaussianKernel(epsilon={self.epsilon!r})"
 
 
-def kernel_matrix(X, epsilon) -> np.ndarray:
-    """Gaussian Gram matrix of a set of pairwise distinct points.
-
-    The result is symmetric with unit diagonal and, for distinct points,
-    positive definite. Coordinate-wise duplicate rows are rejected because
-    they would make the matrix singular.
-    """
-    X = _as_points(X)
-    eps = _check_epsilon(epsilon)
-    if np.unique(X, axis=0).shape[0] != X.shape[0]:
-        raise ValueError("points must be pairwise distinct (duplicate rows found)")
-    return _gaussian(cdist(X, X, "sqeuclidean"), eps)
-
-
 @dataclass(frozen=True)
 class KernelExpansion:
     """Sparse vector-valued Gaussian expansion sum_j coeff_j K(x, center_j).
 
     ``centers`` has shape (n, p) with pairwise distinct rows, ``coefficients``
-    shape (n, q) with one coefficient vector per center. An empty expansion
-    (n = 0) evaluates to the zero vector; build one with :meth:`empty`.
+    shape (n, q) with one coefficient vector per center; both must be
+    finite. An expansion with n = 0 evaluates to the zero vector.
 
     Evaluation expands ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with the
     centers' squared norms cached at construction, so a point costs two
@@ -109,6 +94,8 @@ class KernelExpansion:
             raise ValueError(
                 f"{centers.shape[0]} centers but {coefficients.shape[0]} coefficients"
             )
+        if not (np.isfinite(centers).all() and np.isfinite(coefficients).all()):
+            raise ValueError("centers and coefficients must be finite")
         if np.unique(centers, axis=0).shape[0] != centers.shape[0]:
             raise ValueError("centers must be pairwise distinct")
         eps = _check_epsilon(self.epsilon)
@@ -121,12 +108,6 @@ class KernelExpansion:
         sq_norms = np.einsum("ij,ij->i", centers, centers)
         sq_norms.flags.writeable = False
         object.__setattr__(self, "_center_sq_norms", sq_norms)
-
-    @classmethod
-    def empty(cls, input_dim: int, output_dim: int, epsilon: float) -> "KernelExpansion":
-        return cls(
-            np.zeros((0, input_dim)), np.zeros((0, output_dim)), epsilon
-        )
 
     @property
     def n_centers(self) -> int:

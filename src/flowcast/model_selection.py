@@ -19,7 +19,6 @@ from scipy.spatial.distance import cdist
 
 from .greedy import GreedyState, TrainConfig, TrainingSet, run_greedy
 from .greedy import _check_max_centers
-from .kernels import GaussianKernel
 
 __all__ = [
     "CvConfig",
@@ -116,8 +115,8 @@ def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float) -> CvR
         train_cfg = TrainConfig(eps, tolerance=tolerance, max_centers=cfg.max_centers)
         fold_scores, statuses = [], []
         for fold in split:
-            state = GreedyState(data, GaussianKernel(eps), cfg.max_centers, fold, sq_dists)
-            statuses.append(run_greedy(state, train_cfg)[0])
+            state = GreedyState(data, train_cfg, fold, sq_dists)
+            statuses.append(run_greedy(state)[0])
             basis = state.newton_basis[fold, :state.n_selected]
             errors = data.targets[fold] - basis @ state.newton_coefficients()
             fold_scores.append(np.mean(errors ** 2))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .greedy import GreedyResult, TrainConfig, TrainingSet, greedy_train
 from .greedy import _check_max_centers, _check_tolerance
-from .kernels import KernelExpansion
+from .kernels import KernelExpansion, _check_epsilon
 from .model_selection import CvConfig, CvResult, select_epsilon
 from .ode import (
     PREVIOUS_VALUE,
@@ -101,8 +101,8 @@ class OfflineConfig:
                 _step_count(self.horizon, dt)
             except ValueError as exc:
                 raise ValueError(f"{exc} (training case mu={mu})") from None
-        if self.epsilon is not None and (not np.isfinite(self.epsilon) or self.epsilon <= 0):
-            raise ValueError(f"epsilon must be > 0 or None, got {self.epsilon!r}")
+        if self.epsilon is not None:
+            _check_epsilon(self.epsilon)
         _check_tolerance(self.tolerance)
         _check_max_centers(self.max_centers)
         object.__setattr__(self, "cases", cases)

@@ -26,7 +26,7 @@ from flowcast.greedy import (
     select_next,
     update_basis,
 )
-from flowcast.kernels import GaussianKernel, KernelExpansion, kernel_matrix
+from flowcast.kernels import GaussianKernel, KernelExpansion
 from flowcast.model_selection import CvConfig, epsilon_grid, select_epsilon
 from flowcast.ode import IvpProblem, integrate
 from flowcast.pipeline import load_model, save_model
@@ -36,7 +36,7 @@ from conftest import make_training_set, report_criterion, well_separated_set
 
 def dense_interpolant(inputs, targets, epsilon):
     """Oracle: solve the full kernel system directly."""
-    alpha = solve(kernel_matrix(inputs, epsilon), targets, assume_a="pos")
+    alpha = solve(GaussianKernel(epsilon)(inputs), targets, assume_a="pos")
     return KernelExpansion(inputs, alpha, epsilon)
 
 
@@ -75,26 +75,25 @@ def test_criterion_2_power_monotonicity(capsys, exp1_model, exp2_model):
                   exp2_model.diagnostics.max_power_history)
     )
     # Small runs: track the same maximum while stepping manually, and check
-    # selected points end at exactly zero power.
+    # that selected points end at zero power, 1 - sum_m B[k, m]^2.
     rng = np.random.default_rng(7)
     max_selected = 0.0
     for _ in range(3):
         inputs, targets = make_training_set(rng, 40, 3, 2)
-        state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.5))
+        state = GreedyState(TrainingSet(inputs, targets), TrainConfig(1.5))
         prev = np.inf
         for _ in range(25):
             best = select_next(state)
             if best is None:
                 break
             k, _ = best
-            unselected = np.ones(state.data.size, dtype=bool)
-            unselected[state.selected] = False
-            current = float(np.max(state.power_sq[unselected]))
+            current = float(np.max(state.pool_power))
             max_rise = max(max_rise, current - prev)
             prev = current
             update_basis(state, k)
+        basis = state.newton_basis[state.selected, :state.n_selected]
         max_selected = max(
-            max_selected, float(np.max(np.abs(state.power_sq[state.selected])))
+            max_selected, float(np.max(np.abs(1.0 - np.sum(basis**2, axis=1))))
         )
     ok = max_rise <= 1e-12 and max_selected <= 1e-12
     report_criterion(

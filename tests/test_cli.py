@@ -235,6 +235,15 @@ def test_load_experiment_errors(tmp_path):
          r"unknown keys in section \[offline\]: normalize_inputs$"),
         ("tolerance = 1e-12", "rule = p\ntolerance = 1e-12",
          r"unknown keys in section \[offline\]: rule$"),
+        # The test protocol is checked too, not first by bench.
+        ("horizon = 0.25", "horizon = -1.0", r"invalid \[online\] settings: T must be > 0"),
+        ("horizon = 0.25", "horizon = nan", r"invalid \[online\] settings: T must be > 0"),
+        ("test_dts = 0.05", "test_dts = 0.0", r"invalid \[online\] settings: dt must be > 0"),
+        ("test_dts = 0.05", "test_dts = -0.01", r"invalid \[online\] settings: dt must be > 0"),
+        ("(3.4, 0.2); (3.2, 0.4)", "(3.4, 0.2); (3.2, 0.4, 1.0)",
+         r"invalid \[online\] settings: mu must have two components"),
+        ("train_params = (3.4, 0.2)", "train_params = (3.4, 0.2, 1.0)",
+         r"invalid \[offline\] settings: mu must have two components"),
     ]:
         assert TINY_CFG.count(old) == 1
         with pytest.raises(ConfigError, match=message):

@@ -18,7 +18,7 @@ from flowcast.greedy import (
     select_next,
     update_basis,
 )
-from flowcast.kernels import GaussianKernel, KernelExpansion, _gaussian, kernel_matrix
+from flowcast.kernels import GaussianKernel, KernelExpansion, _gaussian
 
 from conftest import make_training_set, well_separated_set
 
@@ -59,7 +59,7 @@ def test_full_run_matches_dense_solve(rng):
     data = small_data(rng)
     eps = 0.8
     model = greedy_train(data, TrainConfig(eps, tolerance=0.0)).model
-    alpha = solve(kernel_matrix(data.inputs, eps), data.targets, assume_a="pos")
+    alpha = solve(GaussianKernel(eps)(data.inputs), data.targets, assume_a="pos")
     dense = KernelExpansion(data.inputs, alpha, eps)
     pts = rng.random((30, 2)) * 3.0
     assert np.allclose(model(pts), dense(pts), atol=1e-10)
@@ -85,7 +85,7 @@ def test_selected_sets_are_nested(rng):
 def test_tie_breaks_to_lowest_index():
     inputs = np.array([[-1.0], [1.0], [0.0]])
     targets = np.array([[3.0], [3.0], [0.1]])
-    state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(0.5))
+    state = GreedyState(TrainingSet(inputs, targets), TrainConfig(0.5))
     # Every power starts at K(x, x) = 1.
     assert select_next(state) == (0, 1.0)
     # The middle center leaves the two outer points at equal powers.
@@ -96,13 +96,13 @@ def test_tie_breaks_to_lowest_index():
 
 def test_update_basis_invariants(rng):
     data = small_data(rng, n=10)
-    state = GreedyState(data, GaussianKernel(1.0))
+    state = GreedyState(data, TrainConfig(1.0))
     update_basis(state, 3)
-    assert state.power_sq[3] == 0.0
+    assert state.pool_power[3] == -np.inf
     assert state.selected == [3]
     with pytest.raises(ValueError, match="already selected"):
         update_basis(state, 3)
-    state.power_sq[5] = POWER_FLOOR / 2
+    state.pool_power[5] = POWER_FLOOR / 2
     with pytest.raises(ValueError, match="numerically zero"):
         update_basis(state, 5)
 
@@ -110,25 +110,24 @@ def test_update_basis_invariants(rng):
 def test_excluded_rows_are_never_candidates(rng):
     data = small_data(rng, n=10)
     excluded = np.array([1, 4, 7])
-    state = GreedyState(data, GaussianKernel(1.0), max_centers=20, excluded=excluded)
+    state = GreedyState(data, TrainConfig(1.0, tolerance=0.0, max_centers=20), excluded=excluded)
     assert state.max_centers == 7
     assert np.all(state.pool_power[excluded] == -np.inf)
     with pytest.raises(ValueError, match="already selected or excluded"):
         update_basis(state, 4)
-    status, _ = run_greedy(state, TrainConfig(1.0, tolerance=0.0))
+    status, _ = run_greedy(state)
     assert status == "exhausted"
     assert sorted(state.selected) == [0, 2, 3, 5, 6, 8, 9]
-    capped = GreedyState(data, GaussianKernel(1.0), max_centers=3, excluded=excluded)
-    assert run_greedy(capped, TrainConfig(1.0, tolerance=0.0))[0] == "max_centers"
+    capped = GreedyState(data, TrainConfig(1.0, tolerance=0.0, max_centers=3), excluded=excluded)
+    assert run_greedy(capped)[0] == "max_centers"
 
 
 def test_shared_distance_matrix_gives_identical_run(rng):
     data = small_data(rng)
     cfg = TrainConfig(0.7, tolerance=0.0)
-    on_demand = GreedyState(data, GaussianKernel(0.7))
-    shared = GreedyState(data, GaussianKernel(0.7),
-                         sq_dists=cdist(data.inputs, data.inputs, "sqeuclidean"))
-    assert run_greedy(on_demand, cfg) == run_greedy(shared, cfg)
+    on_demand = GreedyState(data, cfg)
+    shared = GreedyState(data, cfg, sq_dists=cdist(data.inputs, data.inputs, "sqeuclidean"))
+    assert run_greedy(on_demand) == run_greedy(shared)
     assert shared.selected == on_demand.selected
     assert np.array_equal(shared.newton_basis, on_demand.newton_basis)
 
@@ -193,10 +192,10 @@ def test_p_rule_matches_incremental_reference(held_out, shared):
     cfg = TrainConfig(eps, tolerance=0.0, max_centers=20)
     want, want_status, basis, coeffs, residuals = incremental_reference(
         data, eps, 20, excluded, sq_dists)
-    state = GreedyState(data, GaussianKernel(eps), 20, excluded, sq_dists)
+    state = GreedyState(data, cfg, excluded, sq_dists)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        status, _ = run_greedy(state, cfg)
+        status, _ = run_greedy(state)
     assert (state.selected, status) == (want, want_status)
     assert np.array_equal(state.newton_basis, basis)
     got = state.newton_coefficients()
@@ -206,11 +205,11 @@ def test_p_rule_matches_incremental_reference(held_out, shared):
     err = np.max(np.abs(held_out - residuals[rows]))
     assert err <= 1e-10 * np.max(np.abs(residuals[rows]))
     # The run never reads the targets: NaN targets select the same centers.
-    blind = GreedyState(TrainingSet(inputs, np.full_like(targets, np.nan)), GaussianKernel(eps),
-                        20, excluded, sq_dists)
+    blind = GreedyState(TrainingSet(inputs, np.full_like(targets, np.nan)), cfg,
+                        excluded, sq_dists)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_greedy(blind, cfg)[0] == want_status
+        assert run_greedy(blind)[0] == want_status
     assert blind.selected == want
 
 
@@ -264,7 +263,7 @@ def test_status_stalled_without_warning():
 def test_select_next_returns_none_at_floor():
     inputs = np.array([[0.0], [1e-9]])
     targets = np.array([[1.0], [2.0]])
-    state = GreedyState(TrainingSet(inputs, targets), GaussianKernel(1.0))
+    state = GreedyState(TrainingSet(inputs, targets), TrainConfig(1.0))
     update_basis(state, 0)
     assert select_next(state) is None
 

@@ -10,7 +10,6 @@ from flowcast.kernels import (
     GaussianKernel,
     KernelExpansion,
     _check_epsilon,
-    kernel_matrix,
 )
 
 
@@ -67,7 +66,6 @@ def test_kernel_diag_and_self_matrix(rng):
     K = GaussianKernel(1.1)(X)
     assert np.allclose(K, K.T)
     assert np.array_equal(np.diag(K), np.ones(6))
-    assert np.array_equal(K, kernel_matrix(X, 1.1))
 
 
 def test_kernel_dimension_mismatch():
@@ -77,14 +75,8 @@ def test_kernel_dimension_mismatch():
 
 def test_kernel_matrix_positive_definite(rng):
     X = rng.random((12, 3))
-    K = kernel_matrix(X, 1.5)
+    K = GaussianKernel(1.5)(X)
     assert np.linalg.eigvalsh(K).min() > 0
-
-
-def test_kernel_matrix_rejects_duplicates():
-    X = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="pairwise distinct"):
-        kernel_matrix(X, 1.0)
 
 
 def test_expansion_two_center_solve(rng):
@@ -92,7 +84,7 @@ def test_expansion_two_center_solve(rng):
     centers = np.array([[0.0, 0.0], [1.0, 0.5]])
     targets = np.array([[1.0, -2.0], [0.5, 3.0]])
     eps = 0.9
-    alpha = solve(kernel_matrix(centers, eps), targets)
+    alpha = solve(GaussianKernel(eps)(centers), targets)
     model = KernelExpansion(centers, alpha, eps)
     assert np.allclose(model(centers[0]), targets[0], atol=1e-12)
     assert np.allclose(model(centers[1]), targets[1], atol=1e-12)
@@ -126,7 +118,7 @@ def test_expansion_single_vs_batch(rng):
 
 
 def test_empty_expansion_evaluates_to_zero():
-    model = KernelExpansion.empty(3, 2, 1.0)
+    model = KernelExpansion(np.zeros((0, 3)), np.zeros((0, 2)), 1.0)
     assert model.n_centers == 0
     assert np.array_equal(model(np.ones(3)), np.zeros(2))
     assert np.array_equal(model(np.ones((4, 3))), np.zeros((4, 2)))
@@ -143,6 +135,11 @@ def test_expansion_validation(rng):
         KernelExpansion(np.zeros((2, 2)), np.zeros((2, 1)), 1.0)
     with pytest.raises(ValueError, match="positive real"):
         KernelExpansion(centers, coeffs, -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            KernelExpansion(np.where(np.eye(4, 2, dtype=bool), bad, centers), coeffs, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            KernelExpansion(centers, np.where(np.eye(4, 3, dtype=bool), bad, coeffs), 1.0)
     model = KernelExpansion(centers, coeffs, 1.0)
     with pytest.raises(ValueError, match="dimension"):
         model(np.ones(5))

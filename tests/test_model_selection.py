@@ -11,7 +11,7 @@ from flowcast.greedy import (
     greedy_train,
     run_greedy,
 )
-from flowcast.kernels import GaussianKernel, KernelExpansion
+from flowcast.kernels import KernelExpansion
 from flowcast.model_selection import (
     CrossValidationError,
     CvConfig,
@@ -121,9 +121,9 @@ def test_masked_fold_run_matches_explicit_fold_training(rng):
     sq_dists = cdist(inputs, inputs, "sqeuclidean")
     for width in (eps, 2.0 * eps):
         for fold in kfold_split(data.size, 5, seed=0):
-            state = GreedyState(data, GaussianKernel(width), excluded=fold, sq_dists=sq_dists)
             cfg = TrainConfig(width, tolerance=0.0)
-            status, _ = run_greedy(state, cfg)
+            state = GreedyState(data, cfg, excluded=fold, sq_dists=sq_dists)
+            status, _ = run_greedy(state)
             keep = np.setdiff1d(np.arange(data.size), fold)
             explicit = greedy_train(TrainingSet(inputs[keep], targets[keep]), cfg)
             assert state.selected == keep[explicit.selected_indices].tolist()

@@ -185,21 +185,37 @@ def test_problem_validates_jacobian_bands():
                        jacobian=base.jacobian, jacobian_bands=bad)
 
 
+# (bands, LAPACK band storage of A, u_prev) for u' = A u: (1, 1) takes the
+# direct dgtsv call, (2, 2) the general solve_banded path.
+BANDED_SYSTEMS = (
+    ((1, 1), [[0.0, 0.3, -0.2], [-1.0, -2.0, -0.5], [0.4, 0.1, 0.0]], [1.0, -2.0, 0.5]),
+    ((2, 2), [[0.0, 0.0, 0.2, -0.1, 0.3],
+              [0.0, 0.3, -0.2, 0.5, 0.1],
+              [-1.0, -2.0, -0.5, -1.5, -0.8],
+              [0.4, 0.1, -0.3, 0.2, 0.0],
+              [0.1, -0.2, 0.3, 0.0, 0.0]], [1.0, -2.0, 0.5, 0.75, -1.25]),
+)
+
+
 def test_ie_step_banded_matches_dense():
-    # u' = A u with a tridiagonal A, declared once as a band and once dense.
-    ab = np.array([[0.0, 0.3, -0.2], [-1.0, -2.0, -0.5], [0.4, 0.1, 0.0]])
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    common = dict(dim=3, rhs=lambda u, mu: dense @ u, initial_value=lambda mu: np.ones(3))
-    banded = IvpProblem(jacobian=lambda u, mu: ab, jacobian_bands=(1, 1), **common)
-    full = IvpProblem(jacobian=lambda u, mu: dense, **common)
-    u_prev = np.array([1.0, -2.0, 0.5])
-    got, got_stats = ie_step(banded, u_prev, [], 0.1)
-    want, want_stats = ie_step(full, u_prev, [], 0.1)
-    assert got_stats.iterations == want_stats.iterations
-    assert np.allclose(got, np.linalg.solve(np.eye(3) - 0.1 * dense, u_prev), rtol=0, atol=1e-15)
-    assert np.allclose(got, want, rtol=0, atol=1e-15)
-    # The problem's band is not modified in place.
-    assert ab[1, 0] == -1.0
+    # u' = A u with a banded A, declared once as a band and once dense.
+    for (lower, upper), ab, u_prev in BANDED_SYSTEMS:
+        ab, u_prev = np.array(ab), np.array(u_prev)
+        dim = ab.shape[1]
+        dense = sum(np.diag(ab[upper - k, max(k, 0):dim + min(k, 0)], k)
+                    for k in range(-lower, upper + 1))
+        common = dict(dim=dim, rhs=lambda u, mu: dense @ u, initial_value=lambda mu: np.ones(dim))
+        banded = IvpProblem(jacobian=lambda u, mu: ab, jacobian_bands=(lower, upper), **common)
+        full = IvpProblem(jacobian=lambda u, mu: dense, **common)
+        stored = ab.copy()
+        got, got_stats = ie_step(banded, u_prev, [], 0.1)
+        want, want_stats = ie_step(full, u_prev, [], 0.1)
+        assert got_stats.iterations == want_stats.iterations
+        closed_form = np.linalg.solve(np.eye(dim) - 0.1 * dense, u_prev)
+        assert np.allclose(got, closed_form, rtol=0, atol=1e-15)
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+        # The problem's band is not modified in place.
+        assert np.array_equal(ab, stored)
 
 
 def test_builtin_initializers():

@@ -278,6 +278,14 @@ def test_load_model_error_paths(tiny_model, tmp_path):
     with pytest.raises(ModelLoadError, match="malformed"):
         load_model(path)
 
+    # One non-finite number would fail every surrogate run at its first step.
+    for key, value in (("coefficients", float("nan")), ("centers", float("inf"))):
+        rows = [list(row) for row in raw[key]]
+        rows[0][0] = value
+        path.write_text(json.dumps(dict(raw, **{key: rows})))
+        with pytest.raises(ModelLoadError, match="malformed.*must be finite"):
+            load_model(path)
+
     # The problem is built at load time: bad options or a dimension mismatch
     # fail here, not when the model is first used.
     for options in ({**TINY, "foo": 1}, {**TINY, "cells": 16.0}, {**TINY, "cells": 8}):
