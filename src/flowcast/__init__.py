@@ -7,7 +7,6 @@ use its predictions as Newton starting guesses to cut iterations online.
 
 from .burgers import (
     BurgersGrid,
-    BurgersParams,
     burgers_initial,
     burgers_jacobian,
     burgers_rhs,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BurgersGrid",
-    "BurgersParams",
     "burgers_initial",
     "burgers_jacobian",
     "burgers_rhs",

@@ -58,7 +58,7 @@ def _literal(text: str):
 
 
 def _parse_params(text: str) -> list[tuple[float, ...]]:
-    """Parameter vectors: tuples separated by ';', e.g. '(3.2, 0); (3.6, 0.4)'."""
+    """Parameter vectors: tuples or lists separated by ';', e.g. '(3.2, 0); (3.6, 0.4)'."""
     params: list[tuple[float, ...]] = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -70,10 +70,10 @@ def _parse_params(text: str) -> list[tuple[float, ...]]:
             raise ConfigError(f"cannot parse parameter {chunk!r}: {exc}") from exc
         if isinstance(value, (int, float)):
             params.append((float(value),))
-        elif isinstance(value, tuple) and all(isinstance(v, (int, float)) for v in value):
+        elif isinstance(value, (tuple, list)) and all(isinstance(v, (int, float)) for v in value):
             params.append(tuple(float(v) for v in value))
         else:
-            raise ConfigError(f"parameter {chunk!r} is not a number or tuple of numbers")
+            raise ConfigError(f"parameter {chunk!r} is not a number or tuple or list of numbers")
     if not params:
         raise ConfigError("empty parameter list")
     return params
@@ -196,6 +196,8 @@ def load_experiment(source) -> ExperimentConfig:
     prob = section("problem")
     settings = {"problem": prob.take("name", str)} if "name" in prob.raw else {}
     problem_options = {k: _literal(v) for k, v in prob.raw.items()}
+    problem = _build("problem", build_problem, settings.get("problem", OfflineConfig.problem),
+                     **problem_options)
 
     cv_sec = section("cv")
     cv = _build("cv", CvConfig, **cv_sec.present(epsilon_min=float, epsilon_max=float,
@@ -217,7 +219,6 @@ def load_experiment(source) -> ExperimentConfig:
     off = _build("offline", OfflineConfig, cases=cases, problem_options=problem_options,
                  cv=cv, newton=newton, **settings)
     off_sec.finish()
-    problem = _build("problem", build_problem, off.problem, **off.problem_options)
 
     on_sec = section("online")
     test_params = on_sec.take("test_params", _parse_params, default=train_params)
@@ -246,9 +247,8 @@ def load_experiment(source) -> ExperimentConfig:
     if exp.repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {exp.repetitions}")
     _build("online", exp.test_cases)
-    for section_name, params in (("offline", train_params), ("online", test_params)):
-        for mu in params:
-            _build(section_name, problem.initial_value, mu)
+    for mu in test_params:
+        _build("online", problem.initial_value, mu)
     return exp
 
 
@@ -348,12 +348,14 @@ def cmd_offline(args) -> int:
 
 
 def cmd_online(args) -> int:
-    model = load_model(args.model)
     try:
-        mu = ast.literal_eval(args.mu)
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"cannot parse --mu {args.mu!r}: {exc}") from exc
-    traj, dt_in_training = online(model, mu, args.dt, args.horizon)
+        params = _parse_params(args.mu)
+    except (ConfigError, OverflowError) as exc:
+        raise ConfigError(f"cannot parse --mu {args.mu!r}: {exc}") from None
+    if len(params) != 1:
+        raise ConfigError(f"--mu takes one parameter vector, got {len(params)}")
+    model = load_model(args.model)
+    traj, dt_in_training = online(model, params[0], args.dt, args.horizon)
     print(f"mu = {tuple(float(v) for v in traj.mu)}, dt = {traj.dt:g}, "
           f"T = {args.horizon:g}, steps = {traj.n_steps}")
     if dt_in_training is False:

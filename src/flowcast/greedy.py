@@ -56,7 +56,7 @@ POWER_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Interpolation data: inputs (N, p) with pairwise distinct rows, targets (N, q)."""
+    """Interpolation data: finite inputs (N, p), pairwise distinct rows; targets (N, q)."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -75,6 +75,8 @@ class TrainingSet:
             )
         if inputs.shape[0] < 1:
             raise ValueError("training set must contain at least one pair")
+        if not np.isfinite(inputs).all():
+            raise ValueError("training inputs must be finite")
         if np.unique(inputs, axis=0).shape[0] != inputs.shape[0]:
             raise ValueError("training inputs must be pairwise distinct")
         object.__setattr__(self, "inputs", inputs)

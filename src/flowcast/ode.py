@@ -4,14 +4,13 @@ Each step solves the nonlinear system
 
     g(u) = (u - u_prev) - dt * f(u, mu) = 0
 
-with a Newton iteration. A problem that declares a banded Jacobian gets a
-banded linear solve: a tridiagonal one calls LAPACK ``dgtsv`` directly (the
-routine ``scipy.linalg.solve_banded`` runs for it, minus that function's
-validation layer) and other widths go through ``solve_banded``. Any other
-problem gets a dense LU. The grouping of g matters: evaluating the
-difference of states before subtracting the scaled right-hand side keeps the
-attainable residual plateau well below tight tolerances for states of
-moderate magnitude.
+with a Newton iteration. Every problem brings its Jacobian, dense or
+tridiagonal. A tridiagonal one, in (1, 1) band storage, is solved by a direct
+call of LAPACK ``dgtsv`` (the routine ``scipy.linalg.solve_banded`` runs for
+it, minus that function's validation layer); a dense one by a dense LU. The
+grouping of g matters: evaluating the difference of states before
+subtracting the scaled right-hand side keeps the attainable residual plateau
+well below tight tolerances for states of moderate magnitude.
 
 The cost of a step is dominated by the Newton iteration count, which in turn
 depends on the quality of the starting guess. Initializers encapsulate that
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 __all__ = [
@@ -98,23 +96,26 @@ class NewtonStats:
     initializer_residual_norm: float
 
 
+def _check_bands(bands) -> None:
+    if not (bands is None or (isinstance(bands, tuple) and bands == (1, 1))):
+        raise ValueError(f"jacobian bands must be None (dense) or (1, 1), got {bands!r}")
+
+
 def _linear_solve(jac: np.ndarray, rhs: np.ndarray, bands: tuple[int, int] | None) -> np.ndarray:
-    """Solve ``jac @ x = rhs``; ``jac`` is dense, or LAPACK band storage when
-    ``bands = (lower, upper)`` is given. Raises LinAlgError when singular."""
+    """Solve ``jac @ x = rhs``; ``jac`` is dense, or (1, 1) LAPACK band
+    storage when ``bands`` is given. Raises LinAlgError when singular."""
     if bands is None:
         return np.linalg.solve(jac, rhs)
-    # A 1x1 system is a division, as in solve_banded, with its pivot checked.
-    if jac.shape == (bands[0] + bands[1] + 1, 1):
-        pivot = jac[bands[1], 0]
+    # dgtsv refuses n = 1 (empty off-diagonals): divide, with the pivot checked.
+    if jac.shape == (3, 1):
+        pivot = jac[1, 0]
         if pivot == 0 or not np.isfinite(pivot):
             raise np.linalg.LinAlgError("singular matrix")
         return rhs / pivot
-    # Both paths below are unchecked, as the dense one: non-finite entries
-    # give a non-finite step, which newton_solve reports as DivergenceError.
-    if bands != (1, 1):
-        return solve_banded(bands, jac, rhs, check_finite=False)
-    # solve_banded's own gtsv call for (1, 1), minus its validation layer; the
-    # zero overwrite flags leave the caller's band and right-hand side intact.
+    # Unchecked, as the dense solve: non-finite entries give a non-finite
+    # step, which newton_solve reports as DivergenceError. This is
+    # solve_banded's own gtsv call minus its validation layer; the zero
+    # overwrite flags leave the caller's band and right-hand side intact.
     _, _, _, x, info = dgtsv(jac[2, :-1], jac[1], jac[0, 1:], rhs, 0, 0, 0, 0)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -130,14 +131,16 @@ def newton_solve(
 ) -> tuple[np.ndarray, NewtonStats]:
     """Damped-free Newton iteration on a square system.
 
-    ``jacobian`` returns a dense matrix, or LAPACK band storage of shape
-    ``(lower + upper + 1, d)`` when ``bands = (lower, upper)`` is given.
-    Returns the last iterate and its stats; hitting the iteration cap yields
-    ``converged=False`` rather than an exception. Singular linear systems
-    raise SingularJacobianError. A residual whose 2-norm is not finite raises
-    DivergenceError: besides non-finite entries, that includes finite ones
-    whose squares overflow (entries beyond about 1e154).
+    ``jacobian`` returns a dense matrix, or, when ``bands=(1, 1)``, the
+    tridiagonal matrix in LAPACK band storage of shape ``(3, d)``; any other
+    ``bands`` raises ValueError. Returns the last iterate and its stats;
+    hitting the iteration cap yields ``converged=False`` rather than an
+    exception. Singular linear systems raise SingularJacobianError. A
+    residual whose 2-norm is not finite raises DivergenceError: besides
+    non-finite entries, that includes finite ones whose squares overflow
+    (entries beyond about 1e154).
     """
+    _check_bands(bands)
     cfg = cfg or NewtonConfig()
     u = np.array(u0, dtype=float)
     g = np.asarray(residual(u), dtype=float)
@@ -189,43 +192,27 @@ def finite_difference_jacobian(
 class IvpProblem:
     """Parametric initial value problem u' = rhs(u, mu), u(0) = initial_value(mu).
 
-    ``jacobian(u, mu)`` is optional; a central finite-difference fallback is
-    used when it is None. It returns the dense ``(dim, dim)`` matrix, or, when
-    ``jacobian_bands = (lower, upper)`` counts its nonzero sub- and
-    super-diagonals, LAPACK band storage of shape ``(lower + upper + 1, dim)``
-    with entry (i, j) at ``[upper + i - j, j]``.
+    ``jacobian(u, mu)``, the derivative of ``rhs`` in u, is required. It
+    returns the dense ``(dim, dim)`` matrix, or, when ``jacobian_bands=(1, 1)``
+    declares it tridiagonal, LAPACK band storage of shape ``(3, dim)`` with
+    entry (i, j) at ``[1 + i - j, j]``; other bands raise ValueError. A
+    problem without an analytic derivative can wrap
+    :func:`finite_difference_jacobian`.
     """
 
     dim: int
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     initial_value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    param_dim: int = 0
-    name: str = ""
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     notes: str = ""
     jacobian_bands: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
-        bands = self.jacobian_bands
-        if bands is None:
-            return
-        if self.jacobian is None:
-            raise ValueError(
-                "jacobian_bands needs a jacobian: the finite-difference fallback is dense"
-            )
-        if not (
-            isinstance(bands, tuple)
-            and len(bands) == 2
-            and all(isinstance(n, (int, np.integer)) and n >= 0 for n in bands)
-        ):
-            raise ValueError(f"jacobian_bands must be two integers >= 0, got {bands!r}")
-
-    def jacobian_at(self, u: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(u, mu), dtype=float)
-        return finite_difference_jacobian(lambda w: self.rhs(w, mu), u)
+        if not callable(self.jacobian):
+            raise ValueError(f"jacobian must be callable, got {self.jacobian!r}")
+        _check_bands(self.jacobian_bands)
 
 
 class Initializer:
@@ -273,22 +260,16 @@ def ie_step(
         raise ValueError(f"dt must be > 0, got {dt!r}")
     u_prev = np.asarray(u_prev, dtype=float)
     bands = problem.jacobian_bands
+    # The diagonal of I - dt*J: its row in band storage, or the dense one.
+    diagonal = 1 if bands is not None else np.diag_indices(problem.dim)
 
     def residual(u):
         return (u - u_prev) - dt * problem.rhs(u, mu)
 
-    if bands is None:
-        ident = np.eye(problem.dim)
-
-        def jacobian(u):
-            return ident - dt * problem.jacobian_at(u, mu)
-
-    else:
-
-        def jacobian(u):
-            ab = -dt * problem.jacobian_at(u, mu)
-            ab[bands[1]] += 1.0  # the diagonal's row in band storage
-            return ab
+    def jacobian(u):
+        a = -dt * problem.jacobian(u, mu)
+        a[diagonal] += 1.0
+        return a
 
     u0 = initializer(problem, u_prev, mu, dt)
     u, stats = newton_solve(residual, jacobian, u0, cfg, bands=bands)

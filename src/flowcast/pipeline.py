@@ -73,10 +73,11 @@ class OfflineConfig:
     """Everything the offline phase needs.
 
     ``cases`` is a sequence of ((mu components), dt) pairs; the same mu may
-    appear with several step sizes. ``epsilon=None`` selects the width by
-    cross validation with ``cv``, whose folds are trained with the greedy
-    ``tolerance``; a fixed value bypasses it. ``tolerance`` bounds the
-    squared power function, as in ``TrainConfig``.
+    appear with several step sizes. Each mu must give the named problem an
+    initial value and each dt must divide ``horizon``. ``epsilon=None``
+    selects the width by cross validation with ``cv``, whose folds are
+    trained with the greedy ``tolerance``; a fixed value bypasses it.
+    ``tolerance`` bounds the squared power function, as in ``TrainConfig``.
     """
 
     cases: tuple
@@ -96,9 +97,15 @@ class OfflineConfig:
         )
         if not cases:
             raise ValueError("at least one training case (mu, dt) is required")
+        problem = build_problem(self.problem, **self.problem_options)
         for mu, dt in cases:
             try:
                 _step_count(self.horizon, dt)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (training case mu={mu})") from None
+        for mu in dict.fromkeys(mu for mu, _ in cases):
+            try:
+                problem.initial_value(np.array(mu))
             except ValueError as exc:
                 raise ValueError(f"{exc} (training case mu={mu})") from None
         if self.epsilon is not None:

@@ -7,7 +7,6 @@ import pytest
 
 from flowcast.burgers import (
     BurgersGrid,
-    BurgersParams,
     _flux_partials,
     burgers_initial,
     burgers_jacobian,
@@ -18,7 +17,7 @@ from flowcast.burgers import (
 from flowcast.ode import NewtonConfig, finite_difference_jacobian, integrate
 from flowcast.problems import available_problems, build_problem, register_problem
 
-PARAMS = BurgersParams(3.4, 0.2)
+PARAMS = (3.4, 0.2)
 
 
 def band_to_dense(ab):
@@ -63,17 +62,38 @@ def test_build_problem_rejects_bad_options(options, message):
     assert build_problem("burgers", cells=np.int64(12), half_width=2).dim == 12
 
 
-def test_params_from_mu():
-    p = BurgersParams.from_mu([3.4, 0.2])
-    assert (p.u_l, p.u_r) == (3.4, 0.2)
-    with pytest.raises(ValueError, match="two components"):
-        BurgersParams.from_mu([1.0])
+def test_mu_is_checked_pair():
     problem = make_burgers_problem(cells=4)
+    assert np.array_equal(problem.initial_value(np.array([3.4, 0.2])), [3.4, 3.4, 0.2, 0.2])
     for mu in ([1.0], (1.0, 0.5, 0.0)):
+        with pytest.raises(ValueError, match="two components"):
+            problem.initial_value(mu)
         with pytest.raises(ValueError, match="two components"):
             problem.rhs(np.zeros(4), mu)
         with pytest.raises(ValueError, match="two components"):
             problem.jacobian(np.zeros(4), mu)
+        with pytest.raises(ValueError, match="two components"):
+            shock_position(np.zeros(4), mu, BurgersGrid(4))
+
+
+def test_problem_calls_module_globals(monkeypatch):
+    """The problem reaches burgers_rhs and burgers_jacobian through the module,
+    so wrappers installed after it is built (the benchmark's tracer) see
+    every call."""
+    problem = make_burgers_problem(cells=4)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("flowcast.burgers.burgers_rhs", counting("rhs", burgers_rhs))
+    monkeypatch.setattr("flowcast.burgers.burgers_jacobian", counting("jacobian", burgers_jacobian))
+    problem.rhs(np.ones(4), PARAMS)
+    problem.jacobian(np.ones(4), PARAMS)
+    assert calls == ["rhs", "jacobian"]
 
 
 def test_initial_profile_is_step():
@@ -84,8 +104,7 @@ def test_initial_profile_is_step():
 
 def test_rhs_zero_on_constant_state():
     grid = BurgersGrid(50, 5.0)
-    params = BurgersParams(2.5, 2.5)
-    rhs = burgers_rhs(np.full(50, 2.5), params, grid)
+    rhs = burgers_rhs(np.full(50, 2.5), (2.5, 2.5), grid)
     assert np.array_equal(rhs, np.zeros(50))
 
 
@@ -184,19 +203,18 @@ def bit_identity_cases():
 def test_flux_partials_bit_identical(u, mu):
     # The shared-operation forms give the textbook formulas' bits, signs of
     # zeros included; the reference functions above are those formulas.
-    params = BurgersParams(*mu)
     grid = BurgersGrid(u.size, 5.0)
-    w = np.concatenate(([params.u_l], u, [params.u_r]))
+    w = np.concatenate(([mu[0]], u, [mu[1]]))
     a, b = w[:-1], w[1:]
     for got, want in zip(_flux_partials(w), reference_flux_partials(a, b)):
         assert same_bits(got, want)
-    assert same_bits(burgers_rhs(u, params, grid), -np.diff(reference_flux(a, b)) / grid.h)
+    assert same_bits(burgers_rhs(u, mu, grid), -np.diff(reference_flux(a, b)) / grid.h)
     dfa, dfb = reference_flux_partials(a, b)
     want = np.zeros((3, u.size))
     want[0, 1:] = -dfb[1:-1] / grid.h
     want[1] = (dfb[:-1] - dfa[1:]) / grid.h
     want[2, :-1] = dfa[1:-1] / grid.h
-    assert same_bits(burgers_jacobian(u, params, grid), want)
+    assert same_bits(burgers_jacobian(u, mu, grid), want)
 
 
 def test_baseline_iteration_counts_pinned():
@@ -240,8 +258,6 @@ def test_shock_speed_coarse_grid():
 def test_problem_factory_and_registry():
     problem = build_problem("burgers", cells=20, half_width=2.0)
     assert problem.dim == 20
-    assert problem.param_dim == 2
-    assert problem.name == "burgers"
     assert "burgers" in available_problems()
     with pytest.raises(ValueError, match="unknown problem"):
         build_problem("nonexistent")

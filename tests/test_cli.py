@@ -462,6 +462,20 @@ def test_cli_online_bad_mu(tiny_cfg, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
     capsys.readouterr()
-    assert main(["online", "--model", str(model_path), "--mu", "(3.4,",
-                 "--dt", "0.05", "-T", "0.25"]) == 1
-    assert "cannot parse --mu" in capsys.readouterr().err
+    # Each malformed value is one error line and exit 1, before any integration.
+    for mu, message in [
+        ("(3.4,", "cannot parse --mu"),
+        ("{1: 2}", "cannot parse --mu '{1: 2}': parameter '{1: 2}' is not a number"),
+        ("((3.4, 0.2),)", "cannot parse --mu '((3.4, 0.2),)': parameter"),
+        ("", "cannot parse --mu '': empty parameter list"),
+        ("1" + "0" * 400, "cannot parse --mu '1000"),
+        ("(3.4, 0.2); (3.2, 0.4)", "--mu takes one parameter vector, got 2"),
+    ]:
+        assert main(["online", "--model", str(model_path), "--mu", mu,
+                     "--dt", "0.05", "-T", "0.25"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert main(["online", "--model", str(model_path), "--mu", "[3.4, 0.2]",
+                 "--dt", "0.05", "-T", "0.25"]) == 0
+    assert capsys.readouterr().out.startswith("mu = (3.4, 0.2), dt = 0.05")

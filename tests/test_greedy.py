@@ -37,6 +37,13 @@ def test_training_set_validation(rng):
         TrainingSet(np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ValueError, match="pairwise distinct"):
         TrainingSet(np.zeros((2, 2)), np.ones((2, 1)))
+    # Inputs must be finite; targets are not read by selection (see
+    # test_p_rule_matches_incremental_reference) and are left unchecked.
+    for bad in (np.nan, np.inf):
+        inputs, targets = make_training_set(rng, 30, 2, 1)
+        inputs[7, 1] = bad
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            TrainingSet(inputs, targets)
     data = small_data(rng)
     assert (data.size, data.input_dim, data.output_dim) == (12, 2, 2)
 

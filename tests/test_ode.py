@@ -161,15 +161,15 @@ def test_finite_difference_jacobian_matches_analytic(rng):
     assert np.max(np.abs(fd - exact)) < 1e-8
 
 
-def test_problem_jacobian_fallback():
-    with_jac = decay_problem()
-    without = IvpProblem(
-        dim=1, rhs=with_jac.rhs, initial_value=with_jac.initial_value
-    )
-    u = np.array([0.7])
-    assert np.allclose(without.jacobian_at(u, []), with_jac.jacobian_at(u, []), atol=1e-8)
+def test_problem_requires_jacobian():
+    base = decay_problem()
+    with pytest.raises(TypeError, match="jacobian"):
+        IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value)
+    # None no longer selects a finite-difference fallback.
+    with pytest.raises(ValueError, match="jacobian must be callable, got None"):
+        IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value, jacobian=None)
     with pytest.raises(ValueError, match="dim"):
-        IvpProblem(dim=0, rhs=with_jac.rhs, initial_value=with_jac.initial_value)
+        IvpProblem(dim=0, rhs=base.rhs, initial_value=base.initial_value, jacobian=base.jacobian)
 
 
 def test_problem_validates_jacobian_bands():
@@ -177,45 +177,33 @@ def test_problem_validates_jacobian_bands():
     # A band wider than the system is allowed (a 1-cell grid keeps (1, 1)).
     assert IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value,
                       jacobian=base.jacobian, jacobian_bands=(1, 1)).jacobian_bands == (1, 1)
-    with pytest.raises(ValueError, match="needs a jacobian"):
-        IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value, jacobian_bands=(0, 0))
-    for bad in [(-1, 1), (1, -1), (1.0, 1), (1, 0.5), (1,), (1, 1, 1), 1]:
-        with pytest.raises(ValueError, match="two integers >= 0"):
+    # Only dense or tridiagonal: a (2, 2) band must not be solved as (1, 1).
+    ab = np.ones((5, 3))
+    for bad in [(2, 2), (0, 0), (1, 2), (-1, 1), (1,), (1, 1, 1), 1, [1, 1]]:
+        with pytest.raises(ValueError, match=r"None \(dense\) or \(1, 1\)"):
             IvpProblem(dim=3, rhs=base.rhs, initial_value=base.initial_value,
                        jacobian=base.jacobian, jacobian_bands=bad)
-
-
-# (bands, LAPACK band storage of A, u_prev) for u' = A u: (1, 1) takes the
-# direct dgtsv call, (2, 2) the general solve_banded path.
-BANDED_SYSTEMS = (
-    ((1, 1), [[0.0, 0.3, -0.2], [-1.0, -2.0, -0.5], [0.4, 0.1, 0.0]], [1.0, -2.0, 0.5]),
-    ((2, 2), [[0.0, 0.0, 0.2, -0.1, 0.3],
-              [0.0, 0.3, -0.2, 0.5, 0.1],
-              [-1.0, -2.0, -0.5, -1.5, -0.8],
-              [0.4, 0.1, -0.3, 0.2, 0.0],
-              [0.1, -0.2, 0.3, 0.0, 0.0]], [1.0, -2.0, 0.5, 0.75, -1.25]),
-)
+        with pytest.raises(ValueError, match=r"None \(dense\) or \(1, 1\)"):
+            newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=bad)
 
 
 def test_ie_step_banded_matches_dense():
-    # u' = A u with a banded A, declared once as a band and once dense.
-    for (lower, upper), ab, u_prev in BANDED_SYSTEMS:
-        ab, u_prev = np.array(ab), np.array(u_prev)
-        dim = ab.shape[1]
-        dense = sum(np.diag(ab[upper - k, max(k, 0):dim + min(k, 0)], k)
-                    for k in range(-lower, upper + 1))
-        common = dict(dim=dim, rhs=lambda u, mu: dense @ u, initial_value=lambda mu: np.ones(dim))
-        banded = IvpProblem(jacobian=lambda u, mu: ab, jacobian_bands=(lower, upper), **common)
-        full = IvpProblem(jacobian=lambda u, mu: dense, **common)
-        stored = ab.copy()
-        got, got_stats = ie_step(banded, u_prev, [], 0.1)
-        want, want_stats = ie_step(full, u_prev, [], 0.1)
-        assert got_stats.iterations == want_stats.iterations
-        closed_form = np.linalg.solve(np.eye(dim) - 0.1 * dense, u_prev)
-        assert np.allclose(got, closed_form, rtol=0, atol=1e-15)
-        assert np.allclose(got, want, rtol=0, atol=1e-15)
-        # The problem's band is not modified in place.
-        assert np.array_equal(ab, stored)
+    # u' = A u with a tridiagonal A, declared once as a band and once dense.
+    ab = np.array([[0.0, 0.3, -0.2], [-1.0, -2.0, -0.5], [0.4, 0.1, 0.0]])
+    u_prev = np.array([1.0, -2.0, 0.5])
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    common = dict(dim=3, rhs=lambda u, mu: dense @ u, initial_value=lambda mu: np.ones(3))
+    banded = IvpProblem(jacobian=lambda u, mu: ab, jacobian_bands=(1, 1), **common)
+    full = IvpProblem(jacobian=lambda u, mu: dense, **common)
+    stored, stored_dense = ab.copy(), dense.copy()
+    got, got_stats = ie_step(banded, u_prev, [], 0.1)
+    want, want_stats = ie_step(full, u_prev, [], 0.1)
+    assert got_stats.iterations == want_stats.iterations
+    closed_form = np.linalg.solve(np.eye(3) - 0.1 * dense, u_prev)
+    assert np.allclose(got, closed_form, rtol=0, atol=1e-15)
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    # Neither Jacobian is modified in place.
+    assert np.array_equal(ab, stored) and np.array_equal(dense, stored_dense)
 
 
 def test_builtin_initializers():
@@ -323,6 +311,7 @@ def test_integrate_partial_trajectory_on_failure():
 
 
 def test_integrate_validates_initial_shape():
-    bad = IvpProblem(dim=2, rhs=lambda u, mu: u, initial_value=lambda mu: np.ones(3))
+    bad = IvpProblem(dim=2, rhs=lambda u, mu: u, initial_value=lambda mu: np.ones(3),
+                     jacobian=lambda u, mu: np.eye(2))
     with pytest.raises(ValueError, match="initial value"):
         integrate(bad, [], 0.1, 0.2)

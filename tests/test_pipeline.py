@@ -92,6 +92,11 @@ def test_offline_config_validation():
         OfflineConfig(cases=[((1.0,), 0.3)], horizon=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         tiny_config(epsilon=-1.0)
+    # Each training mu is checked on the named problem, before any
+    # integration: a bad case after a good one is caught too.
+    for cases in ([((3.4, 0.2, 1.0), 0.05)], [((3.4, 0.2), 0.05), ((3.4,), 0.05)]):
+        with pytest.raises(ValueError, match=r"two components .*\(training case mu=\("):
+            tiny_config(cases=cases)
     # The greedy settings are checked when the config is built, before any
     # training integration runs.
     for bad in (0, -3, 1.5):
