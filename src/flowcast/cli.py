@@ -6,9 +6,10 @@ vectors, semicolon-separated lists of tuples for parameter sets). Three
 presets ship with the package: experiment1 (single training parameter),
 experiment2 (four-corner training grid), experiment3 (mixed step sizes).
 
-Subcommands: offline (train and save a model), online (one surrogate-
-initialized run), bench (baseline vs surrogate table + CSV), cv (width
-search curve as CSV).
+Subcommands, one per phase: offline (train and save a model, plus the
+width search curve as CSV when the config fixes no epsilon), online (one
+surrogate-initialized run), bench (baseline vs surrogate table + CSV).
+Every setting comes from the config file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import ast
 import configparser
 import csv
-import dataclasses
 import importlib.resources
 import sys
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model_selection import CrossValidationError, CvConfig, CvResult
+from .model_selection import CrossValidationError, CvConfig
 from .ode import NewtonConfig, _nearest_step_count
 from .pipeline import (
     CaseResult,
@@ -57,6 +57,15 @@ def _literal(text: str):
         return text
 
 
+def _numbers(value) -> list[float] | None:
+    """``value`` as floats if it is one number or a tuple or list of numbers,
+    else None. A number is an int or a float, never a bool."""
+    items = value if isinstance(value, (tuple, list)) else [value]
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        return [float(v) for v in items]
+    return None
+
+
 def _parse_params(text: str) -> list[tuple[float, ...]]:
     """Parameter vectors: tuples or lists separated by ';', e.g. '(3.2, 0); (3.6, 0.4)'."""
     params: list[tuple[float, ...]] = []
@@ -68,25 +77,24 @@ def _parse_params(text: str) -> list[tuple[float, ...]]:
             value = ast.literal_eval(chunk)
         except (ValueError, SyntaxError) as exc:
             raise ConfigError(f"cannot parse parameter {chunk!r}: {exc}") from exc
-        if isinstance(value, (int, float)):
-            params.append((float(value),))
-        elif isinstance(value, (tuple, list)) and all(isinstance(v, (int, float)) for v in value):
-            params.append(tuple(float(v) for v in value))
-        else:
+        values = _numbers(value)
+        if values is None:
             raise ConfigError(f"parameter {chunk!r} is not a number or tuple or list of numbers")
+        params.append(tuple(values))
     if not params:
         raise ConfigError("empty parameter list")
     return params
 
 
 def _parse_floats(text: str) -> list[float]:
+    """One number or a tuple or list of numbers, e.g. '0.01' or '0.01, 0.005'."""
     try:
         value = ast.literal_eval(text.strip())
     except (ValueError, SyntaxError) as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    values = [float(v) for v in value]
+    values = _numbers(value)
+    if values is None:
+        raise ConfigError(f"{text.strip()!r} is not a number or tuple or list of numbers")
     if not values:
         raise ConfigError("empty number list")
     return values
@@ -252,27 +260,13 @@ def load_experiment(source) -> ExperimentConfig:
     return exp
 
 
-def _write_cv_csv(path, result: CvResult) -> None:
+def _write_csv(path, header, rows) -> None:
+    """CSV with strings and ints as they are and every other value as ``repr(float(v))``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epsilon", "score"])
-        for eps, score in zip(result.grid, result.scores):
-            writer.writerow([repr(float(eps)), repr(float(score))])
-
-
-def _write_bench_csv(path, results: list[CaseResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mu", "dt", "iter_old", "iter_vkoga", "time_old_s", "time_vkoga_s",
-             "gain_iter_pct", "gain_time_pct"]
-        )
-        for r in results:
-            writer.writerow(
-                [str(r.mu), repr(r.dt), repr(r.iter_old), repr(r.iter_vkoga),
-                 repr(r.time_old_s), repr(r.time_vkoga_s),
-                 repr(r.gain_iter_pct), repr(r.gain_time_pct)]
-            )
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, (str, int)) else repr(float(v)) for v in row]
+                         for row in rows)
 
 
 def _format_table(results: list[CaseResult]) -> str:
@@ -305,33 +299,14 @@ def _format_table(results: list[CaseResult]) -> str:
     return "\n".join(lines)
 
 
-def _apply_offline_overrides(off: OfflineConfig, args) -> OfflineConfig:
-    changes = {}
-    if getattr(args, "epsilon", None) is not None:
-        changes["epsilon"] = args.epsilon
-    if getattr(args, "seed", None) is not None:
-        changes["cv"] = dataclasses.replace(off.cv, seed=args.seed)
-    return dataclasses.replace(off, **changes) if changes else off
-
-
-def _report_stalls(result: CvResult) -> None:
-    """One line for all stalled greedy runs of a width search, if any."""
-    if result.stalled_widths:
-        print(f"warning: greedy selection stalled in some fold at "
-              f"{result.stalled_widths} of {len(result.grid)} widths "
-              f"(near-singular kernel columns)", file=sys.stderr)
-
-
 def cmd_offline(args) -> int:
-    exp = load_experiment(args.config)
-    off = _apply_offline_overrides(exp.offline, args)
-    model = offline(off)
+    model = offline(load_experiment(args.config).offline)
     out = Path(args.out)
     prov = model.provenance
-    cv_path = None
-    if model.cv is not None:
+    cv = model.cv
+    if cv is not None:
         cv_path = out.with_name(out.stem + "-cv.csv")
-        _write_cv_csv(cv_path, model.cv)
+        _write_csv(cv_path, ["epsilon", "score"], zip(cv.grid, cv.scores))
         prov["cv"]["table"] = str(cv_path)
     save_model(model, out)
     n_before, n_after = prov["n_training_before_dedup"], prov["n_training"]
@@ -340,9 +315,12 @@ def cmd_offline(args) -> int:
     print(f"training pairs: N = {n_before}{dedup}")
     print(f"selected centers: n = {prov['n_centers']} (stop: {prov['greedy_status']})")
     print(f"epsilon: {model.epsilon:.8g} ({prov['epsilon_source']})")
-    if cv_path is not None:
+    if cv is not None:
         print(f"cv curve: {cv_path}")
-        _report_stalls(model.cv)
+        if cv.stalled_widths:  # one line for all stalled greedy runs of the search
+            print(f"warning: greedy selection stalled in some fold at "
+                  f"{cv.stalled_widths} of {len(cv.grid)} widths "
+                  f"(near-singular kernel columns)", file=sys.stderr)
     print(f"model written to {out}")
     return 0
 
@@ -365,14 +343,10 @@ def cmd_online(args) -> int:
     print(f"mean starting-guess residual: {traj.mean_initializer_residual:.3e}")
     print(f"wall time: {traj.wall_time_s:.3f} s")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "time", "iterations", "initializer_residual",
-                             "final_residual"])
-            for i, s in enumerate(traj.newton_stats):
-                writer.writerow([i + 1, repr(float(traj.times[i + 1])), s.iterations,
-                                 repr(s.initializer_residual_norm),
-                                 repr(s.final_residual_norm)])
+        _write_csv(args.out,
+                   ["step", "time", "iterations", "initializer_residual", "final_residual"],
+                   ([i + 1, traj.times[i + 1], s.iterations, s.initializer_residual_norm,
+                     s.final_residual_norm] for i, s in enumerate(traj.newton_stats)))
         print(f"per-step report written to {args.out}")
     if not traj.completed:
         print(f"error: {traj.error}", file=sys.stderr)
@@ -383,8 +357,9 @@ def cmd_online(args) -> int:
 def cmd_bench(args) -> int:
     exp = load_experiment(args.config)
     model = load_model(args.model)
-    repetitions = args.repetitions if args.repetitions is not None else exp.repetitions
-    results = compare_cases(model, exp.test_cases(), exp.test_horizon, repetitions=repetitions,
+    problem = build_problem(exp.offline.problem, **exp.offline.problem_options)
+    results = compare_cases(model, exp.test_cases(), exp.test_horizon,
+                            repetitions=exp.repetitions, problem=problem,
                             newton=exp.offline.newton)
     failed = [r for r in results if not r.completed]
     count = f"{len(failed)} of {len(results)}"
@@ -395,29 +370,19 @@ def cmd_bench(args) -> int:
     if failed:
         print(f"warning: {count} cases failed and were left out of the table{first}",
               file=sys.stderr)
-    _write_bench_csv(args.out, results)
+    _write_csv(args.out,
+               ["mu", "dt", "iter_old", "iter_vkoga", "time_old_s", "time_vkoga_s",
+                "gain_iter_pct", "gain_time_pct"],
+               ([str(r.mu), r.dt, r.iter_old, r.iter_vkoga, r.time_old_s, r.time_vkoga_s,
+                 r.gain_iter_pct, r.gain_time_pct] for r in results))
     print(f"{len(results) - len(failed)} cases, T = {exp.test_horizon:g}, "
-          f"repetitions = {repetitions}")
+          f"repetitions = {exp.repetitions}")
     print(_format_table(results))
-    notes = model.provenance.get("problem_notes")
-    if notes:
-        print(f"problem: {notes}")
+    if problem.notes:
+        print(f"problem: {problem.notes}")
     print("iteration gains are implementation-independent; time gains are "
           "informational")
     print(f"per-case table written to {args.out}")
-    return 0
-
-
-def cmd_cv(args) -> int:
-    exp = load_experiment(args.config)
-    off = _apply_offline_overrides(exp.offline, args)
-    # One final fit more than the search needs, so that only offline() wires CV.
-    result = offline(dataclasses.replace(off, epsilon=None)).cv
-    _write_cv_csv(args.out, result)
-    print(f"selected epsilon = {result.epsilon:.8g} "
-          f"(score {result.scores[result.best_index]:.6e})")
-    print(f"cv table written to {args.out} ({len(result.grid)} rows)")
-    _report_stalls(result)
     return 0
 
 
@@ -432,8 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_off.add_argument("--config", required=True,
                        help="config file or preset name (e.g. experiment1)")
     p_off.add_argument("--out", required=True, help="model output path (JSON)")
-    p_off.add_argument("--epsilon", type=float, help="fixed kernel width (skips CV)")
-    p_off.add_argument("--seed", type=int, help="cross-validation fold seed")
     p_off.set_defaults(func=cmd_offline)
 
     p_on = sub.add_parser("online", help="run one surrogate-initialized integration")
@@ -448,15 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--model", required=True)
     p_bench.add_argument("--out", required=True, help="per-case CSV path")
-    p_bench.add_argument("--repetitions", type=int,
-                         help="timing repetitions (default from config)")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_cv = sub.add_parser("cv", help="kernel width search curve")
-    p_cv.add_argument("--config", required=True)
-    p_cv.add_argument("--out", required=True, help="(epsilon, score) CSV path")
-    p_cv.add_argument("--seed", type=int)
-    p_cv.set_defaults(func=cmd_cv)
     return parser
 
 

@@ -245,6 +245,7 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
             "grid_size": cfg.cv.grid_size,
             "folds": cfg.cv.folds,
             "seed": cfg.cv.seed,
+            "max_centers": cfg.cv.max_centers,
             "best_score": float(cv_result.scores[cv_result.best_index]),
         }
     return SurrogateModel(

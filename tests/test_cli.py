@@ -3,12 +3,14 @@
 import csv
 import json
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowcast.cli import ConfigError, load_experiment, main, snap_dt
+from flowcast.cli import ConfigError, _build_parser, load_experiment, main, snap_dt
 from flowcast.ode import _nearest_step_count, _step_count, integrate
 from flowcast.pipeline import OfflineConfig
 from flowcast.problems import build_problem
@@ -203,6 +205,21 @@ def test_load_experiment_errors(tmp_path):
     with pytest.raises(ConfigError, match="empty number list"):
         load_experiment(bad)
 
+    # A number is an int or a float, never a string, dict, set or bool.
+    for old, new in [
+        ("train_dts = 0.05", "train_dts = '15'"),
+        ("train_dts = 0.05", "train_dts = {0.01: 1}"),
+        ("train_dts = 0.05", "train_dts = {0.01}"),
+        ("train_dts = 0.05", "train_dts = True"),
+        ("train_dts = 0.05", "train_dts = (0.05, True)"),
+        ("test_dts = 0.05", "test_dts = [0.05, '0.01']"),
+        ("train_params = (3.4, 0.2)", "train_params = (True, 0.2)"),
+        ("train_params = (3.4, 0.2)", "train_params = False"),
+    ]:
+        assert TINY_CFG.count(old) == 1
+        with pytest.raises(ConfigError, match="is not a number or tuple or list of numbers"):
+            load_experiment(variant("not-numbers", lambda s: s.replace(old, new)))
+
     bad = variant(
         "no-logspace-count",
         lambda s: s.replace("test_dts = 0.05", "test_dt_logspace = (0.01, 0.1, 0)"),
@@ -269,7 +286,7 @@ def test_bad_problem_options_fail_cleanly(line, message, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_cli_offline_online_bench_cv(tiny_cfg, tmp_path, capsys):
+def test_cli_offline_online_bench(tiny_cfg, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
     out = capsys.readouterr().out
@@ -308,12 +325,6 @@ def test_cli_offline_online_bench_cv(tiny_cfg, tmp_path, capsys):
             assert "np." not in cell
             float(cell)
 
-    cv_csv = tmp_path / "cv.csv"
-    assert main(["cv", "--config", tiny_cfg, "--out", str(cv_csv)]) == 0
-    rows = read_csv(cv_csv)
-    assert rows[0] == ["epsilon", "score"]
-    assert len(rows) == 1 + 4  # header + grid_size
-
 
 def test_cli_offline_with_cv_writes_curve(tiny_cfg, tmp_path, capsys):
     model_path = tmp_path / "model.json"
@@ -323,10 +334,13 @@ def test_cli_offline_with_cv_writes_curve(tiny_cfg, tmp_path, capsys):
     assert main(["offline", "--config", str(cfg), "--out", str(model_path)]) == 0
     out = capsys.readouterr().out
     assert "(cv)" in out
-    assert (tmp_path / "model-cv.csv").is_file()
+    rows = read_csv(tmp_path / "model-cv.csv")
+    assert rows[0] == ["epsilon", "score"]
+    assert len(rows) == 1 + 4  # header + grid_size
     payload = json.loads(model_path.read_text())
     assert payload["provenance"]["epsilon_source"] == "cv"
     assert payload["provenance"]["cv"]["grid_size"] == 4
+    assert payload["provenance"]["cv"]["max_centers"] == 8
 
 
 def test_cli_reports_stalled_widths_once(tmp_path, capsys):
@@ -341,27 +355,34 @@ def test_cli_reports_stalled_widths_once(tmp_path, capsys):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["cv", "--config", str(cfg), "--out", str(tmp_path / "cv.csv")]) == 0
-        cv_err = capsys.readouterr().err
         assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 0
-        offline_err = capsys.readouterr().err
-    for err in (cv_err, offline_err):
-        assert re.fullmatch(r"warning: greedy selection stalled in some fold at [1-4] of 4 "
-                            r"widths \(near-singular kernel columns\)\n", err)
+    assert re.fullmatch(r"warning: greedy selection stalled in some fold at [1-4] of 4 "
+                        r"widths \(near-singular kernel columns\)\n", capsys.readouterr().err)
 
 
 def test_cli_overrides(tiny_cfg, tmp_path, capsys):
-    model_path = tmp_path / "model.json"
-    assert main([
-        "offline", "--config", tiny_cfg, "--out", str(model_path), "--epsilon", "0.4",
-    ]) == 0
-    payload = json.loads(model_path.read_text())
-    assert payload["epsilon"] == 0.4
-    # P-greedy is the only selection rule; there is no option to pick another.
-    with pytest.raises(SystemExit) as exc:
-        main(["offline", "--config", tiny_cfg, "--out", str(model_path), "--rule", "p"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --rule p" in capsys.readouterr().err
+    """Every setting comes from the config file: no flag overrides a key, and
+    the width search curve comes from offline, not from a command of its own."""
+    model_path = str(tmp_path / "model.json")
+    for argv, message in [
+        (["cv", "--config", tiny_cfg, "--out", str(tmp_path / "cv.csv")],
+         "invalid choice: 'cv'"),
+        (["offline", "--config", tiny_cfg, "--out", model_path, "--epsilon", "0.4"],
+         "unrecognized arguments: --epsilon 0.4"),
+        (["offline", "--config", tiny_cfg, "--out", model_path, "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
+        (["bench", "--config", tiny_cfg, "--model", model_path,
+          "--out", str(tmp_path / "bench.csv"), "--repetitions", "2"],
+         "unrecognized arguments: --repetitions 2"),
+        # P-greedy is the only selection rule; there is no option to pick another.
+        (["offline", "--config", tiny_cfg, "--out", model_path, "--rule", "p"],
+         "unrecognized arguments: --rule p"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny.cfg"]
 
 
 def test_cli_determinism(tiny_cfg, tmp_path):
@@ -396,12 +417,6 @@ def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
     capsys.readouterr()
-    bench_csv = tmp_path / "bench.csv"
-    assert main(["bench", "--config", tiny_cfg, "--model", str(model_path),
-                 "--out", str(bench_csv), "--repetitions", "0"]) == 1
-    assert capsys.readouterr().err.startswith("error: repetitions must be >= 1")
-    assert not bench_csv.exists()
-
     raw = json.loads(model_path.read_text())
     raw["problem_options"]["foo"] = 1
     model_path.write_text(json.dumps(raw))
@@ -411,7 +426,7 @@ def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
                         r".*'foo'\n", capsys.readouterr().err)
 
     with pytest.raises(SystemExit) as exc:
-        main(["cv", "--config", tiny_cfg, "--out", str(tmp_path / "cv.csv"), "--jobs", "2"])
+        main(["offline", "--config", tiny_cfg, "--out", str(tmp_path / "m.json"), "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
@@ -431,6 +446,30 @@ def test_cli_bench_uses_newton_section(tiny_cfg, tmp_path, capsys):
                         r"mu=\(3\.4, 0\.2\), dt=0\.05: step 1: step did not converge "
                         r"within 1 iterations \(residual [^)]+\)\n",
                         capsys.readouterr().err)
+
+
+def test_cli_bench_solves_config_problem(tiny_cfg, tmp_path, capsys):
+    """bench solves the config's [problem], not the one stored in the model."""
+    model_path = tmp_path / "model.json"
+    assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    wider = tmp_path / "cells40.cfg"
+    wider.write_text(TINY_CFG.replace("cells = 12", "cells = 40"))
+    bench_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--config", str(wider), "--model", str(model_path),
+                 "--out", str(bench_csv)]) == 1
+    assert capsys.readouterr().err == (
+        "error: model maps 13 -> 12 but the problem needs 41 -> 40\n")
+    assert not bench_csv.exists()
+
+    narrow = tmp_path / "half-width1.cfg"
+    narrow.write_text(TINY_CFG.replace("half_width = 5.0", "half_width = 1.0"))
+    assert main(["bench", "--config", str(narrow), "--model", str(model_path),
+                 "--out", str(bench_csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("problem: ")] == [
+        "problem: finite volumes, 12 cells on (-1, 1), local Lax-Friedrichs flux, "
+        "Dirichlet ghost cells, step initial profile at x=0"]
 
 
 def test_cli_bench_reports_partial_failures_once(tiny_cfg, tmp_path, capsys):
@@ -466,6 +505,9 @@ def test_cli_online_bad_mu(tiny_cfg, tmp_path, capsys):
     for mu, message in [
         ("(3.4,", "cannot parse --mu"),
         ("{1: 2}", "cannot parse --mu '{1: 2}': parameter '{1: 2}' is not a number"),
+        ("(True, 0.2)", "cannot parse --mu '(True, 0.2)': parameter '(True, 0.2)' is not a "
+                        "number"),
+        ("'3.4'", "cannot parse --mu \"'3.4'\": parameter \"'3.4'\" is not a number"),
         ("((3.4, 0.2),)", "cannot parse --mu '((3.4, 0.2),)': parameter"),
         ("", "cannot parse --mu '': empty parameter list"),
         ("1" + "0" * 400, "cannot parse --mu '1000"),
@@ -479,3 +521,15 @@ def test_cli_online_bad_mu(tiny_cfg, tmp_path, capsys):
     assert main(["online", "--model", str(model_path), "--mu", "[3.4, 0.2]",
                  "--dt", "0.05", "-T", "0.25"]) == 0
     assert capsys.readouterr().out.startswith("mu = (3.4, 0.2), dt = 0.05")
+
+
+def test_readme_commands_parse():
+    """Every `flowcast ...` line of README's sh blocks is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("flowcast ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
