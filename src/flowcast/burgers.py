@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .ode import IvpProblem
+from .ode import IvpProblem, _check_int
 
 __all__ = [
     "BurgersGrid",
@@ -50,10 +50,10 @@ class BurgersGrid:
     half_width: float = 5.0
 
     def __post_init__(self):
-        if not isinstance(self.cells, numbers.Integral) or self.cells < 1:
-            raise ValueError(f"cells must be an integer >= 1, got {self.cells!r}")
+        _check_int("cells", self.cells, 1)
         hw = self.half_width
-        if not isinstance(hw, numbers.Real) or not np.isfinite(hw) or hw <= 0:
+        real = isinstance(hw, numbers.Real) and not isinstance(hw, bool)
+        if not real or not np.isfinite(hw) or hw <= 0:
             raise ValueError(f"half_width must be a real number > 0, got {hw!r}")
 
     @property

@@ -311,10 +311,10 @@ def cmd_offline(args) -> int:
     save_model(model, out)
     n_before, n_after = prov["n_training_before_dedup"], prov["n_training"]
     dedup = f" ({n_after} after deduplication)" if n_after != n_before else ""
-    print(f"problem: {prov['problem']} ({prov['problem_notes']})")
+    print(f"problem: {prov['problem']} ({model.build_problem().notes})")
     print(f"training pairs: N = {n_before}{dedup}")
-    print(f"selected centers: n = {prov['n_centers']} (stop: {prov['greedy_status']})")
-    print(f"epsilon: {model.epsilon:.8g} ({prov['epsilon_source']})")
+    print(f"selected centers: n = {model.expansion.n_centers} (stop: {prov['greedy_status']})")
+    print(f"epsilon: {model.expansion.epsilon:.8g} ({'fixed' if cv is None else 'cv'})")
     if cv is not None:
         print(f"cv curve: {cv_path}")
         if cv.stalled_widths:  # one line for all stalled greedy runs of the search

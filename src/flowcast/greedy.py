@@ -29,13 +29,13 @@ distance matrix.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .kernels import GaussianKernel, KernelExpansion, _check_epsilon, _gaussian
+from .ode import _check_int
 
 __all__ = [
     "POWER_FLOOR",
@@ -112,20 +112,12 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
         _check_tolerance(self.tolerance)
-        _check_max_centers(self.max_centers)
+        _check_int("max_centers", self.max_centers, 1, optional=True)
 
 
 def _check_tolerance(tolerance):
     if not np.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-
-
-def _check_max_centers(max_centers):
-    """None, or an integer center budget of at least one."""
-    if max_centers is not None and not (
-        isinstance(max_centers, numbers.Integral) and max_centers >= 1
-    ):
-        raise ValueError(f"max_centers must be an integer >= 1 or None, got {max_centers!r}")
 
 
 class GreedyState:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .greedy import GreedyState, TrainConfig, TrainingSet, run_greedy
-from .greedy import _check_max_centers
+from .ode import _check_int
 
 __all__ = [
     "CvConfig",
@@ -57,11 +57,10 @@ class CvConfig:
                 f"need 0 < epsilon_min <= epsilon_max < inf, got "
                 f"[{self.epsilon_min!r}, {self.epsilon_max!r}]"
             )
-        if self.grid_size < 1:
-            raise ValueError(f"grid_size must be >= 1, got {self.grid_size!r}")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds!r}")
-        _check_max_centers(self.max_centers)
+        _check_int("grid_size", self.grid_size, 1)
+        _check_int("folds", self.folds, 2)
+        _check_int("seed", self.seed, 0)
+        _check_int("max_centers", self.max_centers, 1, optional=True)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ surrogate of the time-evolution map can be plugged in.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -67,6 +68,16 @@ class StepError(Exception):
         self.stats = stats
 
 
+def _check_int(name: str, value, minimum: int, optional: bool = False) -> None:
+    """Refuse ``value`` unless it is an integer >= ``minimum``, or None when
+    ``optional``. A bool or an integral float is not an integer here."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        none = " or None" if optional else ""
+        raise ValueError(f"{name} must be an integer >= {minimum}{none}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     """Absolute residual tolerance (2-norm) and iteration cap."""
@@ -77,8 +88,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not np.isfinite(self.tolerance) or self.tolerance <= 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        _check_int("max_iterations", self.max_iterations, 1)
 
 
 @dataclass(frozen=True)
@@ -208,8 +218,7 @@ class IvpProblem:
     jacobian_bands: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim!r}")
+        _check_int("dim", self.dim, 1)
         if not callable(self.jacobian):
             raise ValueError(f"jacobian must be callable, got {self.jacobian!r}")
         _check_bands(self.jacobian_bands)

@@ -16,12 +16,12 @@ wall time gains per case.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .greedy import GreedyResult, TrainConfig, TrainingSet, greedy_train
-from .greedy import _check_max_centers, _check_tolerance
+from .greedy import _check_tolerance
 from .kernels import KernelExpansion, _check_epsilon
 from .model_selection import CvConfig, CvResult, select_epsilon
 from .ode import (
@@ -29,6 +29,7 @@ from .ode import (
     IvpProblem,
     NewtonConfig,
     Trajectory,
+    _check_int,
     _step_count,
     integrate,
     surrogate_initializer,
@@ -53,7 +54,9 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+_MODEL_KEYS = frozenset({"format_version", "input_dim", "output_dim", "epsilon",
+                         "centers", "coefficients", "provenance"})
 
 
 class DataInconsistencyError(Exception):
@@ -111,33 +114,26 @@ class OfflineConfig:
         if self.epsilon is not None:
             _check_epsilon(self.epsilon)
         _check_tolerance(self.tolerance)
-        _check_max_centers(self.max_centers)
+        _check_int("max_centers", self.max_centers, 1, optional=True)
         object.__setattr__(self, "cases", cases)
 
 
 @dataclass
 class SurrogateModel:
-    """A trained one-step-map surrogate bound to a named problem.
+    """A trained one-step-map surrogate and the record of how it was trained.
 
     The expansion takes raw (dt, state) inputs of dimension d+1 and returns
-    the predicted next state. ``diagnostics`` and ``cv`` carry training traces
-    for inspection; they are not persisted.
+    the predicted next state. ``provenance`` is the ``OfflineConfig`` that
+    trained it, in JSON form, plus the outcome of the run:
+    ``n_training_before_dedup``, ``n_training``, ``greedy_status``, and
+    ``cv.best_score`` when cross validation chose the width. ``diagnostics``
+    and ``cv`` carry training traces for inspection; they are not persisted.
     """
 
     expansion: KernelExpansion
-    problem_id: str
-    problem_options: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
     diagnostics: GreedyResult | None = field(default=None, repr=False, compare=False)
     cv: CvResult | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def state_dim(self) -> int:
-        return self.expansion.output_dim
-
-    @property
-    def epsilon(self) -> float:
-        return self.expansion.epsilon
 
     def training_dts(self) -> list[float]:
         return sorted({float(dt) for _, dt in self.provenance.get("cases", [])})
@@ -145,10 +141,12 @@ class SurrogateModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.expansion(x)
 
-    __call__ = predict
-
     def build_problem(self) -> IvpProblem:
-        return build_problem(self.problem_id, **self.problem_options)
+        return build_problem(self.provenance["problem"], **self.provenance["problem_options"])
+
+    def newton(self) -> NewtonConfig:
+        """The Newton settings the model was trained with."""
+        return NewtonConfig(**self.provenance["newton"])
 
 
 def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
@@ -184,12 +182,11 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
     return TrainingSet(np.asarray(rows_x), np.asarray(rows_y))
 
 
-def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int, IvpProblem]:
+def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int]:
     """Integrate the training cases and assemble their (dt, u_i) -> u_{i+1} pairs.
 
-    Returns the training set, the pair count before deduplication, and the
-    problem the cases were integrated on. Raises OfflineError naming the
-    case if any training integration fails.
+    Returns the training set and the pair count before deduplication.
+    Raises OfflineError naming the case if any training integration fails.
     """
     problem = build_problem(cfg.problem, **cfg.problem_options)
     trajectories = [
@@ -202,16 +199,19 @@ def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int, IvpProble
                 f"training integration failed at mu={mu}, dt={dt}: {traj.error}"
             )
     n_before = sum(t.n_steps for t in trajectories)
-    return assemble_training_set(trajectories), n_before, problem
+    return assemble_training_set(trajectories), n_before
 
 
 def offline(cfg: OfflineConfig) -> SurrogateModel:
     """Run the training phase end to end and return the surrogate.
 
     Raises OfflineError naming the case if any training integration fails;
-    cross-validation failures propagate unchanged.
+    cross-validation failures propagate unchanged. The config goes into the
+    provenance first, so a problem option that JSON cannot hold fails before
+    any integration.
     """
-    data, n_before, problem = build_training_data(cfg)
+    provenance = json.loads(json.dumps(asdict(cfg)))
+    data, n_before = build_training_data(cfg)
     cv_result = None
     if cfg.epsilon is not None:
         epsilon = cfg.epsilon
@@ -221,47 +221,18 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
     result = greedy_train(
         data, TrainConfig(epsilon, tolerance=cfg.tolerance, max_centers=cfg.max_centers)
     )
-    provenance = {
-        "problem": cfg.problem,
-        "problem_options": dict(cfg.problem_options),
-        "problem_notes": problem.notes,
-        "cases": [[list(mu), dt] for mu, dt in cfg.cases],
-        "horizon": cfg.horizon,
-        "greedy_tolerance": cfg.tolerance,
-        "max_centers": cfg.max_centers,
-        "newton_tolerance": cfg.newton.tolerance,
-        "newton_max_iterations": cfg.newton.max_iterations,
-        "residual_norm": "euclidean",
-        "n_training_before_dedup": n_before,
-        "n_training": data.size,
-        "n_centers": result.n_centers,
-        "greedy_status": result.status,
-        "epsilon_source": "fixed" if cfg.epsilon is not None else "cv",
-    }
+    provenance.update(n_training_before_dedup=n_before, n_training=data.size,
+                      greedy_status=result.status)
     if cv_result is not None:
-        provenance["cv"] = {
-            "epsilon_min": cfg.cv.epsilon_min,
-            "epsilon_max": cfg.cv.epsilon_max,
-            "grid_size": cfg.cv.grid_size,
-            "folds": cfg.cv.folds,
-            "seed": cfg.cv.seed,
-            "max_centers": cfg.cv.max_centers,
-            "best_score": float(cv_result.scores[cv_result.best_index]),
-        }
-    return SurrogateModel(
-        expansion=result.model,
-        problem_id=cfg.problem,
-        problem_options=dict(cfg.problem_options),
-        provenance=provenance,
-        diagnostics=result,
-        cv=cv_result,
-    )
+        provenance["cv"]["best_score"] = float(cv_result.scores[cv_result.best_index])
+    return SurrogateModel(result.model, provenance, diagnostics=result, cv=cv_result)
 
 
 def _check_dims(model: SurrogateModel, problem: IvpProblem):
-    if model.expansion.input_dim != problem.dim + 1 or model.state_dim != problem.dim:
+    exp = model.expansion
+    if exp.input_dim != problem.dim + 1 or exp.output_dim != problem.dim:
         raise ValueError(
-            f"model maps {model.expansion.input_dim} -> {model.state_dim} but the "
+            f"model maps {exp.input_dim} -> {exp.output_dim} but the "
             f"problem needs {problem.dim + 1} -> {problem.dim}"
         )
 
@@ -283,12 +254,14 @@ def online(
 ) -> tuple[Trajectory, bool | None]:
     """Integrate with the surrogate as Newton initializer.
 
+    ``problem`` and ``newton`` default to the ones the model was trained on.
     Returns the trajectory and whether ``dt`` is one of the model's training
     step sizes (None if the model does not record them); other step sizes
     are allowed. Step failures do not raise; the partial trajectory carries
     the error.
     """
     problem = problem if problem is not None else model.build_problem()
+    newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
     traj = integrate(problem, mu, dt, T, newton, surrogate_initializer(model.predict))
     return traj, _dt_in_training(model, dt)
@@ -339,11 +312,13 @@ def compare_cases(
     sample; if both complete, ``repetitions - 1`` further runs refine the
     timings (iteration counts are deterministic, timings are not). The
     initializer that runs first alternates with (case index + repetition)
-    so that one-time costs do not all land on one of them.
+    so that one-time costs do not all land on one of them. ``problem`` and
+    ``newton`` default to the ones the model was trained on.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
     problem = problem if problem is not None else model.build_problem()
+    newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
     init_new = surrogate_initializer(model.predict)
     results: list[CaseResult] = []
@@ -376,23 +351,16 @@ def compare_cases(
     return results
 
 
-def _expansion_to_dict(exp: KernelExpansion) -> dict:
-    return {
+def save_model(model: SurrogateModel, path) -> None:
+    """Write the model as versioned JSON (floats in exact round-trip form)."""
+    exp = model.expansion
+    payload = {
+        "format_version": MODEL_FORMAT_VERSION,
         "input_dim": exp.input_dim,
         "output_dim": exp.output_dim,
         "epsilon": exp.epsilon,
         "centers": exp.centers.tolist(),
         "coefficients": exp.coefficients.tolist(),
-    }
-
-
-def save_model(model: SurrogateModel, path) -> None:
-    """Write the model as versioned JSON (floats in exact round-trip form)."""
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "problem_id": model.problem_id,
-        "problem_options": model.problem_options,
-        **_expansion_to_dict(model.expansion),
         "provenance": model.provenance,
     }
     with open(path, "w") as fh:
@@ -402,8 +370,8 @@ def save_model(model: SurrogateModel, path) -> None:
 
 def load_model(path) -> SurrogateModel:
     """Read a model written by :func:`save_model`; raises ModelLoadError,
-    also for a file whose problem cannot be built or does not fit the model,
-    and for one holding a non-null ``normalization`` (rescaled inputs)."""
+    also for a file of another format version, with keys beyond the format-2
+    layout, or whose problem cannot be built or does not fit the model."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -414,22 +382,19 @@ def load_model(path) -> SurrogateModel:
         if version != MODEL_FORMAT_VERSION:
             raise ModelLoadError(
                 f"unsupported model format version {version!r} "
-                f"(this build reads {MODEL_FORMAT_VERSION})"
+                f"(this build reads {MODEL_FORMAT_VERSION}); retrain the model"
             )
+        # A key this build does not read (an input normalization, say) would
+        # otherwise be dropped silently and the model run on the wrong inputs.
+        unexpected = sorted(set(raw) - _MODEL_KEYS)
+        if unexpected:
+            raise ValueError(f"unexpected keys {unexpected}")
         p, q = int(raw["input_dim"]), int(raw["output_dim"])
         centers = np.asarray(raw["centers"], dtype=float).reshape(-1, p)
         coefficients = np.asarray(raw["coefficients"], dtype=float).reshape(-1, q)
-        if raw.get("normalization") is not None:
-            raise ModelLoadError(
-                f"model file {path} expects normalized inputs, which this build "
-                "does not support; retrain the model"
-            )
-        model = SurrogateModel(
-            expansion=KernelExpansion(centers, coefficients, float(raw["epsilon"])),
-            problem_id=str(raw["problem_id"]),
-            problem_options=dict(raw.get("problem_options", {})),
-            provenance=dict(raw.get("provenance", {})),
-        )
+        model = SurrogateModel(KernelExpansion(centers, coefficients, float(raw["epsilon"])),
+                               raw["provenance"])
+        model.newton()  # the recorded settings are checked on reading, like the problem
         _check_dims(model, model.build_problem())
         return model
     except ModelLoadError:

@@ -54,6 +54,9 @@ def test_grid_geometry():
     ({"cells": "200"}, "cells must be an integer >= 1, got '200'"),
     ({"half_width": "5"}, "half_width must be a real number > 0, got '5'"),
     ({"half_width": None}, "half_width must be a real number > 0, got None"),
+    # A bool is not a number here, though Python counts it as one.
+    ({"cells": True}, "cells must be an integer >= 1, got True"),
+    ({"half_width": True}, "half_width must be a real number > 0, got True"),
 ])
 def test_build_problem_rejects_bad_options(options, message):
     """Unknown and ill-typed options raise ValueError before any grid is used."""

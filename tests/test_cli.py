@@ -259,6 +259,8 @@ def test_load_experiment_errors(tmp_path):
         ("test_dts = 0.05", "test_dts = -0.01", r"invalid \[online\] settings: dt must be > 0"),
         ("(3.4, 0.2); (3.2, 0.4)", "(3.4, 0.2); (3.2, 0.4, 1.0)",
          r"invalid \[online\] settings: mu must have two components"),
+        # A negative fold seed is refused at read, not after the integration.
+        ("seed = 0", "seed = -1", r"invalid \[cv\] settings: seed must be an integer >= 0"),
         ("train_params = (3.4, 0.2)", "train_params = (3.4, 0.2, 1.0)",
          r"invalid \[offline\] settings: mu must have two components"),
     ]:
@@ -295,7 +297,7 @@ def test_cli_offline_online_bench(tiny_cfg, tmp_path, capsys):
     assert model_path.is_file()
     assert not (tmp_path / "model-cv.csv").exists()
     payload = json.loads(model_path.read_text())
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert "rule" not in payload["provenance"]
 
     step_csv = tmp_path / "steps.csv"
@@ -338,7 +340,7 @@ def test_cli_offline_with_cv_writes_curve(tiny_cfg, tmp_path, capsys):
     assert rows[0] == ["epsilon", "score"]
     assert len(rows) == 1 + 4  # header + grid_size
     payload = json.loads(model_path.read_text())
-    assert payload["provenance"]["epsilon_source"] == "cv"
+    assert payload["provenance"]["epsilon"] is None  # chosen by cross validation
     assert payload["provenance"]["cv"]["grid_size"] == 4
     assert payload["provenance"]["cv"]["max_centers"] == 8
 
@@ -418,7 +420,7 @@ def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
     assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
     capsys.readouterr()
     raw = json.loads(model_path.read_text())
-    raw["problem_options"]["foo"] = 1
+    raw["provenance"]["problem_options"]["foo"] = 1
     model_path.write_text(json.dumps(raw))
     assert main(["online", "--model", str(model_path), "--mu", "(3.4, 0.2)",
                  "--dt", "0.05", "-T", "0.25"]) == 1
@@ -446,6 +448,26 @@ def test_cli_bench_uses_newton_section(tiny_cfg, tmp_path, capsys):
                         r"mu=\(3\.4, 0\.2\), dt=0\.05: step 1: step did not converge "
                         r"within 1 iterations \(residual [^)]+\)\n",
                         capsys.readouterr().err)
+
+
+def test_cli_online_uses_trained_newton_settings(tmp_path, capsys):
+    """online solves with the [newton] settings the model was trained with,
+    as bench does with the config's, not with the library defaults."""
+    cfg = tmp_path / "loose-newton.cfg"
+    cfg.write_text(TINY_CFG.replace("tolerance = 1e-14", "tolerance = 1e-6")
+                   .replace("horizon = 0.25", "horizon = 0.5")
+                   .replace("(3.4, 0.2); (3.2, 0.4)", "(3.4, 0.2)"))
+    model_path = tmp_path / "model.json"
+    assert main(["offline", "--config", str(cfg), "--out", str(model_path)]) == 0
+    assert main(["online", "--model", str(model_path), "--mu", "(3.4, 0.2)",
+                 "--dt", "0.05", "-T", "0.5"]) == 0
+    online_out = capsys.readouterr().out
+    bench_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--config", str(cfg), "--model", str(model_path),
+                 "--out", str(bench_csv)]) == 0
+    iter_vkoga = float(read_csv(bench_csv)[1][3])
+    assert f"mean Newton iterations per step: {iter_vkoga:.2f} " in online_out
+    assert iter_vkoga == 0.2  # at the library default tolerance, 1e-14, it reads 1.40
 
 
 def test_cli_bench_solves_config_problem(tiny_cfg, tmp_path, capsys):

@@ -75,10 +75,18 @@ def test_cv_config_validation():
         CvConfig(grid_size=0)
     with pytest.raises(ValueError, match="folds"):
         CvConfig(folds=1)
-    for bad in (0, 2.5):
+    for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="max_centers must be an integer >= 1 or None"):
             CvConfig(max_centers=bad)
     assert CvConfig(max_centers=None).max_centers is None
+    # The grid size, fold count and fold seed are integers too, never floats
+    # or bools, and a seed is not negative.
+    for key, bad, minimum in [("grid_size", 2.5, 1), ("grid_size", True, 1),
+                              ("folds", 2.5, 2), ("folds", True, 2),
+                              ("seed", 1.5, 0), ("seed", -1, 0), ("seed", False, 0)]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= {minimum}, got"):
+            CvConfig(**{key: bad})
+    assert CvConfig(grid_size=np.int64(3), folds=np.int64(2), seed=np.int64(7)).seed == 7
 
 
 # The folds' greedy settings: the default tolerance of OfflineConfig.

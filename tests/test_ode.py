@@ -147,8 +147,11 @@ def test_newton_iteration_cap_does_not_raise():
 def test_newton_config_validation():
     with pytest.raises(ValueError, match="tolerance"):
         NewtonConfig(tolerance=0.0)
-    with pytest.raises(ValueError, match="max_iterations"):
-        NewtonConfig(max_iterations=0)
+    # An iteration cap is an integer: 2.5 would run 3 iterations and True 1.
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            NewtonConfig(max_iterations=bad)
+    assert NewtonConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 def test_finite_difference_jacobian_matches_analytic(rng):
@@ -168,8 +171,10 @@ def test_problem_requires_jacobian():
     # None no longer selects a finite-difference fallback.
     with pytest.raises(ValueError, match="jacobian must be callable, got None"):
         IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value, jacobian=None)
-    with pytest.raises(ValueError, match="dim"):
-        IvpProblem(dim=0, rhs=base.rhs, initial_value=base.initial_value, jacobian=base.jacobian)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            IvpProblem(dim=bad, rhs=base.rhs, initial_value=base.initial_value,
+                       jacobian=base.jacobian)
 
 
 def test_problem_validates_jacobian_bands():

@@ -114,11 +114,12 @@ def test_offline_produces_working_surrogate(tiny_model):
     prov = tiny_model.provenance
     assert prov["n_training_before_dedup"] == 20
     assert prov["n_training"] <= 20
-    assert prov["epsilon_source"] == "fixed"
+    assert prov["epsilon"] == 0.3  # fixed, not chosen by cross validation
+    assert "best_score" not in prov["cv"]
     assert prov["greedy_status"] in ("tolerance", "max_centers")
-    assert tiny_model.state_dim == 16
+    assert tiny_model.expansion.output_dim == 16
     assert tiny_model.expansion.input_dim == 17
-    assert tiny_model.epsilon == 0.3
+    assert tiny_model.expansion.epsilon == 0.3
     assert tiny_model.training_dts() == [0.05]
     assert tiny_model.diagnostics is not None
     # The surrogate must be a usable predictor of the one-step map.
@@ -136,9 +137,38 @@ def test_offline_with_cv_attaches_curve():
     )
     model = offline(cfg)
     assert model.cv is not None
-    assert model.provenance["epsilon_source"] == "cv"
+    assert model.provenance["epsilon"] is None  # chosen by cross validation
     assert model.provenance["cv"]["grid_size"] == 5
-    assert model.epsilon in model.cv.grid
+    assert model.provenance["cv"]["best_score"] == model.cv.scores[model.cv.best_index]
+    assert model.expansion.epsilon in model.cv.grid
+
+
+def test_provenance_is_the_config():
+    """The provenance is the config that trained the model plus the outcome
+    of the run, so the config can be rebuilt from it, every field included."""
+    cfg = tiny_config(
+        epsilon=None,
+        cv=CvConfig(epsilon_min=1e-3, epsilon_max=1.0, grid_size=3, folds=2, seed=4,
+                    max_centers=12),
+        tolerance=1e-10,
+        newton=NewtonConfig(tolerance=1e-13, max_iterations=50),
+    )
+    model = offline(cfg)
+    record = json.loads(json.dumps(model.provenance))
+    outcome = {key: record.pop(key)
+               for key in ("n_training_before_dedup", "n_training", "greedy_status")}
+    assert outcome["greedy_status"] == model.diagnostics.status
+    assert record["cv"].pop("best_score") == float(np.min(model.cv.scores))
+    record.update(cv=CvConfig(**record["cv"]), newton=NewtonConfig(**record["newton"]))
+    assert OfflineConfig(**record) == cfg
+    assert model.newton() == cfg.newton
+
+
+def test_offline_refuses_non_json_options_before_integrating(monkeypatch):
+    cfg = tiny_config(problem_options={**TINY, "cells": np.int64(16)})
+    monkeypatch.setattr(pipeline, "build_training_data", lambda cfg: pytest.fail("integrated"))
+    with pytest.raises(TypeError, match="JSON serializable"):
+        offline(cfg)
 
 
 def test_offline_reports_failing_case():
@@ -243,15 +273,19 @@ def test_compare_excludes_failures_with_warning(tiny_model, capsys):
 def test_save_load_roundtrip(tiny_model, tmp_path):
     path = tmp_path / "model.json"
     save_model(tiny_model, path)
+    raw = json.loads(path.read_text())
+    assert list(raw) == ["format_version", "input_dim", "output_dim", "epsilon", "centers",
+                         "coefficients", "provenance"]
+    assert raw["format_version"] == 2
     loaded = load_model(path)
-    assert loaded.problem_id == "burgers"
-    assert loaded.problem_options == TINY
+    assert loaded.provenance["problem"] == "burgers"
+    assert loaded.provenance["problem_options"] == TINY
     assert loaded.provenance == tiny_model.provenance
     assert np.array_equal(loaded.expansion.centers, tiny_model.expansion.centers)
     assert np.array_equal(
         loaded.expansion.coefficients, tiny_model.expansion.coefficients
     )
-    assert loaded.expansion.epsilon == tiny_model.epsilon
+    assert loaded.expansion.epsilon == tiny_model.expansion.epsilon
     assert loaded.diagnostics is None  # training traces are not persisted
 
 
@@ -291,18 +325,29 @@ def test_load_model_error_paths(tiny_model, tmp_path):
         with pytest.raises(ModelLoadError, match="malformed.*must be finite"):
             load_model(path)
 
-    # The problem is built at load time: bad options or a dimension mismatch
-    # fail here, not when the model is first used.
-    for options in ({**TINY, "foo": 1}, {**TINY, "cells": 16.0}, {**TINY, "cells": 8}):
-        path.write_text(json.dumps(dict(raw, problem_options=options)))
+    # The problem and the Newton settings are built at load time: bad options
+    # or a dimension mismatch fail here, not when the model is first used.
+    prov = raw["provenance"]
+    for record in ({"problem_options": {**TINY, "foo": 1}},
+                   {"problem_options": {**TINY, "cells": 16.0}},
+                   {"problem_options": {**TINY, "cells": 8}},
+                   {"newton": {"tolerance": 0.0}},
+                   {"newton": {"max_iterations": 1.5}},
+                   {"newton": {"foo": 1}}):
+        path.write_text(json.dumps(dict(raw, provenance={**prov, **record})))
         with pytest.raises(ModelLoadError, match="malformed"):
             load_model(path)
-    path.write_text(json.dumps(dict(raw, problem_id="nonexistent")))
+    path.write_text(json.dumps(dict(raw, provenance={**prov, "problem": "nonexistent"})))
     with pytest.raises(ModelLoadError, match="unknown problem"):
+        load_model(path)
+    path.write_text(json.dumps({k: v for k, v in raw.items() if k != "provenance"}))
+    with pytest.raises(ModelLoadError, match="malformed.*provenance"):
         load_model(path)
 
 
 def test_load_model_rejects_normalized_inputs(tiny_model, tmp_path):
+    """A format-2 file never holds a ``normalization``; one that does is
+    refused rather than run on raw inputs with the rescaling dropped."""
     path = tmp_path / "model.json"
     save_model(tiny_model, path)
     raw = json.loads(path.read_text())
@@ -310,23 +355,23 @@ def test_load_model_rejects_normalized_inputs(tiny_model, tmp_path):
     dim = tiny_model.expansion.input_dim
     raw["normalization"] = {"offsets": [0.0] * dim, "scales": [1.0] * dim}
     path.write_text(json.dumps(raw))
-    with pytest.raises(ModelLoadError, match="normalized inputs"):
+    with pytest.raises(ModelLoadError, match=r"malformed.*unexpected keys \['normalization'\]"):
         load_model(path)
 
 
-def test_load_model_reads_files_with_null_normalization(tiny_model, tmp_path):
-    """Files that record ``"normalization": null`` (the earlier layout of
-    format version 1) load and predict bit for bit."""
+def test_load_model_refuses_format_1(tiny_model, tmp_path):
+    """Format 1 stored the problem at the top level and in the provenance,
+    under other provenance names; such a file is refused, not guessed at."""
     path = tmp_path / "model.json"
     save_model(tiny_model, path)
     raw = json.loads(path.read_text())
-    raw["provenance"]["normalize_inputs"] = False
-    earlier = {k: v for k, v in raw.items() if k != "provenance"}
-    earlier.update(normalization=None, provenance=raw["provenance"])
-    path.write_text(json.dumps(earlier, indent=1))
-    loaded = load_model(path)
-    assert loaded.provenance == raw["provenance"]
-    x = np.random.default_rng(5).uniform(0.0, 3.5, size=(20, tiny_model.expansion.input_dim))
-    x[:, 0] = 0.05
-    assert np.array_equal(loaded.predict(x), tiny_model.predict(x))
-    assert np.array_equal(loaded.expansion.coefficients, tiny_model.expansion.coefficients)
+    prov = raw["provenance"]
+    old = {"format_version": 1, "problem_id": prov["problem"],
+           "problem_options": prov["problem_options"],
+           **{k: raw[k] for k in ("input_dim", "output_dim", "epsilon", "centers",
+                                  "coefficients")},
+           "normalization": None, "provenance": prov}
+    path.write_text(json.dumps(old))
+    with pytest.raises(ModelLoadError, match=r"unsupported model format version 1 "
+                                             r"\(this build reads 2\); retrain the model"):
+        load_model(path)
