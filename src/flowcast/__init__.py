@@ -29,6 +29,7 @@ from .ode import (
     Trajectory,
     ie_step,
     integrate,
+    integrate_many,
     newton_solve,
     surrogate_initializer,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "Trajectory",
     "ie_step",
     "integrate",
+    "integrate_many",
     "newton_solve",
     "surrogate_initializer",
     "CaseResult",

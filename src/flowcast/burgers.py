@@ -86,35 +86,54 @@ def _flux_partials(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ghosted(u, mu, grid: BurgersGrid) -> np.ndarray:
-    """The state with one ghost cell per side holding the boundary state."""
+    """The state with one ghost cell per side holding the boundary state.
+
+    A stack of states (M, cells), with one row (u_l, u_r) of ``mu`` per
+    state, gives the ghosted states as columns, shape (cells + 2, M), so
+    that the flux code slices cells on the leading axis in both cases.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.cells,):
-        raise ValueError(f"state has shape {u.shape}, expected ({grid.cells},)")
-    w = np.empty(grid.cells + 2)
-    w[0], w[-1] = _boundary_states(mu)
-    w[1:-1] = u
+    if u.shape == (grid.cells,):
+        w = np.empty(grid.cells + 2)
+        w[0], w[-1] = _boundary_states(mu)
+        w[1:-1] = u
+        return w
+    if u.ndim != 2 or u.shape[1] != grid.cells:
+        raise ValueError(
+            f"state has shape {u.shape}, expected ({grid.cells},) or (M, {grid.cells})"
+        )
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (len(u), 2):
+        raise ValueError(f"a stack of {len(u)} states needs mu of shape ({len(u)}, 2), "
+                         f"got {mu.shape}")
+    w = np.empty((grid.cells + 2, len(u)))
+    w[0], w[-1] = mu.T
+    w[1:-1] = u.T
     return w
 
 
 def burgers_rhs(u: np.ndarray, mu, grid: BurgersGrid) -> np.ndarray:
     """Semi-discrete right-hand side du_c/dt = -(F_{c+1/2} - F_{c-1/2})/h
-    for the boundary states mu = (u_l, u_r)."""
+    for the boundary states mu = (u_l, u_r). A stack of states (M, cells)
+    with mu of shape (M, 2) gives shape (M, cells), each row bit for bit
+    that state's own call."""
     f = _flux(_ghosted(u, mu, grid))
-    return (f[1:] - f[:-1]) / -grid.h  # -x / h, down to the sign of a zero
+    return ((f[1:] - f[:-1]) / -grid.h).T  # -x / h, down to the sign of a zero
 
 
 def burgers_jacobian(u: np.ndarray, mu, grid: BurgersGrid) -> np.ndarray:
     """Exact tridiagonal derivative of :func:`burgers_rhs` in LAPACK band
     storage, shape (3, d): row 0 holds the super-diagonal in columns 1..d-1,
     row 1 the diagonal and row 2 the sub-diagonal in columns 0..d-2; the two
-    unused corners are zero."""
+    unused corners are zero. A stack of states gives shape (M, 3, d), each
+    block bit for bit that state's own call."""
     dfa, dfb = _flux_partials(_ghosted(u, mu, grid))
     h = grid.h
-    ab = np.zeros((3, grid.cells))
+    ab = np.zeros((3, grid.cells) + dfa.shape[1:])
     np.divide(dfb[1:-1], -h, out=ab[0, 1:])  # -(x / h), as -x / h rounds
     np.divide(dfb[:-1] - dfa[1:], h, out=ab[1])
     np.divide(dfa[1:-1], h, out=ab[2, :-1])
-    return ab
+    return ab if ab.ndim == 2 else ab.transpose(2, 0, 1)
 
 
 def burgers_initial(mu, grid: BurgersGrid) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import GaussianKernel, KernelExpansion, _check_epsilon, _gaussian
+from .kernels import GaussianKernel, KernelExpansion, _check_epsilon, _gaussian, _rows_distinct
 from .ode import _check_int
 
 __all__ = [
@@ -77,7 +77,7 @@ class TrainingSet:
             raise ValueError("training set must contain at least one pair")
         if not np.isfinite(inputs).all():
             raise ValueError("training inputs must be finite")
-        if np.unique(inputs, axis=0).shape[0] != inputs.shape[0]:
+        if not _rows_distinct(inputs):
             raise ValueError("training inputs must be pairwise distinct")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)

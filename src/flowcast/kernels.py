@@ -32,6 +32,26 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
+def _rows_distinct(points: np.ndarray) -> bool:
+    """Whether the rows of a 2-d array are pairwise distinct by value (+0
+    equals -0, as under ``np.unique``).
+
+    A lexicographic sort of the row indices puts equal rows next to each
+    other; neighbours are then compared one column at a time, so no sorted
+    copy of the points is made.
+    """
+    if len(points) < 2:
+        return True
+    order = np.lexsort(points.T)
+    same = np.ones(len(points) - 1, dtype=bool)
+    for column in points.T:
+        sorted_column = column[order]
+        same &= sorted_column[1:] == sorted_column[:-1]
+        if not same.any():
+            return True
+    return False
+
+
 def _gaussian(sq_dists: np.ndarray, epsilon: float) -> np.ndarray:
     """exp(-epsilon^2 d) for squared distances d = ||x - y||_2^2 (from cdist)."""
     return np.exp(-(epsilon**2) * sq_dists)
@@ -96,7 +116,7 @@ class KernelExpansion:
             )
         if not (np.isfinite(centers).all() and np.isfinite(coefficients).all()):
             raise ValueError("centers and coefficients must be finite")
-        if np.unique(centers, axis=0).shape[0] != centers.shape[0]:
+        if not _rows_distinct(centers):
             raise ValueError("centers must be pairwise distinct")
         eps = _check_epsilon(self.epsilon)
         centers.flags.writeable = False

@@ -16,6 +16,12 @@ The cost of a step is dominated by the Newton iteration count, which in turn
 depends on the quality of the starting guess. Initializers encapsulate that
 choice; besides the classical one (the previous state) a trained kernel
 surrogate of the time-evolution map can be plugged in.
+
+On a small system most of an iteration's time is per-call overhead, so
+instances that share a step size can advance as one stack
+(:func:`integrate_many`): one residual, one Jacobian and one linear solve
+per iteration serve them all, while each keeps its own iteration count and
+its single run's bits.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "surrogate_initializer",
     "ie_step",
     "integrate",
+    "integrate_many",
     "Trajectory",
 ]
 
@@ -132,14 +139,47 @@ def _linear_solve(jac: np.ndarray, rhs: np.ndarray, bands: tuple[int, int] | Non
     return x
 
 
+def _solve_stack(jac, rhs, bands) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Solve a stack of systems, ``rhs`` of shape (M, d) with ``jac`` (M, d, d)
+    or, for bands, (M, 3, d), each as :func:`_linear_solve` would alone.
+
+    One call serves the stack: a batched dense solve, or one ``dgtsv`` on
+    the concatenated (3, M*d) band, where each block's zero corners are its
+    couplings to its neighbours. Returns the solutions and, by position,
+    the LinAlgError of each singular system (its row left unset).
+    """
+    try:
+        if bands is None:
+            # b[..., None]: numpy 1.x and 2.x read a 2-d b differently.
+            x = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        else:
+            band = jac.transpose(1, 0, 2).reshape(3, -1)
+            x = _linear_solve(band, rhs.reshape(-1), bands).reshape(rhs.shape)
+        if np.isfinite(x).all():
+            return x, {}
+    except np.linalg.LinAlgError:
+        pass
+    # A singular system fails the whole call, and in the one band solve a
+    # non-finite system spills into its neighbours through 0 * inf: solve
+    # each alone.
+    x = np.empty_like(rhs)
+    failed = {}
+    for j in range(len(rhs)):
+        try:
+            x[j] = _linear_solve(jac[j], rhs[j], bands)
+        except np.linalg.LinAlgError as exc:
+            failed[j] = exc
+    return x, failed
+
+
 def newton_solve(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[..., np.ndarray],
+    jacobian: Callable[..., np.ndarray],
     u0: np.ndarray,
     cfg: NewtonConfig | None = None,
     bands: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, NewtonStats]:
-    """Damped-free Newton iteration on a square system.
+):
+    """Damped-free Newton iteration on a square system, or on a stack of them.
 
     ``jacobian`` returns a dense matrix, or, when ``bands=(1, 1)``, the
     tridiagonal matrix in LAPACK band storage of shape ``(3, d)``; any other
@@ -149,38 +189,87 @@ def newton_solve(
     residual whose 2-norm is not finite raises DivergenceError: besides
     non-finite entries, that includes finite ones whose squares overflow
     (entries beyond about 1e154).
+
+    A stack of M independent systems is ``u0`` of shape (M, d). Then
+    ``residual(u, rows)`` and ``jacobian(u, rows)`` get the iterates of the
+    systems still iterating, ``u[j]`` belonging to system ``rows[j]``, and
+    stack their results on the same leading axis; one linear solve serves
+    them all. A system leaves the stack as soon as it converges, reaches
+    the cap or fails, so its iterate and outcome are bit for bit those of
+    solving it alone. Nothing raises for a stack: it returns the iterates
+    (M, d) and, per system, its NewtonStats or the NewtonError that ended it.
     """
     _check_bands(bands)
     cfg = cfg or NewtonConfig()
     u = np.array(u0, dtype=float)
+    stacked = u.ndim == 2
+    if stacked:
+        # Each system's last iterate and outcome, written as it leaves; rows
+        # are the systems still iterating, which the callbacks also take.
+        out, outcomes, rows = u, [None] * len(u), list(range(len(u)))
+        residual_of, jacobian_of = residual, jacobian
+        residual, jacobian = (lambda v: residual_of(v, rows)), (lambda v: jacobian_of(v, rows))
     g = np.asarray(residual(u), dtype=float)
     # np.linalg.norm computes sqrt(g.g) for a real vector, with the same dot,
     # bit for bit. vdot, unlike dot and @, does not warn when g.g overflows.
-    norm = math.sqrt(np.vdot(g, g))
-    if not math.isfinite(norm):
-        raise DivergenceError("residual norm of the starting guess is not finite")
-    initial = norm
+    norms = [math.sqrt(np.vdot(r, r)) for r in g] if stacked else [math.sqrt(np.vdot(g, g))]
+    initial = norms
     iterations = 0
-    while norm > cfg.tolerance and iterations < cfg.max_iterations:
+    tolerance, cap = cfg.tolerance, cfg.max_iterations
+    while True:
+        # A system leaves once it converges, reaches the cap or diverges.
+        if not stacked:
+            if not (tolerance < norms[0] < math.inf and iterations < cap):
+                outcome = _outcome(iterations, norms[0], tolerance, initial[0])
+                if isinstance(outcome, NewtonError):
+                    raise outcome
+                return u, outcome
+        else:
+            keep = []
+            for j, norm in enumerate(norms):
+                if tolerance < norm < math.inf and iterations < cap:
+                    keep.append(j)
+                else:
+                    outcomes[rows[j]] = _outcome(iterations, norm, tolerance, initial[rows[j]])
+                    out[rows[j]] = u[j]
+            if not keep:
+                return out, outcomes
+            if len(keep) < len(rows):
+                rows, u, g = [rows[j] for j in keep], u[keep], g[keep]
         jac = np.asarray(jacobian(u), dtype=float)
-        try:
-            delta = _linear_solve(jac, -g, bands)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"linear solve failed at iteration {iterations}: {exc}"
-            ) from exc
+        if not stacked:
+            try:
+                delta = _linear_solve(jac, -g, bands)
+            except np.linalg.LinAlgError as exc:
+                raise _singular(iterations, exc) from exc
+        else:
+            delta, failed = _solve_stack(jac, -g, bands)
+            if failed:
+                for j, exc in failed.items():
+                    outcomes[rows[j]] = _singular(iterations, exc)
+                    out[rows[j]] = u[j]
+                keep = [j for j in range(len(rows)) if j not in failed]
+                if not keep:
+                    return out, outcomes
+                rows, u, delta = [rows[j] for j in keep], u[keep], delta[keep]
         u = u + delta
         g = np.asarray(residual(u), dtype=float)
         iterations += 1
-        norm = math.sqrt(np.vdot(g, g))
-        if not math.isfinite(norm):
-            raise DivergenceError(f"non-finite residual norm at iteration {iterations}")
-    return u, NewtonStats(
-        iterations=iterations,
-        final_residual_norm=norm,
-        converged=norm <= cfg.tolerance,
-        initializer_residual_norm=initial,
+        norms = [math.sqrt(np.vdot(r, r)) for r in g] if stacked else [math.sqrt(np.vdot(g, g))]
+
+
+def _outcome(iterations: int, norm: float, tolerance: float, initial: float):
+    """The outcome of a system that stops iterating at residual ``norm``."""
+    if math.isfinite(norm):
+        return NewtonStats(iterations, norm, norm <= tolerance, initial)
+    return DivergenceError(
+        "residual norm of the starting guess is not finite" if iterations == 0
+        else f"non-finite residual norm at iteration {iterations}"
     )
+
+
+def _singular(iterations: int, exc: Exception) -> SingularJacobianError:
+    return SingularJacobianError(f"linear solve failed at iteration {iterations}: {exc}")
 
 
 def finite_difference_jacobian(
@@ -208,6 +297,12 @@ class IvpProblem:
     entry (i, j) at ``[1 + i - j, j]``; other bands raise ValueError. A
     problem without an analytic derivative can wrap
     :func:`finite_difference_jacobian`.
+
+    To integrate several parameters as one stack (:func:`integrate_many`),
+    ``rhs`` and ``jacobian`` must also take a leading instance axis: states
+    (M, dim) with parameters (M, p) give (M, dim), and (M, dim, dim) or
+    (M, 3, dim), each row bit for bit the 1-d call on that state and
+    parameter. One parameter at a time needs only the 1-d form.
     """
 
     dim: int
@@ -253,7 +348,22 @@ def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray], name: str =
     ``model`` must accept a single 1-d input: the step size prepended to the
     current state.
     """
-    return Initializer(name, lambda p, u, mu, dt: model(np.concatenate(([dt], u))))
+
+    def guess(problem, u, mu, dt):
+        x = np.empty(len(u) + 1)
+        x[0] = dt
+        x[1:] = u
+        return model(x)
+
+    return Initializer(name, guess)
+
+
+def _not_converged(stats: NewtonStats) -> StepError:
+    return StepError(
+        f"step did not converge within {stats.iterations} iterations "
+        f"(residual {stats.final_residual_norm:.3e})",
+        stats,
+    )
 
 
 def ie_step(
@@ -263,32 +373,50 @@ def ie_step(
     dt: float,
     cfg: NewtonConfig | None = None,
     initializer: Initializer = PREVIOUS_VALUE,
-) -> tuple[np.ndarray, NewtonStats]:
-    """One implicit Euler step; raises StepError if Newton does not converge."""
+):
+    """One implicit Euler step; raises StepError if Newton does not converge.
+
+    A stack of states ``u_prev`` (M, d), with ``mu`` holding one parameter
+    row per state, takes its M steps as one stacked Newton solve (see
+    :func:`newton_solve`); the initializer still sees one state at a time.
+    Nothing raises for a stack: per state, the second result holds its
+    NewtonStats or the StepError or NewtonError that ended it.
+    """
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     u_prev = np.asarray(u_prev, dtype=float)
+    stacked = u_prev.ndim == 2
     bands = problem.jacobian_bands
-    # The diagonal of I - dt*J: its row in band storage, or the dense one.
-    diagonal = 1 if bands is not None else np.diag_indices(problem.dim)
+    # The diagonal of I - dt*J: its row in band storage, or the dense one,
+    # in every block of a stack.
+    diagonal = (1,) if bands is not None else np.diag_indices(problem.dim)
+    if stacked:
+        mu = np.asarray(mu, dtype=float)
+        diagonal = (slice(None),) + diagonal
+        u0 = np.array([initializer(problem, v, m, dt) for v, m in zip(u_prev, mu)])
+    else:
+        u0 = initializer(problem, u_prev, mu, dt)
 
-    def residual(u):
-        return (u - u_prev) - dt * problem.rhs(u, mu)
+    def residual(u, u_from=u_prev, mu=mu):
+        g = u - u_from
+        g -= dt * problem.rhs(u, mu)  # in place: (u - u_prev) - dt * f, rounded alike
+        return g
 
-    def jacobian(u):
+    def jacobian(u, mu=mu):
         a = -dt * problem.jacobian(u, mu)
         a[diagonal] += 1.0
         return a
 
-    u0 = initializer(problem, u_prev, mu, dt)
-    u, stats = newton_solve(residual, jacobian, u0, cfg, bands=bands)
-    if not stats.converged:
-        raise StepError(
-            f"step did not converge within {stats.iterations} iterations "
-            f"(residual {stats.final_residual_norm:.3e})",
-            stats,
-        )
-    return u, stats
+    if not stacked:
+        u, stats = newton_solve(residual, jacobian, u0, cfg, bands=bands)
+        if not stats.converged:
+            raise _not_converged(stats)
+        return u, stats
+    # newton_solve passes the rows of the stack still iterating.
+    u, stats = newton_solve(lambda u, rows: residual(u, u_prev[rows], mu[rows]),
+                            lambda u, rows: jacobian(u, mu[rows]), u0, cfg, bands=bands)
+    return u, [_not_converged(s) if isinstance(s, NewtonStats) and not s.converged else s
+               for s in stats]
 
 
 @dataclass
@@ -361,6 +489,80 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
+def integrate_many(
+    problem: IvpProblem,
+    mus,
+    dt: float,
+    T: float,
+    cfg: NewtonConfig | None = None,
+    initializer: Initializer = PREVIOUS_VALUE,
+) -> list[Trajectory]:
+    """Integrate each parameter of ``mus`` from 0 to T with the one fixed
+    step dt (T must be a multiple of dt), as one stack.
+
+    Each step of the instances still running is one stacked
+    :func:`ie_step`, so an instance's trajectory is bit for bit the one it
+    has alone; a single instance runs unstacked. Several instances need a
+    problem whose ``rhs`` and ``jacobian`` take a leading instance axis
+    (see :class:`IvpProblem`). Never raises on step failure: the instance
+    leaves the stack, and its partial trajectory is returned with
+    ``completed=False`` and the error message recorded. ``wall_time_s`` is
+    the stack's.
+    """
+    n_steps = _step_count(T, dt)
+    mus = [np.atleast_1d(np.asarray(mu, dtype=float)) for mu in mus]
+    states = [np.empty((n_steps + 1, problem.dim)) for _ in mus]
+    for m, mu in enumerate(mus):
+        u = np.asarray(problem.initial_value(mu), dtype=float)
+        if u.shape != (problem.dim,):
+            raise ValueError(
+                f"initial value has shape {u.shape}, expected ({problem.dim},)"
+            )
+        states[m][0] = u
+    stats: list[list[NewtonStats]] = [[] for _ in mus]
+    errors: list[str | None] = [None] * len(mus)
+    rows = list(range(len(mus)))  # the instances still running
+    mu_rows = np.array(mus, dtype=float)
+    single = len(mus) == 1  # one instance runs unstacked, on 1-d arrays
+    start = time.perf_counter()
+    for i in range(n_steps):
+        if single:  # a lone instance's failed step ends the run at once
+            try:
+                states[0][i + 1], outcome = ie_step(problem, states[0][i], mus[0], dt, cfg,
+                                                    initializer)
+            except (StepError, NewtonError) as exc:
+                errors[0] = f"step {i + 1}: {exc}"
+                break
+            stats[0].append(outcome)
+            continue
+        if not rows:
+            break
+        u, outcomes = ie_step(problem, np.array([states[m][i] for m in rows]), mu_rows[rows],
+                              dt, cfg, initializer)
+        for m, u_m, outcome in zip(rows, u, outcomes):
+            if isinstance(outcome, NewtonStats):
+                states[m][i + 1] = u_m
+                stats[m].append(outcome)
+            else:
+                errors[m] = f"step {i + 1}: {outcome}"
+                rows = [r for r in rows if r != m]  # the zip keeps iterating the old list
+    wall = time.perf_counter() - start
+    return [
+        Trajectory(
+            mu=mu,
+            dt=float(dt),
+            times=dt * np.arange(len(stats[m]) + 1),
+            states=states[m][: len(stats[m]) + 1],
+            newton_stats=stats[m],
+            initializer=initializer.name,
+            completed=errors[m] is None,
+            error=errors[m],
+            wall_time_s=wall,
+        )
+        for m, mu in enumerate(mus)
+    ]
+
+
 def integrate(
     problem: IvpProblem,
     mu,
@@ -369,44 +571,11 @@ def integrate(
     cfg: NewtonConfig | None = None,
     initializer: Initializer = PREVIOUS_VALUE,
 ) -> Trajectory:
-    """Integrate from 0 to T with fixed step dt (T must be a multiple of dt).
+    """Integrate from 0 to T with fixed step dt (T must be a multiple of dt):
+    :func:`integrate_many` of the one parameter ``mu``.
 
     Never raises on step failure: the partial trajectory is returned with
     ``completed=False`` and the error message recorded.
     """
-    n_steps = _step_count(T, dt)
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    u = np.asarray(problem.initial_value(mu), dtype=float)
-    if u.shape != (problem.dim,):
-        raise ValueError(
-            f"initial value has shape {u.shape}, expected ({problem.dim},)"
-        )
-    states = np.empty((n_steps + 1, problem.dim))
-    states[0] = u
-    stats_list: list[NewtonStats] = []
-    completed = True
-    error = None
-    start = time.perf_counter()
-    for i in range(n_steps):
-        try:
-            u, stats = ie_step(problem, u, mu, dt, cfg, initializer)
-        except (StepError, NewtonError) as exc:
-            completed = False
-            error = f"step {i + 1}: {exc}"
-            states = states[: i + 1]
-            break
-        states[i + 1] = u
-        stats_list.append(stats)
-    wall = time.perf_counter() - start
-    times = dt * np.arange(states.shape[0])
-    return Trajectory(
-        mu=mu,
-        dt=float(dt),
-        times=times,
-        states=states,
-        newton_stats=stats_list,
-        initializer=initializer.name,
-        completed=completed,
-        error=error,
-        wall_time_s=wall,
-    )
+    (trajectory,) = integrate_many(problem, [mu], dt, T, cfg, initializer)
+    return trajectory

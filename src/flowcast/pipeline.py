@@ -32,6 +32,7 @@ from .ode import (
     _check_int,
     _step_count,
     integrate,
+    integrate_many,
     surrogate_initializer,
 )
 from .problems import build_problem
@@ -152,9 +153,10 @@ class SurrogateModel:
 def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
     """Stack ((dt, u_i), u_{i+1}) pairs from all steps of all trajectories.
 
-    Inputs that repeat exactly are kept once (first occurrence). A repeated
-    input whose targets disagree beyond 1e-10 (max norm) means the data does
-    not describe a single-valued map and raises DataInconsistencyError.
+    Inputs that repeat by value (+0 equals -0) are kept once, at their
+    first occurrence. A repeated input whose targets disagree beyond 1e-10
+    (max norm) means the data does not describe a single-valued map and
+    raises DataInconsistencyError.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -166,8 +168,11 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
             raise ValueError("every trajectory must contain at least one step")
         inputs = np.column_stack([np.full(traj.n_steps, traj.dt), traj.states[:-1]])
         targets = traj.states[1:]
+        # Adding +0 turns -0 into +0 and leaves every other finite value, so
+        # equal bytes mean equal values.
+        keys = inputs + 0.0
         for i in range(traj.n_steps):
-            key = inputs[i].tobytes()
+            key = keys[i].tobytes()
             if key in seen:
                 held = rows_y[seen[key]]
                 if np.max(np.abs(held - targets[i])) > 1e-10:
@@ -185,14 +190,21 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
 def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int]:
     """Integrate the training cases and assemble their (dt, u_i) -> u_{i+1} pairs.
 
-    Returns the training set and the pair count before deduplication.
-    Raises OfflineError naming the case if any training integration fails.
+    The cases of one step size integrate as one stack (``integrate_many``);
+    the pairs keep the order of ``cfg.cases``. Returns the training set and
+    the pair count before deduplication. Raises OfflineError naming the
+    first case, in that order, whose training integration fails.
     """
     problem = build_problem(cfg.problem, **cfg.problem_options)
-    trajectories = [
-        integrate(problem, mu, dt, cfg.horizon, cfg.newton, PREVIOUS_VALUE)
-        for mu, dt in cfg.cases
-    ]
+    by_dt: dict[float, list[int]] = {}
+    for index, (_, dt) in enumerate(cfg.cases):
+        by_dt.setdefault(dt, []).append(index)
+    trajectories: list = [None] * len(cfg.cases)
+    for dt, indices in by_dt.items():
+        mus = [cfg.cases[i][0] for i in indices]
+        runs = integrate_many(problem, mus, dt, cfg.horizon, cfg.newton, PREVIOUS_VALUE)
+        for i, traj in zip(indices, runs):
+            trajectories[i] = traj
     for (mu, dt), traj in zip(cfg.cases, trajectories):
         if not traj.completed:
             raise OfflineError(

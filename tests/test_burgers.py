@@ -267,3 +267,29 @@ def test_problem_factory_and_registry():
     with pytest.raises(ValueError, match="already registered"):
         register_problem("burgers", make_burgers_problem)
     register_problem("burgers", make_burgers_problem, replace=True)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 60])
+def test_stacked_rhs_and_jacobian_rows_are_single_calls(cells):
+    # Row m of a stacked call has the bits of the 1-d call on state m and
+    # parameter m, signs of zeros included.
+    rng = np.random.default_rng(cells)
+    grid = BurgersGrid(cells, 5.0)
+    states = np.stack([
+        rng.uniform(-4.0, 4.0, cells),
+        rng.standard_normal(cells) * 10.0 ** rng.integers(-8, 8, cells),
+        np.resize([2.0, -2.0, 0.5, -0.5], cells),
+        np.resize([0.0, -0.0, 1.0, -1.0], cells),
+        np.zeros(cells),
+    ])
+    mus = np.array([(3.4, 0.2), (-1.5, 2.5), (2.0, -0.5), (-0.0, 0.0), (0.0, -1.0)])
+    rhs = burgers_rhs(states, mus, grid)
+    jac = burgers_jacobian(states, mus, grid)
+    assert rhs.shape == (5, cells) and jac.shape == (5, 3, cells)
+    for u, mu, rhs_row, jac_block in zip(states, mus, rhs, jac):
+        assert same_bits(rhs_row, burgers_rhs(u, mu, grid))
+        assert same_bits(jac_block, burgers_jacobian(u, mu, grid))
+    with pytest.raises(ValueError, match=r"mu of shape \(5, 2\)"):
+        burgers_rhs(states, mus[:, :1], grid)
+    with pytest.raises(ValueError, match="shape"):
+        burgers_jacobian(states[:, 1:], mus, grid)

@@ -37,6 +37,8 @@ def test_training_set_validation(rng):
         TrainingSet(np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ValueError, match="pairwise distinct"):
         TrainingSet(np.zeros((2, 2)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="pairwise distinct"):  # -0 equals +0
+        TrainingSet(np.array([[0.1, 0.0], [0.2, 1.0], [0.1, -0.0]]), np.ones((3, 1)))
     # Inputs must be finite; targets are not read by selection (see
     # test_p_rule_matches_incremental_reference) and are left unchecked.
     for bad in (np.nan, np.inf):

@@ -10,6 +10,7 @@ from flowcast.kernels import (
     GaussianKernel,
     KernelExpansion,
     _check_epsilon,
+    _rows_distinct,
 )
 
 
@@ -151,3 +152,16 @@ def test_expansion_is_immutable(rng):
         model.epsilon = 2.0
     with pytest.raises(ValueError):
         model.centers[0, 0] = 99.0
+
+
+def test_rows_distinct_is_value_equality(rng):
+    # The verdict of np.unique(X, axis=0): rows equal in value, +0 and -0
+    # included, are repeats wherever they sit.
+    for _ in range(500):
+        n, p = rng.integers(1, 25), rng.integers(1, 5)
+        points = rng.integers(-2, 3, (n, p)) * rng.choice([1.0, -1.0], (n, p))
+        assert _rows_distinct(points) == (np.unique(points, axis=0).shape[0] == n)
+    assert _rows_distinct(np.empty((0, 3)))
+    assert not _rows_distinct(np.array([[1.0, 0.0], [2.0, 1.0], [1.0, -0.0]]))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        KernelExpansion(np.array([[0.0, 1.0], [-0.0, 1.0]]), np.zeros((2, 1)), 1.0)

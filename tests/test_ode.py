@@ -11,12 +11,14 @@ from flowcast.ode import (
     Initializer,
     IvpProblem,
     NewtonConfig,
+    NewtonStats,
     SingularJacobianError,
     StepError,
     _linear_solve,
     finite_difference_jacobian,
     ie_step,
     integrate,
+    integrate_many,
     newton_solve,
     surrogate_initializer,
 )
@@ -320,3 +322,188 @@ def test_integrate_validates_initial_shape():
                      jacobian=lambda u, mu: np.eye(2))
     with pytest.raises(ValueError, match="initial value"):
         integrate(bad, [], 0.1, 0.2)
+
+
+# Stacked integration: several parameters of one step size advance as one
+# stack, and each instance must read bit for bit as its run alone.
+
+
+def assert_same_runs(got, want):
+    assert got.completed == want.completed and got.error == want.error
+    assert got.states.shape == want.states.shape
+    assert got.states.tobytes() == want.states.tobytes()  # signs of zeros included
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.mu.tobytes() == want.mu.tobytes()
+    # Equal dataclasses: iterations, both residual norms and the flag.
+    assert got.newton_stats == want.newton_stats
+
+
+def dense_burgers(cells):
+    """Burgers with its band expanded to a dense (stacked) Jacobian."""
+    banded = make_burgers_problem(cells=cells)
+
+    def jacobian(u, mu):
+        ab = banded.jacobian(u, mu)
+        dense = np.zeros(ab.shape[:-2] + (cells, cells))
+        i = np.arange(cells)
+        dense[..., i, i] = ab[..., 1, :]
+        dense[..., i[:-1], i[1:]] = ab[..., 0, 1:]
+        dense[..., i[1:], i[:-1]] = ab[..., 2, :-1]
+        return dense
+
+    return IvpProblem(dim=cells, rhs=banded.rhs, initial_value=banded.initial_value,
+                      jacobian=jacobian)
+
+
+def test_integrate_many_matches_single_runs_on_experiment2_corners():
+    from flowcast.cli import load_experiment
+
+    offline_cfg = load_experiment("experiment2").offline
+    (dt,) = {dt for _, dt in offline_cfg.cases}
+    mus = [mu for mu, _ in offline_cfg.cases]
+    problem = make_burgers_problem(**offline_cfg.problem_options)
+    stacked = integrate_many(problem, mus, dt, offline_cfg.horizon, offline_cfg.newton)
+    for mu, got in zip(mus, stacked):
+        assert got.completed
+        assert_same_runs(got, integrate(problem, mu, dt, offline_cfg.horizon, offline_cfg.newton))
+
+
+def test_integrate_many_matches_single_runs_with_dense_jacobian():
+    # The dense stack is one batched np.linalg.solve with b[..., None].
+    problem = dense_burgers(20)
+    mus = [(3.4, 0.2), (3.2, -0.0), (3.6, 0.4)]
+    stacked = integrate_many(problem, mus, 0.05, 1.0)
+    for mu, got in zip(mus, stacked):
+        assert got.completed
+        assert_same_runs(got, integrate(problem, mu, 0.05, 1.0))
+
+
+def test_stalled_instance_fails_alone_in_a_stack():
+    # (3.4, 0.2) at dt 0.1 stalls on Newton's round-off plateau: it must fail
+    # at the same step with the same error as alone, and its partner's run
+    # must not change.
+    problem = make_burgers_problem()
+    mus = [(3.4, 0.2), (3.2, 0.0)]
+    stacked = integrate_many(problem, mus, 0.1, 2.0)
+    alone = [integrate(problem, mu, 0.1, 2.0) for mu in mus]
+    assert not alone[0].completed and "did not converge" in alone[0].error
+    for got, want in zip(stacked, alone):
+        assert_same_runs(got, want)
+
+
+def test_integrate_many_calls_initializer_per_instance():
+    seen = []
+
+    def previous(problem, u, mu, dt):
+        seen.append((u.shape, tuple(mu)))
+        return u
+
+    mus = [(3.4, 0.2), (3.0, 0.4)]
+    init = Initializer("recording", previous)
+    trajectories = integrate_many(make_burgers_problem(cells=8), mus, 0.1, 0.2, None, init)
+    assert seen == [((8,), mu) for mu in mus] * 2
+    assert [t.initializer for t in trajectories] == ["recording"] * 2
+    assert integrate_many(make_burgers_problem(cells=8), [], 0.1, 0.2) == []
+
+
+def test_single_instance_keeps_1d_calls(monkeypatch):
+    # One instance runs unstacked: 1-d states reach the problem, and
+    # newton_solve returns (u, NewtonStats), as the benchmark's tracer reads.
+    import flowcast.burgers as burgers
+    import flowcast.ode as ode
+
+    shapes, results = [], []
+    rhs, solve = burgers.burgers_rhs, ode.newton_solve
+
+    def recording_rhs(u, mu, grid):
+        shapes.append(np.shape(u))
+        return rhs(u, mu, grid)
+
+    def recording_solve(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(burgers, "burgers_rhs", recording_rhs)
+    monkeypatch.setattr(ode, "newton_solve", recording_solve)
+    integrate(make_burgers_problem(cells=8), (3.4, 0.2), 0.1, 0.3)
+    assert set(shapes) == {(8,)}
+    assert len(results) == 3
+    assert all(u.shape == (8,) and isinstance(s, NewtonStats) for u, s in results)
+
+
+def tridiagonal_systems(bad):
+    """Three 4-unknown systems g(u) = u*u - c, with a tridiagonal band whose
+    middle system is spoiled as ``bad`` says at the first iteration."""
+    targets = np.array([[2.0, 3.0, 5.0, 7.0], [1.5, 2.5, 3.5, 4.5], [6.0, 0.5, 2.0, 9.0]])
+
+    def band(u, c):
+        ab = np.zeros((3, 4))
+        ab[1] = 2.0 * u
+        ab[0, 1:] = 1e-3 * u[:-1]
+        ab[2, :-1] = 1e-3 * u[1:]
+        if c[0] == 1.5 and bad == "nan":
+            ab[0, 2] = np.nan
+        if c[0] == 1.5 and bad == "singular":
+            ab[:, 1:] = 0.0
+        return ab
+
+    def residual(u, rows=None):
+        c = targets[1] if rows is None else targets[rows]
+        return u * u - c
+
+    def jacobian(u, rows=None):
+        if rows is None:
+            return band(u, targets[1])
+        return np.stack([band(v, c) for v, c in zip(u, targets[rows])])
+
+    return targets, residual, jacobian
+
+
+@pytest.mark.parametrize("bad, error", [("nan", DivergenceError),
+                                        ("singular", SingularJacobianError)])
+def test_spoiled_system_does_not_touch_its_neighbours(bad, error):
+    # In dgtsv's elimination a NaN block leaks into the next through 0 * NaN,
+    # and dgtsv stops at the first singular pivot; the stack must still give
+    # every other system its own solve's bits.
+    targets, residual, jacobian = tridiagonal_systems(bad)
+    u0 = np.ones((3, 4))
+    u, outcomes = newton_solve(residual, jacobian, u0, bands=(1, 1))
+    with pytest.raises(error) as alone:
+        newton_solve(lambda v: residual(v), lambda v: jacobian(v), u0[1], bands=(1, 1))
+    assert type(outcomes[1]) is error and str(outcomes[1]) == str(alone.value)
+    for j in (0, 2):
+        def one(v, j=j):
+            return v * v - targets[j]
+
+        def one_band(v, j=j):
+            return jacobian(v[None], [j])[0]
+
+        want_u, want_stats = newton_solve(one, one_band, u0[j], bands=(1, 1))
+        assert outcomes[j] == want_stats and want_stats.converged
+        assert u[j].tobytes() == want_u.tobytes()
+    # The hazard is real: one dgtsv over the whole stack spoils every block.
+    one_solve = (np.concatenate(list(jacobian(u0, [0, 1, 2])), axis=1),
+                 -residual(u0, [0, 1, 2]).reshape(-1), (1, 1))
+    if bad == "singular":
+        with pytest.raises(np.linalg.LinAlgError):
+            _linear_solve(*one_solve)
+    else:
+        assert np.isnan(_linear_solve(*one_solve)).all()
+
+
+def test_stack_outcomes_per_system():
+    # A non-finite starting residual, the iteration cap and convergence, side
+    # by side: each system leaves with its own outcome and iteration count.
+    def residual(u, rows):
+        return u * u - np.array([[4.0], [np.inf], [0.0]])[rows]
+
+    def jacobian(u, rows):
+        return 2.0 * u[:, :, None]
+
+    u0 = np.array([[3.0], [1.0], [1.0]])
+    u, outcomes = newton_solve(residual, jacobian, u0, NewtonConfig(max_iterations=8))
+    assert outcomes[0].converged and u[0, 0] == 2.0
+    assert isinstance(outcomes[1], DivergenceError) and "starting guess" in str(outcomes[1])
+    assert not outcomes[2].converged and outcomes[2].iterations == 8  # x^2: linear
+    _, want = newton_solve(lambda v: v * v - 4.0, lambda v: np.diag(2.0 * v), u0[0])
+    assert outcomes[0] == want

@@ -16,6 +16,7 @@ from flowcast.pipeline import (
     OfflineConfig,
     OfflineError,
     assemble_training_set,
+    build_training_data,
     compare_cases,
     load_model,
     offline,
@@ -74,6 +75,47 @@ def test_assemble_training_set_deduplicates():
     t = fake_trajectory(0.1, [[0.0], [1.0], [2.0]])
     data = assemble_training_set([t, t])
     assert data.size == 2
+
+
+def test_assemble_training_set_deduplicates_by_value():
+    # -0 and +0 are one value: the repeat is dropped, the first occurrence
+    # (with its sign) kept in place, and the order of the rest kept.
+    a = fake_trajectory(0.1, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    b = fake_trajectory(0.1, [[5.0, 1.0], [2.0, -0.0], [3.0, 0.0], [4.0, 0.0]])
+    data = assemble_training_set([a, b])
+    assert data.inputs.tolist() == [[0.1, 1.0, 0.0], [0.1, 2.0, 0.0], [0.1, 5.0, 1.0],
+                                    [0.1, 3.0, 0.0]]
+    assert not np.signbit(data.inputs).any()
+    assert data.targets.tolist() == [[2.0, 0.0], [3.0, 0.0], [2.0, -0.0], [4.0, 0.0]]
+    c = fake_trajectory(0.1, [[2.0, -0.0], [3.0, 1e-6]])
+    with pytest.raises(DataInconsistencyError, match="repeats"):
+        assemble_training_set([a, c])
+
+
+def test_training_cases_with_signed_zero_parameters():
+    # (3.4, 0.0) and (3.4, -0.0) give trajectories equal in value; kept
+    # twice, their inputs used to fail TrainingSet's distinctness check.
+    cfg = OfflineConfig(cases=[((3.4, 0.0), 0.05), ((3.4, -0.0), 0.05)], horizon=0.5,
+                        problem_options=dict(cells=20), epsilon=0.3)
+    data, n_before = build_training_data(cfg)
+    assert (n_before, data.size) == (20, 10)
+    alone = integrate(build_problem("burgers", cells=20), (3.4, 0.0), 0.05, 0.5)
+    assert data.targets.tobytes() == alone.states[1:].tobytes()
+
+
+def test_build_training_data_keeps_case_order():
+    # Step sizes interleaved in the cases: each step size integrates as one
+    # stack, and the pairs come out in case order, bit for bit those of
+    # integrating each case alone.
+    cases = [((3.4, 0.2), 0.1), ((3.0, 0.4), 0.05), ((3.6, 0.0), 0.1), ((3.4, 0.2), 0.05),
+             ((3.2, 0.1), 0.1)]
+    cfg = OfflineConfig(cases=cases, horizon=0.5, problem_options=TINY, epsilon=0.3)
+    data, n_before = build_training_data(cfg)
+    problem = build_problem("burgers", **TINY)
+    want = assemble_training_set([integrate(problem, mu, dt, 0.5) for mu, dt in cases])
+    assert n_before == 5 + 10 + 5 + 10 + 5
+    assert data.inputs.tobytes() == want.inputs.tobytes()
+    assert data.targets.tobytes() == want.targets.tobytes()
 
 
 def test_assemble_training_set_detects_inconsistency():
