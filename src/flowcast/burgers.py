@@ -36,6 +36,9 @@ __all__ = [
 
 
 def _boundary_states(mu) -> list[float]:
+    # The shape an integration passes on every rhs and Jacobian call.
+    if type(mu) is np.ndarray and mu.dtype == np.float64 and mu.shape == (2,):
+        return mu.tolist()
     values = np.asarray(mu, dtype=float).ravel().tolist()
     if len(values) != 2:
         raise ValueError(f"mu must have two components (u_l, u_r), got {len(values)}")

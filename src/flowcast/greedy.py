@@ -9,26 +9,34 @@ only the kernel columns of selected points are evaluated.
 
 Update equations for a new point x_k at step n (0-based):
 
-    v_i  = (K(x_i, x_k) - sum_{m<n} B[i,m] B[k,m]) / sqrt(pool_power[k])
+    v_i  = (K(x_k, x_i) - sum_{m<n} B[i,m] B[k,m]) / sqrt(pool_power[k])
     pool_power[i]  -= v_i^2
+    B[i,n]  = v_i, or 0 where v_i^2 < np.finfo(float).tiny
 
 where B holds the Newton basis values at all training inputs, so the
-selection never touches the targets. ``pool_power`` is the squared power on
-the candidate pool and -inf on selected and excluded rows, which the
-subtraction leaves at -inf; the power at a selected row x_k would be
-1 - sum_m B[k,m]^2, zero up to round-off. After the loop, forward
+selection never touches the targets. The flush keeps subnormal numbers
+(below 2.2e-308) out of B: x86 CPUs multiply them in slow microcode, and at
+widths where the kernel values at far rows underflow they made a greedy step
+up to four times slower. A flushed value is below 1.5e-154 and |B| <= 1, so
+it moves a later sum by less than that. The power subtracts the unflushed
+squares, and on the presets' CV grids it and the selection stayed the same
+bit for bit. ``pool_power`` is the squared power on the candidate pool and
+-inf on selected and excluded rows, which the subtraction leaves at -inf;
+the power at a selected row x_k would be 1 - sum_m B[k,m]^2, zero up to
+round-off. After the loop, forward
 substitution through the lower-triangular B[selected, :n] gives the Newton
 coefficients c, and back-substitution through its transpose the plain
 kernel coefficients.
 
 Excluded rows never become centers, but the basis covers every row, so
 targets[i] - B[i, :n] c at an excluded row i is a held-out error: cross
-validation scores its folds this way, with kernel columns from a shared
-distance matrix.
+validation scores its folds this way, and the folds of one width share one
+cache of kernel rows (:func:`cached_kernel_rows`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +50,7 @@ __all__ = [
     "TrainingSet",
     "TrainConfig",
     "GreedyState",
+    "cached_kernel_rows",
     "GreedyResult",
     "select_next",
     "update_basis",
@@ -52,6 +61,10 @@ __all__ = [
 # Squared power values at or below this are treated as numerically zero;
 # such candidates are excluded to keep the pivot in the basis update safe.
 POWER_FLOOR = 1e-14
+
+# Basis values whose square falls below the smallest normal double are
+# stored as 0 (see the module docstring).
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -133,14 +146,16 @@ class GreedyState:
     pool_power
         Length-N squared power function on the pool (the rows neither
         ``excluded`` nor selected) and -inf elsewhere; the selection criterion.
-    sq_dists
-        Optional (N, N) squared input distances supplying the kernel columns.
+    kernel_row
+        Optional callable mapping a row index k to the read-only kernel row
+        K(x_k, x_i) over all training inputs; None evaluates each row when
+        its point is selected.
     max_centers
         n_max, ``cfg.max_centers`` limited to the unexcluded rows.
     """
 
     def __init__(self, data: TrainingSet, cfg: TrainConfig, excluded=None,
-                 sq_dists: np.ndarray | None = None):
+                 kernel_row: Callable[[int], np.ndarray] | None = None):
         self.pool_power = np.ones(data.size)  # K(x, x) = 1 for the Gaussian
         self.pool_power[[] if excluded is None else excluded] = -np.inf
         pool = int(np.count_nonzero(np.isfinite(self.pool_power)))
@@ -148,7 +163,7 @@ class GreedyState:
         self.data = data
         self.cfg = cfg
         self.kernel = GaussianKernel(cfg.epsilon)
-        self.sq_dists = sq_dists
+        self.kernel_row = kernel_row
         self.newton_basis = np.zeros((data.size, n_max))
         self.selected: list[int] = []
 
@@ -161,6 +176,23 @@ class GreedyState:
         sel = self.selected
         return solve_triangular(self.newton_basis[sel, :len(sel)], self.data.targets[sel],
                                 lower=True, check_finite=False)
+
+
+def cached_kernel_rows(sq_dists: np.ndarray, epsilon: float) -> Callable[[int], np.ndarray]:
+    """A ``kernel_row`` source over the (N, N) squared distances of a training
+    set: row k is exp(-epsilon^2 sq_dists[k]), evaluated on its first request
+    and kept read-only, so the greedy runs sharing the source evaluate each
+    row once."""
+    cache: dict[int, np.ndarray] = {}
+
+    def kernel_row(k: int) -> np.ndarray:
+        row = cache.get(k)
+        if row is None:
+            row = cache[k] = _gaussian(sq_dists[k], epsilon)
+            row.flags.writeable = False
+        return row
+
+    return kernel_row
 
 
 def select_next(state: GreedyState) -> tuple[int, float] | None:
@@ -177,8 +209,8 @@ def select_next(state: GreedyState) -> tuple[int, float] | None:
 def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     """Append one Newton basis column for ``new_index`` and refresh the state.
 
-    Mutates ``state`` in place and returns it. Only the single kernel-matrix
-    column of the new point is evaluated; the step costs O(N * n).
+    Mutates ``state`` in place and returns it. At most one kernel row, that
+    of the new point, is evaluated; the step costs O(N * n).
     """
     if state.pool_power[new_index] == -np.inf:
         raise ValueError(f"point {new_index} is already selected or excluded")
@@ -189,17 +221,20 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
             f"({pivot:.3e}); the basis update would be near-singular"
         )
     n = state.n_selected
-    if state.sq_dists is None:
-        col = state.kernel(state.data.inputs, state.data.inputs[[new_index]])[:, 0]
+    if state.kernel_row is None:
+        # The row, not the column: cdist gives the same bits either way, and
+        # one query point against N is faster than N against one.
+        inputs = state.data.inputs
+        row = state.kernel(inputs[[new_index]], inputs)[0]
     else:
-        # The contiguous row; cdist output is symmetric bit for bit.
-        col = _gaussian(state.sq_dists[new_index], state.kernel.epsilon)
-    if n:
-        col -= state.newton_basis[:, :n] @ state.newton_basis[new_index, :n]
-    v = col / np.sqrt(pivot)
-    state.newton_basis[:, n] = v
-    v *= v
-    state.pool_power -= v
+        row = state.kernel_row(new_index)
+    # A new array, so a shared row is never written.
+    col = row - state.newton_basis[:, :n] @ state.newton_basis[new_index, :n]
+    col /= np.sqrt(pivot)
+    sq = col * col
+    col[sq < _TINY] = 0.0
+    state.newton_basis[:, n] = col
+    state.pool_power -= sq
     state.pool_power[new_index] = -np.inf
     state.selected.append(int(new_index))
     return state

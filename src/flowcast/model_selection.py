@@ -5,9 +5,10 @@ and scored by mean squared prediction error on the held-out fold (mean over
 points and output components, then over folds). Each fold is one greedy run
 over all N rows with the fold masked out of the candidates, whose held-out
 errors at the fold rows follow from one triangular solve after the run (the
-greedy selection never reads the targets); one (N, N) squared-distance
-matrix serves every width and fold. Non-finite scores count as infinite, and
-ties go to the smallest width.
+greedy selection never reads the targets). One (N, N) squared-distance
+matrix serves every width, and the folds of one width share its kernel rows,
+each evaluated once and freed before the next width. Non-finite scores count
+as infinite, and ties go to the smallest width.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .greedy import GreedyState, TrainConfig, TrainingSet, run_greedy
+from .greedy import GreedyState, TrainConfig, TrainingSet, cached_kernel_rows, run_greedy
 from .ode import _check_int
 
 __all__ = [
@@ -98,6 +99,22 @@ def select_best(grid: np.ndarray, scores: np.ndarray) -> int:
     return int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))
 
 
+def _score_width(data: TrainingSet, split: list[np.ndarray], train_cfg: TrainConfig,
+                 sq_dists: np.ndarray) -> tuple[float, bool]:
+    """Mean held-out error over the folds at one width, and whether the run
+    of some fold stalled. The folds share the width's kernel rows, which are
+    freed on return."""
+    kernel_row = cached_kernel_rows(sq_dists, train_cfg.epsilon)
+    fold_scores, statuses = [], []
+    for fold in split:
+        state = GreedyState(data, train_cfg, fold, kernel_row)
+        statuses.append(run_greedy(state)[0])
+        basis = state.newton_basis[fold, :state.n_selected]
+        errors = data.targets[fold] - basis @ state.newton_coefficients()
+        fold_scores.append(np.mean(errors ** 2))
+    return np.mean(fold_scores), "stalled" in statuses
+
+
 def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float) -> CvResult:
     """Cross-validate kernel widths on ``data`` and return the winner.
 
@@ -112,15 +129,8 @@ def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float) -> CvR
     stalled = 0
     for i, eps in enumerate(grid):
         train_cfg = TrainConfig(eps, tolerance=tolerance, max_centers=cfg.max_centers)
-        fold_scores, statuses = [], []
-        for fold in split:
-            state = GreedyState(data, train_cfg, fold, sq_dists)
-            statuses.append(run_greedy(state)[0])
-            basis = state.newton_basis[fold, :state.n_selected]
-            errors = data.targets[fold] - basis @ state.newton_coefficients()
-            fold_scores.append(np.mean(errors ** 2))
-        scores[i] = np.mean(fold_scores)
-        stalled += "stalled" in statuses
+        scores[i], fold_stalled = _score_width(data, split, train_cfg, sq_dists)
+        stalled += fold_stalled
     # Extreme widths routinely break down numerically; they never win.
     scores[~np.isfinite(scores)] = np.inf
     best = select_best(grid, scores)

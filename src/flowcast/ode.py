@@ -98,6 +98,9 @@ class NewtonConfig:
         _check_int("max_iterations", self.max_iterations, 1)
 
 
+_DEFAULT_NEWTON = NewtonConfig()
+
+
 @dataclass(frozen=True)
 class NewtonStats:
     """Outcome of one Newton solve.
@@ -200,7 +203,7 @@ def newton_solve(
     (M, d) and, per system, its NewtonStats or the NewtonError that ended it.
     """
     _check_bands(bands)
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or _DEFAULT_NEWTON
     u = np.array(u0, dtype=float)
     stacked = u.ndim == 2
     if stacked:

@@ -375,8 +375,9 @@ def save_model(model: SurrogateModel, path) -> None:
         "coefficients": exp.coefficients.tolist(),
         "provenance": model.provenance,
     }
+    # json.dumps runs the C encoder; json.dump and any indent run the Python one.
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flowcast.cli import load_experiment
-from flowcast.pipeline import compare_cases, offline
+from flowcast.pipeline import build_training_data, compare_cases, offline
 
 
 def make_training_set(rng, n, p, q, spread=1.0):
@@ -38,6 +38,12 @@ def report_criterion(capsys, number, name, ok, detail):
 @pytest.fixture(scope="session")
 def exp1():
     return load_experiment("experiment1")
+
+
+@pytest.fixture(scope="session")
+def exp1_data(exp1):
+    """Experiment1's 369 deduplicated training pairs (no training run)."""
+    return build_training_data(exp1.offline)[0]
 
 
 @pytest.fixture(scope="session")

@@ -68,7 +68,11 @@ def test_build_problem_rejects_bad_options(options, message):
 def test_mu_is_checked_pair():
     problem = make_burgers_problem(cells=4)
     assert np.array_equal(problem.initial_value(np.array([3.4, 0.2])), [3.4, 3.4, 0.2, 0.2])
-    for mu in ([1.0], (1.0, 0.5, 0.0)):
+    # A float64 pair takes a shortcut; every other form is converted first.
+    u = np.array([3.0, 2.0, 1.0, 0.5])
+    for mu in ([3.4, 0.2], np.array([[3.4, 0.2]])):
+        assert np.array_equal(problem.rhs(u, mu), problem.rhs(u, np.array([3.4, 0.2])))
+    for mu in ([1.0], (1.0, 0.5, 0.0), np.zeros(3), np.zeros((2, 2))):
         with pytest.raises(ValueError, match="two components"):
             problem.initial_value(mu)
         with pytest.raises(ValueError, match="two components"):

@@ -8,17 +8,20 @@ from scipy.linalg import solve
 from scipy.linalg.blas import dger
 from scipy.spatial.distance import cdist
 
+from flowcast import greedy as greedy_module
 from flowcast.greedy import (
     POWER_FLOOR,
     GreedyState,
     TrainConfig,
     TrainingSet,
+    cached_kernel_rows,
     greedy_train,
     run_greedy,
     select_next,
     update_basis,
 )
 from flowcast.kernels import GaussianKernel, KernelExpansion, _gaussian
+from flowcast.model_selection import CvConfig, epsilon_grid
 
 from conftest import make_training_set, well_separated_set
 
@@ -135,10 +138,65 @@ def test_shared_distance_matrix_gives_identical_run(rng):
     data = small_data(rng)
     cfg = TrainConfig(0.7, tolerance=0.0)
     on_demand = GreedyState(data, cfg)
-    shared = GreedyState(data, cfg, sq_dists=cdist(data.inputs, data.inputs, "sqeuclidean"))
+    sq_dists = cdist(data.inputs, data.inputs, "sqeuclidean")
+    shared = GreedyState(data, cfg, kernel_row=cached_kernel_rows(sq_dists, cfg.epsilon))
     assert run_greedy(on_demand) == run_greedy(shared)
     assert shared.selected == on_demand.selected
     assert np.array_equal(shared.newton_basis, on_demand.newton_basis)
+
+
+def test_kernel_row_is_kernel_column(exp1_data, rng):
+    """A training step evaluates kernel(X[[k]], X)[0]; cdist gives it the same
+    bits as the column kernel(X, X[[k]])[:, 0] and as row k of cdist(X, X)."""
+    for inputs in (exp1_data.inputs, 3.0 * rng.random((50, 4))):
+        kernel = GaussianKernel(0.3)
+        full = cdist(inputs, inputs, "sqeuclidean")
+        for k in range(0, len(inputs), 3):
+            row = kernel(inputs[[k]], inputs)[0]
+            assert row.tobytes() == kernel(inputs, inputs[[k]])[:, 0].tobytes()
+            assert row.tobytes() == _gaussian(full[k], 0.3).tobytes()
+
+
+def unflushed_update_basis(state, new_index):
+    """The basis update as it was before subnormal values were flushed: it
+    stores every basis value as computed."""
+    pivot = state.pool_power[new_index]
+    n = state.n_selected
+    col = state.kernel(state.data.inputs, state.data.inputs[[new_index]])[:, 0]
+    if n:
+        col -= state.newton_basis[:, :n] @ state.newton_basis[new_index, :n]
+    v = col / np.sqrt(pivot)
+    state.newton_basis[:, n] = v
+    v *= v
+    state.pool_power -= v
+    state.pool_power[new_index] = -np.inf
+    state.selected.append(int(new_index))
+    return state
+
+
+def test_flushed_basis_keeps_the_selection(exp1_data, monkeypatch):
+    # Grid index 36 of the default CV grid: the Newton basis values at the
+    # far rows of experiment1's data underflow to subnormal numbers.
+    tiny = np.finfo(float).tiny
+    cv = CvConfig()
+    width = epsilon_grid(cv.epsilon_min, cv.epsilon_max, cv.grid_size)[36]
+    cfg = TrainConfig(width, tolerance=1e-12, max_centers=cv.max_centers)
+    flushed = GreedyState(exp1_data, cfg)
+    run_greedy(flushed)
+    monkeypatch.setattr(greedy_module, "update_basis", unflushed_update_basis)
+    reference = GreedyState(exp1_data, cfg)
+    run_greedy(reference)
+    ref, basis = reference.newton_basis, flushed.newton_basis
+    assert np.any((ref != 0) & (np.abs(ref) < tiny))  # the reference holds subnormals
+    assert not np.any((basis != 0) & (np.abs(basis) < 1.49e-154))
+    # The power subtracts the unflushed squares: same power, same selection.
+    assert flushed.selected == reference.selected
+    assert flushed.pool_power.tobytes() == reference.pool_power.tobytes()
+    # A flushed value also moves later values at rows where the basis is
+    # that small (below 1e-138 here), never a value that counts.
+    assert np.max(np.abs(basis - ref)) < 1e-145
+    large = np.abs(ref) >= 1e-130
+    assert basis[large].tobytes() == ref[large].tobytes()
 
 
 def incremental_reference(data, eps, max_centers=None, excluded=None, sq_dists=None):
@@ -198,10 +256,11 @@ def test_p_rule_matches_incremental_reference(held_out, shared):
     data = TrainingSet(inputs, targets)
     excluded = rng.choice(data.size, 9, replace=False) if held_out else None
     sq_dists = cdist(inputs, inputs, "sqeuclidean") if shared else None
+    kernel_row = cached_kernel_rows(sq_dists, eps) if shared else None
     cfg = TrainConfig(eps, tolerance=0.0, max_centers=20)
     want, want_status, basis, coeffs, residuals = incremental_reference(
         data, eps, 20, excluded, sq_dists)
-    state = GreedyState(data, cfg, excluded, sq_dists)
+    state = GreedyState(data, cfg, excluded, kernel_row)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         status, _ = run_greedy(state)
@@ -215,7 +274,7 @@ def test_p_rule_matches_incremental_reference(held_out, shared):
     assert err <= 1e-10 * np.max(np.abs(residuals[rows]))
     # The run never reads the targets: NaN targets select the same centers.
     blind = GreedyState(TrainingSet(inputs, np.full_like(targets, np.nan)), cfg,
-                        excluded, sq_dists)
+                        excluded, kernel_row)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_greedy(blind)[0] == want_status

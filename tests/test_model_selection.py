@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from flowcast import greedy as greedy_module
 from flowcast.greedy import (
     GreedyState,
     TrainConfig,
     TrainingSet,
+    cached_kernel_rows,
     greedy_train,
     run_greedy,
+    update_basis,
 )
-from flowcast.kernels import KernelExpansion
+from flowcast.kernels import KernelExpansion, _gaussian
 from flowcast.model_selection import (
     CrossValidationError,
     CvConfig,
@@ -128,9 +131,10 @@ def test_masked_fold_run_matches_explicit_fold_training(rng):
     data = TrainingSet(inputs, targets)
     sq_dists = cdist(inputs, inputs, "sqeuclidean")
     for width in (eps, 2.0 * eps):
+        kernel_row = cached_kernel_rows(sq_dists, width)
         for fold in kfold_split(data.size, 5, seed=0):
             cfg = TrainConfig(width, tolerance=0.0)
-            state = GreedyState(data, cfg, excluded=fold, sq_dists=sq_dists)
+            state = GreedyState(data, cfg, excluded=fold, kernel_row=kernel_row)
             status, _ = run_greedy(state)
             keep = np.setdiff1d(np.arange(data.size), fold)
             explicit = greedy_train(TrainingSet(inputs[keep], targets[keep]), cfg)
@@ -142,6 +146,35 @@ def test_masked_fold_run_matches_explicit_fold_training(rng):
             fit = state.newton_basis[fold, :state.n_selected] @ state.newton_coefficients()
             err = np.max(np.abs(targets[fold] - fit - held_out))
             assert err <= 1e-10 * np.max(np.abs(held_out))
+
+
+def test_folds_share_each_kernel_row(rng, monkeypatch):
+    # Every row evaluation and every basis step of one search, recorded.
+    evaluated, steps = [], []
+
+    def gaussian(sq_dists, epsilon):
+        row = _gaussian(sq_dists, epsilon)
+        evaluated.append((epsilon, sq_dists.tobytes(), row, row.copy()))
+        return row
+
+    def counted_update_basis(state, new_index):
+        steps.append(state.cfg.epsilon)
+        return update_basis(state, new_index)
+
+    monkeypatch.setattr(greedy_module, "_gaussian", gaussian)
+    monkeypatch.setattr(greedy_module, "update_basis", counted_update_basis)
+    data = planted_data(rng, n=60)
+    cfg = CvConfig(epsilon_min=0.3, epsilon_max=3.0, grid_size=3, max_centers=30)
+    select_epsilon(data, cfg, **GREEDY)
+    # At most one evaluation of a row per width, fewer than the steps made.
+    keys = [(eps, key) for eps, key, _, _ in evaluated]
+    assert len(set(keys)) == len(keys)
+    for eps in epsilon_grid(cfg.epsilon_min, cfg.epsilon_max, cfg.grid_size):
+        assert 0 < sum(e == eps for e, _ in keys) < steps.count(eps)
+    # The folds read the rows and never wrote them.
+    for _, _, row, original in evaluated:
+        assert not row.flags.writeable
+        assert row.tobytes() == original.tobytes()
 
 
 def test_scores_are_mean_held_out_errors(rng):
