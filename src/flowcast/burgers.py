@@ -17,13 +17,12 @@ traveling at speed (u_l + u_r)/2.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .ode import IvpProblem, _check_int
+from .ode import IvpProblem, _check_int, _check_real
 
 __all__ = [
     "BurgersGrid",
@@ -54,10 +53,7 @@ class BurgersGrid:
 
     def __post_init__(self):
         _check_int("cells", self.cells, 1)
-        hw = self.half_width
-        real = isinstance(hw, numbers.Real) and not isinstance(hw, bool)
-        if not real or not np.isfinite(hw) or hw <= 0:
-            raise ValueError(f"half_width must be a real number > 0, got {hw!r}")
+        object.__setattr__(self, "half_width", _check_real("half_width", self.half_width))
 
     @property
     def h(self) -> float:

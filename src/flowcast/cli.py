@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .model_selection import CrossValidationError, CvConfig
-from .ode import NewtonConfig, _nearest_step_count
+from .ode import NewtonConfig, _check_int, _nearest_step_count
 from .pipeline import (
     CaseResult,
     DataInconsistencyError,
@@ -252,8 +252,7 @@ def load_experiment(source) -> ExperimentConfig:
         repetitions=on_sec.take("repetitions", int, 1),
     )
     on_sec.finish()
-    if exp.repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {exp.repetitions}")
+    _build("online", _check_int, "repetitions", exp.repetitions, 1)
     _build("online", exp.test_cases)
     for mu in test_params:
         _build("online", problem.initial_value, mu)

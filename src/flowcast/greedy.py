@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import GaussianKernel, KernelExpansion, _check_epsilon, _gaussian, _rows_distinct
-from .ode import _check_int
+from .kernels import GaussianKernel, KernelExpansion, _gaussian, _rows_distinct
+from .ode import _check_int, _check_real
 
 __all__ = [
     "POWER_FLOOR",
@@ -123,14 +123,10 @@ class TrainConfig:
     max_centers: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
-        _check_tolerance(self.tolerance)
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
+        tolerance = _check_real("tolerance", self.tolerance, zero_ok=True)
+        object.__setattr__(self, "tolerance", tolerance)
         _check_int("max_centers", self.max_centers, 1, optional=True)
-
-
-def _check_tolerance(tolerance):
-    if not np.isfinite(tolerance) or tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
 
 
 class GreedyState:
@@ -147,9 +143,9 @@ class GreedyState:
         Length-N squared power function on the pool (the rows neither
         ``excluded`` nor selected) and -inf elsewhere; the selection criterion.
     kernel_row
-        Optional callable mapping a row index k to the read-only kernel row
-        K(x_k, x_i) over all training inputs; None evaluates each row when
-        its point is selected.
+        Callable mapping a row index k to the kernel row K(x_k, x_i) over all
+        training inputs, which the caller must not write; by default
+        :func:`_on_demand_kernel_rows`.
     max_centers
         n_max, ``cfg.max_centers`` limited to the unexcluded rows.
     """
@@ -162,7 +158,8 @@ class GreedyState:
         self.max_centers = n_max = pool if cfg.max_centers is None else min(pool, cfg.max_centers)
         self.data = data
         self.cfg = cfg
-        self.kernel = GaussianKernel(cfg.epsilon)
+        if kernel_row is None:
+            kernel_row = _on_demand_kernel_rows(data.inputs, cfg.epsilon)
         self.kernel_row = kernel_row
         self.newton_basis = np.zeros((data.size, n_max))
         self.selected: list[int] = []
@@ -176,6 +173,14 @@ class GreedyState:
         sel = self.selected
         return solve_triangular(self.newton_basis[sel, :len(sel)], self.data.targets[sel],
                                 lower=True, check_finite=False)
+
+
+def _on_demand_kernel_rows(inputs: np.ndarray, epsilon: float) -> Callable[[int], np.ndarray]:
+    """A ``kernel_row`` source that evaluates row k as ``kernel(X[[k]], X)[0]``
+    on every request. The row, not the column: cdist gives the same bits
+    either way, and one query point against N is faster than N against one."""
+    kernel = GaussianKernel(epsilon)
+    return lambda k: kernel(inputs[[k]], inputs)[0]
 
 
 def cached_kernel_rows(sq_dists: np.ndarray, epsilon: float) -> Callable[[int], np.ndarray]:
@@ -221,13 +226,7 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
             f"({pivot:.3e}); the basis update would be near-singular"
         )
     n = state.n_selected
-    if state.kernel_row is None:
-        # The row, not the column: cdist gives the same bits either way, and
-        # one query point against N is faster than N against one.
-        inputs = state.data.inputs
-        row = state.kernel(inputs[[new_index]], inputs)[0]
-    else:
-        row = state.kernel_row(new_index)
+    row = state.kernel_row(new_index)
     # A new array, so a shared row is never written.
     col = row - state.newton_basis[:, :n] @ state.newton_basis[new_index, :n]
     col /= np.sqrt(pivot)

@@ -12,17 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .ode import _check_real
+
 __all__ = [
     "GaussianKernel",
     "KernelExpansion",
 ]
-
-
-def _check_epsilon(epsilon) -> float:
-    eps = float(epsilon)
-    if not np.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"shape parameter epsilon must be a positive real, got {epsilon!r}")
-    return eps
 
 
 def _as_points(X) -> np.ndarray:
@@ -67,7 +62,7 @@ class GaussianKernel:
     """
 
     def __init__(self, epsilon: float):
-        self.epsilon = _check_epsilon(epsilon)
+        self.epsilon = _check_real("epsilon", epsilon)
 
     def __call__(self, X, Y=None) -> np.ndarray:
         """Pairwise kernel matrix between the rows of `X` and `Y` (`X` if None)."""
@@ -118,7 +113,7 @@ class KernelExpansion:
             raise ValueError("centers and coefficients must be finite")
         if not _rows_distinct(centers):
             raise ValueError("centers must be pairwise distinct")
-        eps = _check_epsilon(self.epsilon)
+        eps = _check_real("epsilon", self.epsilon)
         centers.flags.writeable = False
         coefficients.flags.writeable = False
         object.__setattr__(self, "centers", centers)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .greedy import GreedyState, TrainConfig, TrainingSet, cached_kernel_rows, run_greedy
-from .ode import _check_int
+from .ode import _check_int, _check_real
 
 __all__ = [
     "CvConfig",
@@ -53,11 +53,11 @@ class CvConfig:
     max_centers: int | None = 400
 
     def __post_init__(self):
-        if not (0 < self.epsilon_min <= self.epsilon_max) or not np.isfinite(self.epsilon_max):
-            raise ValueError(
-                f"need 0 < epsilon_min <= epsilon_max < inf, got "
-                f"[{self.epsilon_min!r}, {self.epsilon_max!r}]"
-            )
+        for bound in ("epsilon_min", "epsilon_max"):
+            object.__setattr__(self, bound, _check_real(bound, getattr(self, bound)))
+        if self.epsilon_min > self.epsilon_max:
+            raise ValueError(f"need epsilon_min <= epsilon_max, got "
+                             f"[{self.epsilon_min!r}, {self.epsilon_max!r}]")
         _check_int("grid_size", self.grid_size, 1)
         _check_int("folds", self.folds, 2)
         _check_int("seed", self.seed, 0)

@@ -17,11 +17,10 @@ depends on the quality of the starting guess. Initializers encapsulate that
 choice; besides the classical one (the previous state) a trained kernel
 surrogate of the time-evolution map can be plugged in.
 
-On a small system most of an iteration's time is per-call overhead, so
-instances that share a step size can advance as one stack
-(:func:`integrate_many`): one residual, one Jacobian and one linear solve
-per iteration serve them all, while each keeps its own iteration count and
-its single run's bits.
+:func:`newton_solve` and :func:`ie_step` solve one system. Stacks are
+:func:`integrate_many`'s: instances of one step size advance together, one
+residual, Jacobian and linear solve per iteration serving them all, and each
+keeps its own iteration count and its single run's bits.
 """
 
 from __future__ import annotations
@@ -85,6 +84,16 @@ def _check_int(name: str, value, minimum: int, optional: bool = False) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}{none}, got {value!r}")
 
 
+def _check_real(name: str, value, zero_ok: bool = False) -> float:
+    """Refuse ``value`` unless it is a finite real number > 0, or >= 0 when
+    ``zero_ok``; return it as a float. A bool or a string is not real here."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        floor = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"{name} must be a real number {floor}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     """Absolute residual tolerance (2-norm) and iteration cap."""
@@ -93,8 +102,7 @@ class NewtonConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not np.isfinite(self.tolerance) or self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", _check_real("tolerance", self.tolerance))
         _check_int("max_iterations", self.max_iterations, 1)
 
 
@@ -146,25 +154,21 @@ def _solve_stack(jac, rhs, bands) -> tuple[np.ndarray, dict[int, Exception]]:
     """Solve a stack of systems, ``rhs`` of shape (M, d) with ``jac`` (M, d, d)
     or, for bands, (M, 3, d), each as :func:`_linear_solve` would alone.
 
-    One call serves the stack: a batched dense solve, or one ``dgtsv`` on
-    the concatenated (3, M*d) band, where each block's zero corners are its
-    couplings to its neighbours. Returns the solutions and, by position,
-    the LinAlgError of each singular system (its row left unset).
+    A band stack is one ``dgtsv`` on the concatenated (3, M*d) band, where
+    each block's zero corners are its couplings to its neighbours. Dense
+    systems are solved one at a time. Returns the solutions and, by
+    position, the LinAlgError of each singular system (its row left unset).
     """
-    try:
-        if bands is None:
-            # b[..., None]: numpy 1.x and 2.x read a 2-d b differently.
-            x = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        else:
+    if bands is not None:
+        try:
             band = jac.transpose(1, 0, 2).reshape(3, -1)
             x = _linear_solve(band, rhs.reshape(-1), bands).reshape(rhs.shape)
-        if np.isfinite(x).all():
-            return x, {}
-    except np.linalg.LinAlgError:
-        pass
-    # A singular system fails the whole call, and in the one band solve a
-    # non-finite system spills into its neighbours through 0 * inf: solve
-    # each alone.
+            if np.isfinite(x).all():
+                return x, {}
+        except np.linalg.LinAlgError:
+            pass
+        # dgtsv stops at the first singular system, and a non-finite one
+        # spills into its neighbours through 0 * inf: solve each alone.
     x = np.empty_like(rhs)
     failed = {}
     for j in range(len(rhs)):
@@ -175,96 +179,60 @@ def _solve_stack(jac, rhs, bands) -> tuple[np.ndarray, dict[int, Exception]]:
     return x, failed
 
 
+def _check_one_system(name: str, u: np.ndarray) -> None:
+    if u.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {u.shape}: stacks are integrate_many's")
+
+
 def newton_solve(
-    residual: Callable[..., np.ndarray],
-    jacobian: Callable[..., np.ndarray],
+    residual: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
     u0: np.ndarray,
     cfg: NewtonConfig | None = None,
     bands: tuple[int, int] | None = None,
-):
-    """Damped-free Newton iteration on a square system, or on a stack of them.
+) -> tuple[np.ndarray, NewtonStats]:
+    """Damped-free Newton iteration on a square system.
 
-    ``jacobian`` returns a dense matrix, or, when ``bands=(1, 1)``, the
-    tridiagonal matrix in LAPACK band storage of shape ``(3, d)``; any other
-    ``bands`` raises ValueError. Returns the last iterate and its stats;
-    hitting the iteration cap yields ``converged=False`` rather than an
-    exception. Singular linear systems raise SingularJacobianError. A
-    residual whose 2-norm is not finite raises DivergenceError: besides
-    non-finite entries, that includes finite ones whose squares overflow
-    (entries beyond about 1e154).
-
-    A stack of M independent systems is ``u0`` of shape (M, d). Then
-    ``residual(u, rows)`` and ``jacobian(u, rows)`` get the iterates of the
-    systems still iterating, ``u[j]`` belonging to system ``rows[j]``, and
-    stack their results on the same leading axis; one linear solve serves
-    them all. A system leaves the stack as soon as it converges, reaches
-    the cap or fails, so its iterate and outcome are bit for bit those of
-    solving it alone. Nothing raises for a stack: it returns the iterates
-    (M, d) and, per system, its NewtonStats or the NewtonError that ended it.
+    ``u0`` is 1-d. ``jacobian`` returns a dense matrix, or, when
+    ``bands=(1, 1)``, the tridiagonal matrix in LAPACK band storage of shape
+    ``(3, d)``; any other ``bands`` raises ValueError. Returns the last
+    iterate and its stats; hitting the iteration cap yields
+    ``converged=False`` rather than an exception. Singular linear systems
+    raise SingularJacobianError. A residual whose 2-norm is not finite raises
+    DivergenceError: besides non-finite entries, that includes finite ones
+    whose squares overflow (entries beyond about 1e154).
     """
     _check_bands(bands)
     cfg = cfg or _DEFAULT_NEWTON
     u = np.array(u0, dtype=float)
-    stacked = u.ndim == 2
-    if stacked:
-        # Each system's last iterate and outcome, written as it leaves; rows
-        # are the systems still iterating, which the callbacks also take.
-        out, outcomes, rows = u, [None] * len(u), list(range(len(u)))
-        residual_of, jacobian_of = residual, jacobian
-        residual, jacobian = (lambda v: residual_of(v, rows)), (lambda v: jacobian_of(v, rows))
+    _check_one_system("u0", u)
     g = np.asarray(residual(u), dtype=float)
     # np.linalg.norm computes sqrt(g.g) for a real vector, with the same dot,
     # bit for bit. vdot, unlike dot and @, does not warn when g.g overflows.
-    norms = [math.sqrt(np.vdot(r, r)) for r in g] if stacked else [math.sqrt(np.vdot(g, g))]
-    initial = norms
+    initial = norm = math.sqrt(np.vdot(g, g))
     iterations = 0
-    tolerance, cap = cfg.tolerance, cfg.max_iterations
-    while True:
-        # A system leaves once it converges, reaches the cap or diverges.
-        if not stacked:
-            if not (tolerance < norms[0] < math.inf and iterations < cap):
-                outcome = _outcome(iterations, norms[0], tolerance, initial[0])
-                if isinstance(outcome, NewtonError):
-                    raise outcome
-                return u, outcome
-        else:
-            keep = []
-            for j, norm in enumerate(norms):
-                if tolerance < norm < math.inf and iterations < cap:
-                    keep.append(j)
-                else:
-                    outcomes[rows[j]] = _outcome(iterations, norm, tolerance, initial[rows[j]])
-                    out[rows[j]] = u[j]
-            if not keep:
-                return out, outcomes
-            if len(keep) < len(rows):
-                rows, u, g = [rows[j] for j in keep], u[keep], g[keep]
+    while (outcome := _outcome(iterations, norm, cfg, initial)) is None:
         jac = np.asarray(jacobian(u), dtype=float)
-        if not stacked:
-            try:
-                delta = _linear_solve(jac, -g, bands)
-            except np.linalg.LinAlgError as exc:
-                raise _singular(iterations, exc) from exc
-        else:
-            delta, failed = _solve_stack(jac, -g, bands)
-            if failed:
-                for j, exc in failed.items():
-                    outcomes[rows[j]] = _singular(iterations, exc)
-                    out[rows[j]] = u[j]
-                keep = [j for j in range(len(rows)) if j not in failed]
-                if not keep:
-                    return out, outcomes
-                rows, u, delta = [rows[j] for j in keep], u[keep], delta[keep]
+        try:
+            delta = _linear_solve(jac, -g, bands)
+        except np.linalg.LinAlgError as exc:
+            raise _singular(iterations, exc) from exc
         u = u + delta
         g = np.asarray(residual(u), dtype=float)
         iterations += 1
-        norms = [math.sqrt(np.vdot(r, r)) for r in g] if stacked else [math.sqrt(np.vdot(g, g))]
+        norm = math.sqrt(np.vdot(g, g))
+    if isinstance(outcome, NewtonError):
+        raise outcome
+    return u, outcome
 
 
-def _outcome(iterations: int, norm: float, tolerance: float, initial: float):
-    """The outcome of a system that stops iterating at residual ``norm``."""
+def _outcome(iterations: int, norm: float, cfg: NewtonConfig, initial: float):
+    """None while a system at residual ``norm`` iterates on; then its
+    NewtonStats, or DivergenceError when ``norm`` is not finite."""
+    if cfg.tolerance < norm < math.inf and iterations < cfg.max_iterations:
+        return None
     if math.isfinite(norm):
-        return NewtonStats(iterations, norm, norm <= tolerance, initial)
+        return NewtonStats(iterations, norm, norm <= cfg.tolerance, initial)
     return DivergenceError(
         "residual norm of the starting guess is not finite" if iterations == 0
         else f"non-finite residual norm at iteration {iterations}"
@@ -369,6 +337,27 @@ def _not_converged(stats: NewtonStats) -> StepError:
     )
 
 
+def _ie_system(problem: IvpProblem, u_prev: np.ndarray, mu, dt: float):
+    """The residual g(u) = (u - u_prev) - dt * f(u, mu) of an implicit Euler
+    step and its Jacobian I - dt * J, as functions of u: for one state, or
+    for a stack of states and parameters on a leading axis."""
+    # The diagonal: its row in band storage, or the dense one, in every block.
+    bands = problem.jacobian_bands
+    diagonal = (..., 1, slice(None)) if bands is not None else (..., *np.diag_indices(problem.dim))
+
+    def residual(u):
+        g = u - u_prev
+        g -= dt * problem.rhs(u, mu)  # in place: (u - u_prev) - dt * f, rounded alike
+        return g
+
+    def jacobian(u):
+        a = -dt * problem.jacobian(u, mu)
+        a[diagonal] += 1.0
+        return a
+
+    return residual, jacobian
+
+
 def ie_step(
     problem: IvpProblem,
     u_prev: np.ndarray,
@@ -376,50 +365,59 @@ def ie_step(
     dt: float,
     cfg: NewtonConfig | None = None,
     initializer: Initializer = PREVIOUS_VALUE,
-):
-    """One implicit Euler step; raises StepError if Newton does not converge.
-
-    A stack of states ``u_prev`` (M, d), with ``mu`` holding one parameter
-    row per state, takes its M steps as one stacked Newton solve (see
-    :func:`newton_solve`); the initializer still sees one state at a time.
-    Nothing raises for a stack: per state, the second result holds its
-    NewtonStats or the StepError or NewtonError that ended it.
-    """
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+) -> tuple[np.ndarray, NewtonStats]:
+    """One implicit Euler step of the 1-d state ``u_prev``; raises StepError
+    if Newton does not converge."""
+    _check_real("dt", dt)
     u_prev = np.asarray(u_prev, dtype=float)
-    stacked = u_prev.ndim == 2
-    bands = problem.jacobian_bands
-    # The diagonal of I - dt*J: its row in band storage, or the dense one,
-    # in every block of a stack.
-    diagonal = (1,) if bands is not None else np.diag_indices(problem.dim)
-    if stacked:
-        mu = np.asarray(mu, dtype=float)
-        diagonal = (slice(None),) + diagonal
-        u0 = np.array([initializer(problem, v, m, dt) for v, m in zip(u_prev, mu)])
-    else:
-        u0 = initializer(problem, u_prev, mu, dt)
+    _check_one_system("u_prev", u_prev)
+    residual, jacobian = _ie_system(problem, u_prev, mu, dt)
+    u0 = initializer(problem, u_prev, mu, dt)
+    u, stats = newton_solve(residual, jacobian, u0, cfg, problem.jacobian_bands)
+    if not stats.converged:
+        raise _not_converged(stats)
+    return u, stats
 
-    def residual(u, u_from=u_prev, mu=mu):
-        g = u - u_from
-        g -= dt * problem.rhs(u, mu)  # in place: (u - u_prev) - dt * f, rounded alike
-        return g
 
-    def jacobian(u, mu=mu):
-        a = -dt * problem.jacobian(u, mu)
-        a[diagonal] += 1.0
-        return a
+def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt: float,
+                   cfg: NewtonConfig | None, initializer: Initializer):
+    """One implicit Euler step of each state ``u_prev[j]`` with parameter
+    ``mus[j]``, each bit for bit as :func:`ie_step` takes it alone.
 
-    if not stacked:
-        u, stats = newton_solve(residual, jacobian, u0, cfg, bands=bands)
-        if not stats.converged:
-            raise _not_converged(stats)
-        return u, stats
-    # newton_solve passes the rows of the stack still iterating.
-    u, stats = newton_solve(lambda u, rows: residual(u, u_prev[rows], mu[rows]),
-                            lambda u, rows: jacobian(u, mu[rows]), u0, cfg, bands=bands)
-    return u, [_not_converged(s) if isinstance(s, NewtonStats) and not s.converged else s
-               for s in stats]
+    The initializer sees one state at a time. Each Newton iteration makes one
+    stacked ``rhs``, Jacobian and :func:`_solve_stack` for the states still
+    iterating; a state leaves as soon as it converges, reaches the cap or
+    fails. Returns the new states and, per state, its NewtonStats or the
+    StepError or NewtonError that ended it."""
+    cfg = cfg or _DEFAULT_NEWTON
+    u = np.array([initializer(problem, v, mu, dt) for v, mu in zip(u_prev, mus)])
+    out, outcomes = u, [None] * len(u)  # written as each state leaves
+    rows = list(range(len(u)))  # the states still iterating
+    residual, jacobian = _ie_system(problem, u_prev, mus, dt)
+    g = residual(u)
+    initial = norms = [math.sqrt(np.vdot(r, r)) for r in g]  # as newton_solve
+    iterations = 0
+    while True:
+        ended = {j: outcome for j, norm in enumerate(norms)
+                 if (outcome := _outcome(iterations, norm, cfg, initial[rows[j]])) is not None}
+        if not ended:
+            delta, failed = _solve_stack(jacobian(u), -g, problem.jacobian_bands)
+            if not failed:
+                u = u + delta
+                g = residual(u)
+                iterations += 1
+                norms = [math.sqrt(np.vdot(r, r)) for r in g]
+                continue
+            # The others solve again without the singular ones.
+            ended = {j: _singular(iterations, exc) for j, exc in failed.items()}
+        for j, outcome in ended.items():
+            outcomes[rows[j]], out[rows[j]] = outcome, u[j]
+        keep = [j for j in range(len(rows)) if j not in ended]
+        if not keep:
+            return out, [_not_converged(s) if isinstance(s, NewtonStats) and not s.converged
+                         else s for s in outcomes]
+        rows, u, g, norms = [rows[j] for j in keep], u[keep], g[keep], [norms[j] for j in keep]
+        residual, jacobian = _ie_system(problem, u_prev[rows], mus[rows], dt)
 
 
 @dataclass
@@ -475,11 +473,9 @@ def _nearest_step_count(T: float, dt: float) -> tuple[int, bool]:
     This is the one horizon rule of the package. Raises ValueError unless
     dt and T are finite and > 0.
     """
-    if not np.isfinite(T) or T <= 0:
-        raise ValueError(f"T must be > 0, got {T!r}")
-    if not np.isfinite(dt) or dt <= 0 or not np.isfinite(T / dt):
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    ratio = T / dt
+    ratio = _check_real("T", T) / _check_real("dt", dt)
+    if not math.isfinite(ratio):
+        raise ValueError(f"dt={dt!r} is too small for T={T!r}")
     n = int(round(ratio))
     return max(1, n), n >= 1 and abs(ratio - n) <= 1e-9 * max(1.0, ratio)
 
@@ -503,14 +499,14 @@ def integrate_many(
     """Integrate each parameter of ``mus`` from 0 to T with the one fixed
     step dt (T must be a multiple of dt), as one stack.
 
-    Each step of the instances still running is one stacked
-    :func:`ie_step`, so an instance's trajectory is bit for bit the one it
-    has alone; a single instance runs unstacked. Several instances need a
-    problem whose ``rhs`` and ``jacobian`` take a leading instance axis
-    (see :class:`IvpProblem`). Never raises on step failure: the instance
-    leaves the stack, and its partial trajectory is returned with
-    ``completed=False`` and the error message recorded. ``wall_time_s`` is
-    the stack's.
+    Each step of the instances still running is one stacked implicit Euler
+    step, so an instance's trajectory is bit for bit the one it has alone; a
+    single instance runs unstacked, through :func:`ie_step`. Several
+    instances need a problem whose ``rhs`` and ``jacobian`` take a leading
+    instance axis (see :class:`IvpProblem`). Never raises on step failure:
+    the instance leaves the stack, and its partial trajectory is returned
+    with ``completed=False`` and the error message recorded.
+    ``wall_time_s`` is the stack's.
     """
     n_steps = _step_count(T, dt)
     mus = [np.atleast_1d(np.asarray(mu, dtype=float)) for mu in mus]
@@ -518,9 +514,7 @@ def integrate_many(
     for m, mu in enumerate(mus):
         u = np.asarray(problem.initial_value(mu), dtype=float)
         if u.shape != (problem.dim,):
-            raise ValueError(
-                f"initial value has shape {u.shape}, expected ({problem.dim},)"
-            )
+            raise ValueError(f"initial value has shape {u.shape}, expected ({problem.dim},)")
         states[m][0] = u
     stats: list[list[NewtonStats]] = [[] for _ in mus]
     errors: list[str | None] = [None] * len(mus)
@@ -540,8 +534,8 @@ def integrate_many(
             continue
         if not rows:
             break
-        u, outcomes = ie_step(problem, np.array([states[m][i] for m in rows]), mu_rows[rows],
-                              dt, cfg, initializer)
+        u, outcomes = _ie_step_stack(problem, np.array([states[m][i] for m in rows]),
+                                     mu_rows[rows], dt, cfg, initializer)
         for m, u_m, outcome in zip(rows, u, outcomes):
             if isinstance(outcome, NewtonStats):
                 states[m][i + 1] = u_m
@@ -550,20 +544,11 @@ def integrate_many(
                 errors[m] = f"step {i + 1}: {outcome}"
                 rows = [r for r in rows if r != m]  # the zip keeps iterating the old list
     wall = time.perf_counter() - start
-    return [
-        Trajectory(
-            mu=mu,
-            dt=float(dt),
-            times=dt * np.arange(len(stats[m]) + 1),
-            states=states[m][: len(stats[m]) + 1],
-            newton_stats=stats[m],
-            initializer=initializer.name,
-            completed=errors[m] is None,
-            error=errors[m],
-            wall_time_s=wall,
-        )
-        for m, mu in enumerate(mus)
-    ]
+    return [Trajectory(mu=mu, dt=float(dt), times=dt * np.arange(len(stats[m]) + 1),
+                       states=states[m][: len(stats[m]) + 1], newton_stats=stats[m],
+                       initializer=initializer.name, completed=errors[m] is None,
+                       error=errors[m], wall_time_s=wall)
+            for m, mu in enumerate(mus)]
 
 
 def integrate(

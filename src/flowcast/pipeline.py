@@ -21,8 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .greedy import GreedyResult, TrainConfig, TrainingSet, greedy_train
-from .greedy import _check_tolerance
-from .kernels import KernelExpansion, _check_epsilon
+from .kernels import KernelExpansion
 from .model_selection import CvConfig, CvResult, select_epsilon
 from .ode import (
     PREVIOUS_VALUE,
@@ -30,6 +29,7 @@ from .ode import (
     NewtonConfig,
     Trajectory,
     _check_int,
+    _check_real,
     _step_count,
     integrate,
     integrate_many,
@@ -113,8 +113,9 @@ class OfflineConfig:
             except ValueError as exc:
                 raise ValueError(f"{exc} (training case mu={mu})") from None
         if self.epsilon is not None:
-            _check_epsilon(self.epsilon)
-        _check_tolerance(self.tolerance)
+            object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
+        tolerance = _check_real("tolerance", self.tolerance, zero_ok=True)
+        object.__setattr__(self, "tolerance", tolerance)
         _check_int("max_centers", self.max_centers, 1, optional=True)
         object.__setattr__(self, "cases", cases)
 
@@ -327,8 +328,7 @@ def compare_cases(
     so that one-time costs do not all land on one of them. ``problem`` and
     ``newton`` default to the ones the model was trained on.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
+    _check_int("repetitions", repetitions, 1)
     problem = problem if problem is not None else model.build_problem()
     newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)

@@ -253,10 +253,14 @@ def test_load_experiment_errors(tmp_path):
         ("tolerance = 1e-12", "rule = p\ntolerance = 1e-12",
          r"unknown keys in section \[offline\]: rule$"),
         # The test protocol is checked too, not first by bench.
-        ("horizon = 0.25", "horizon = -1.0", r"invalid \[online\] settings: T must be > 0"),
-        ("horizon = 0.25", "horizon = nan", r"invalid \[online\] settings: T must be > 0"),
-        ("test_dts = 0.05", "test_dts = 0.0", r"invalid \[online\] settings: dt must be > 0"),
-        ("test_dts = 0.05", "test_dts = -0.01", r"invalid \[online\] settings: dt must be > 0"),
+        ("horizon = 0.25", "horizon = -1.0",
+         r"invalid \[online\] settings: T must be a real number > 0"),
+        ("horizon = 0.25", "horizon = nan",
+         r"invalid \[online\] settings: T must be a real number > 0"),
+        ("test_dts = 0.05", "test_dts = 0.0",
+         r"invalid \[online\] settings: dt must be a real number > 0"),
+        ("test_dts = 0.05", "test_dts = -0.01",
+         r"invalid \[online\] settings: dt must be a real number > 0"),
         ("(3.4, 0.2); (3.2, 0.4)", "(3.4, 0.2); (3.2, 0.4, 1.0)",
          r"invalid \[online\] settings: mu must have two components"),
         # A negative fold seed is refused at read, not after the integration.

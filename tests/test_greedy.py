@@ -54,10 +54,12 @@ def test_training_set_validation(rng):
 
 
 def test_train_config_validation():
-    cfg = TrainConfig("0.5", tolerance=0)
-    assert cfg.epsilon == 0.5
-    assert cfg.tolerance == 0.0
-    with pytest.raises(ValueError, match="positive real"):
+    cfg = TrainConfig(np.float32(0.5), tolerance=0)
+    assert type(cfg.epsilon) is float and cfg.epsilon == 0.5
+    assert type(cfg.tolerance) is float and cfg.tolerance == 0.0
+    with pytest.raises(ValueError, match="epsilon must be a real number > 0"):
+        TrainConfig("0.5")
+    with pytest.raises(ValueError, match="epsilon must be a real number > 0"):
         TrainConfig(0.0)
     with pytest.raises(ValueError, match="tolerance"):
         TrainConfig(1.0, tolerance=-1e-3)
@@ -162,7 +164,8 @@ def unflushed_update_basis(state, new_index):
     stores every basis value as computed."""
     pivot = state.pool_power[new_index]
     n = state.n_selected
-    col = state.kernel(state.data.inputs, state.data.inputs[[new_index]])[:, 0]
+    kernel = GaussianKernel(state.cfg.epsilon)
+    col = kernel(state.data.inputs, state.data.inputs[[new_index]])[:, 0]
     if n:
         col -= state.newton_basis[:, :n] @ state.newton_basis[new_index, :n]
     v = col / np.sqrt(pivot)

@@ -9,9 +9,9 @@ from scipy.linalg import solve
 from flowcast.kernels import (
     GaussianKernel,
     KernelExpansion,
-    _check_epsilon,
     _rows_distinct,
 )
+from flowcast.ode import _check_real
 
 
 def _as_point(x) -> np.ndarray:
@@ -27,7 +27,7 @@ def gaussian_eval(x, y, epsilon) -> float:
     y = _as_point(y)
     if x.shape != y.shape:
         raise ValueError(f"point dimensions differ: {x.shape[0]} vs {y.shape[0]}")
-    eps = _check_epsilon(epsilon)
+    eps = _check_real("epsilon", epsilon)
     d2 = float(np.sum((x - y) ** 2))
     return float(np.exp(-eps * eps * d2))
 
@@ -49,7 +49,7 @@ def test_gaussian_eval_rejects_bad_arguments():
     with pytest.raises(ValueError, match="1-d point"):
         gaussian_eval(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
     for bad in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="positive real"):
+        with pytest.raises(ValueError, match="epsilon must be a real number > 0"):
             gaussian_eval([0.0], [1.0], bad)
 
 
@@ -134,7 +134,7 @@ def test_expansion_validation(rng):
         KernelExpansion(centers[0], coeffs, 1.0)
     with pytest.raises(ValueError, match="pairwise distinct"):
         KernelExpansion(np.zeros((2, 2)), np.zeros((2, 1)), 1.0)
-    with pytest.raises(ValueError, match="positive real"):
+    with pytest.raises(ValueError, match="epsilon must be a real number > 0"):
         KernelExpansion(centers, coeffs, -1.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="must be finite"):

@@ -14,6 +14,8 @@ from flowcast.ode import (
     NewtonStats,
     SingularJacobianError,
     StepError,
+    _ie_step_stack,
+    _ie_system,
     _linear_solve,
     finite_difference_jacobian,
     ie_step,
@@ -369,7 +371,7 @@ def test_integrate_many_matches_single_runs_on_experiment2_corners():
 
 
 def test_integrate_many_matches_single_runs_with_dense_jacobian():
-    # The dense stack is one batched np.linalg.solve with b[..., None].
+    # The systems of a dense stack are solved one at a time.
     problem = dense_burgers(20)
     mus = [(3.4, 0.2), (3.2, -0.0), (3.6, 0.4)]
     stacked = integrate_many(problem, mus, 0.05, 1.0)
@@ -431,32 +433,68 @@ def test_single_instance_keeps_1d_calls(monkeypatch):
     assert all(u.shape == (8,) and isinstance(s, NewtonStats) for u, s in results)
 
 
+def test_stacked_runs_keep_newton_solve_one_system(monkeypatch):
+    # The benchmark's tracer reads (u, NewtonStats) from every newton_solve
+    # call; a stacked run must not pass a stack through it.
+    import dataclasses
+
+    import flowcast.ode as ode
+    from flowcast.cli import load_experiment
+    from flowcast.pipeline import build_training_data
+
+    results, solve = [], ode.newton_solve
+
+    def recording_solve(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ode, "newton_solve", recording_solve)
+    problem = make_burgers_problem(cells=8)
+    integrate_many(problem, [(3.4, 0.2), (3.0, 0.4)], 0.1, 0.3)
+    offline_cfg = load_experiment("experiment2").offline
+    build_training_data(dataclasses.replace(offline_cfg, cases=offline_cfg.cases[:2]))
+    assert not results  # the stacks step through the private stepper
+    integrate_many(problem, [(3.4, 0.2)], 0.1, 0.3)
+    assert len(results) == 3
+    for result in results:
+        assert len(result) == 2 and isinstance(result[1], NewtonStats)
+        assert isinstance(result[0], np.ndarray) and result[0].shape == (8,)
+
+
+def test_newton_solve_and_ie_step_refuse_a_stack():
+    problem = make_burgers_problem(cells=8)
+    u = np.stack([problem.initial_value(np.array(mu)) for mu in [(3.4, 0.2), (3.0, 0.4)]])
+    with pytest.raises(ValueError, match="integrate_many"):
+        newton_solve(lambda v: v, lambda v: np.eye(8), u)
+    with pytest.raises(ValueError, match="integrate_many"):
+        ie_step(problem, u, np.array([(3.4, 0.2), (3.0, 0.4)]), 0.1)
+
+
 def tridiagonal_systems(bad):
-    """Three 4-unknown systems g(u) = u*u - c, with a tridiagonal band whose
-    middle system is spoiled as ``bad`` says at the first iteration."""
-    targets = np.array([[2.0, 3.0, 5.0, 7.0], [1.5, 2.5, 3.5, 4.5], [6.0, 0.5, 2.0, 9.0]])
+    """A stack-capable problem u' = c - u*u on 4 unknowns, c = mu, with a
+    tridiagonal Jacobian band whose 1e-3 off-diagonals only slow Newton down.
+    The band of the system with c[0] == 1.5 is spoiled as ``bad`` says: a
+    NaN entry, or, at dt = 1, a singular I - dt * J."""
 
     def band(u, c):
         ab = np.zeros((3, 4))
-        ab[1] = 2.0 * u
+        ab[1] = -2.0 * u
         ab[0, 1:] = 1e-3 * u[:-1]
         ab[2, :-1] = 1e-3 * u[1:]
         if c[0] == 1.5 and bad == "nan":
             ab[0, 2] = np.nan
         if c[0] == 1.5 and bad == "singular":
             ab[:, 1:] = 0.0
+            ab[1, 1:] = 1.0
         return ab
 
-    def residual(u, rows=None):
-        c = targets[1] if rows is None else targets[rows]
-        return u * u - c
+    def jacobian(u, mu):
+        return band(u, mu) if u.ndim == 1 else np.stack([band(v, c) for v, c in zip(u, mu)])
 
-    def jacobian(u, rows=None):
-        if rows is None:
-            return band(u, targets[1])
-        return np.stack([band(v, c) for v, c in zip(u, targets[rows])])
-
-    return targets, residual, jacobian
+    problem = IvpProblem(dim=4, rhs=lambda u, mu: mu - u * u, initial_value=lambda mu: mu,
+                         jacobian=jacobian, jacobian_bands=(1, 1))
+    mus = np.array([[2.0, 3.0, 5.0, 7.0], [1.5, 2.5, 3.5, 4.5], [6.0, 0.5, 2.0, 9.0]])
+    return problem, mus
 
 
 @pytest.mark.parametrize("bad, error", [("nan", DivergenceError),
@@ -465,25 +503,20 @@ def test_spoiled_system_does_not_touch_its_neighbours(bad, error):
     # In dgtsv's elimination a NaN block leaks into the next through 0 * NaN,
     # and dgtsv stops at the first singular pivot; the stack must still give
     # every other system its own solve's bits.
-    targets, residual, jacobian = tridiagonal_systems(bad)
-    u0 = np.ones((3, 4))
-    u, outcomes = newton_solve(residual, jacobian, u0, bands=(1, 1))
+    problem, mus = tridiagonal_systems(bad)
+    u_prev, cfg = np.ones((3, 4)), NewtonConfig(tolerance=1e-12)
+    u, outcomes = _ie_step_stack(problem, u_prev, mus, 1.0, cfg, PREVIOUS_VALUE)
     with pytest.raises(error) as alone:
-        newton_solve(lambda v: residual(v), lambda v: jacobian(v), u0[1], bands=(1, 1))
+        ie_step(problem, u_prev[1], mus[1], 1.0, cfg)
     assert type(outcomes[1]) is error and str(outcomes[1]) == str(alone.value)
     for j in (0, 2):
-        def one(v, j=j):
-            return v * v - targets[j]
-
-        def one_band(v, j=j):
-            return jacobian(v[None], [j])[0]
-
-        want_u, want_stats = newton_solve(one, one_band, u0[j], bands=(1, 1))
+        want_u, want_stats = ie_step(problem, u_prev[j], mus[j], 1.0, cfg)
         assert outcomes[j] == want_stats and want_stats.converged
         assert u[j].tobytes() == want_u.tobytes()
     # The hazard is real: one dgtsv over the whole stack spoils every block.
-    one_solve = (np.concatenate(list(jacobian(u0, [0, 1, 2])), axis=1),
-                 -residual(u0, [0, 1, 2]).reshape(-1), (1, 1))
+    residual, jacobian = _ie_system(problem, u_prev, mus, 1.0)
+    one_solve = (np.concatenate(list(jacobian(u_prev)), axis=1),
+                 -residual(u_prev).reshape(-1), (1, 1))
     if bad == "singular":
         with pytest.raises(np.linalg.LinAlgError):
             _linear_solve(*one_solve)
@@ -494,16 +527,22 @@ def test_spoiled_system_does_not_touch_its_neighbours(bad, error):
 def test_stack_outcomes_per_system():
     # A non-finite starting residual, the iteration cap and convergence, side
     # by side: each system leaves with its own outcome and iteration count.
-    def residual(u, rows):
-        return u * u - np.array([[4.0], [np.inf], [0.0]])[rows]
-
-    def jacobian(u, rows):
-        return 2.0 * u[:, :, None]
-
-    u0 = np.array([[3.0], [1.0], [1.0]])
-    u, outcomes = newton_solve(residual, jacobian, u0, NewtonConfig(max_iterations=8))
-    assert outcomes[0].converged and u[0, 0] == 2.0
+    # At dt = 1 from u_prev = 0, g(u) = u - (u - u*u + c) = u*u - c, started
+    # from mu[1].
+    problem = IvpProblem(dim=1, rhs=lambda u, mu: u - u * u + mu[..., :1],
+                         initial_value=lambda mu: mu[1:],
+                         jacobian=lambda u, mu: (1.0 - 2.0 * u)[..., None])
+    guess = Initializer("guess", lambda p, u, mu, dt: mu[1:])
+    mus = np.array([[4.0, 3.0], [np.inf, 1.0], [0.0, 1.0]])
+    cfg = NewtonConfig(max_iterations=8)
+    u, outcomes = _ie_step_stack(problem, np.zeros((3, 1)), mus, 1.0, cfg, guess)
+    want_u, want = ie_step(problem, np.zeros(1), mus[0], 1.0, cfg, guess)
+    assert outcomes[0] == want and want.converged and u[0, 0] == 2.0
+    assert u[0].tobytes() == want_u.tobytes()
     assert isinstance(outcomes[1], DivergenceError) and "starting guess" in str(outcomes[1])
-    assert not outcomes[2].converged and outcomes[2].iterations == 8  # x^2: linear
-    _, want = newton_solve(lambda v: v * v - 4.0, lambda v: np.diag(2.0 * v), u0[0])
-    assert outcomes[0] == want
+    assert isinstance(outcomes[2], StepError)  # x^2: linear convergence
+    assert not outcomes[2].stats.converged and outcomes[2].stats.iterations == 8
+    for j in (1, 2):
+        with pytest.raises(type(outcomes[j])) as alone:
+            ie_step(problem, np.zeros(1), mus[j], 1.0, cfg, guess)
+        assert str(alone.value) == str(outcomes[j])

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from flowcast import pipeline
+from flowcast.burgers import BurgersGrid
 from flowcast.cli import _format_table
+from flowcast.greedy import TrainConfig
+from flowcast.kernels import GaussianKernel, KernelExpansion
 from flowcast.model_selection import CvConfig
-from flowcast.ode import NewtonConfig, NewtonStats, Trajectory, integrate
+from flowcast.ode import NewtonConfig, NewtonStats, Trajectory, ie_step, integrate
 from flowcast.pipeline import (
     DataInconsistencyError,
     ModelLoadError,
@@ -145,7 +148,7 @@ def test_offline_config_validation():
         with pytest.raises(ValueError, match="max_centers must be an integer >= 1 or None"):
             tiny_config(max_centers=bad)
     for bad in (-1e-12, np.inf, np.nan):
-        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        with pytest.raises(ValueError, match="tolerance must be a real number >= 0"):
             tiny_config(tolerance=bad)
     assert tiny_config(max_centers=None, tolerance=0.0).max_centers is None
     assert tiny_config(max_centers=np.int64(3)).max_centers == 3
@@ -417,3 +420,42 @@ def test_load_model_refuses_format_1(tiny_model, tmp_path):
     with pytest.raises(ModelLoadError, match=r"unsupported model format version 1 "
                                              r"\(this build reads 2\); retrain the model"):
         load_model(path)
+
+
+def burgers_step(dt):
+    problem = build_problem("burgers", **TINY)
+    return ie_step(problem, problem.initial_value(np.array([3.4, 0.2])), (3.4, 0.2), dt)
+
+
+def burgers_run(dt, T):
+    return integrate(build_problem("burgers", **TINY), (3.4, 0.2), dt, T)
+
+
+REAL_SETTINGS = {
+    "GaussianKernel epsilon": GaussianKernel,
+    "KernelExpansion epsilon": lambda v: KernelExpansion(np.zeros((1, 2)), np.ones((1, 1)), v),
+    "TrainConfig epsilon": TrainConfig,
+    "TrainConfig tolerance": lambda v: TrainConfig(1.0, tolerance=v),
+    "NewtonConfig tolerance": lambda v: NewtonConfig(tolerance=v),
+    "CvConfig epsilon_min": lambda v: CvConfig(epsilon_min=v),
+    "CvConfig epsilon_max": lambda v: CvConfig(epsilon_max=v),
+    "BurgersGrid half_width": lambda v: BurgersGrid(10, v),
+    "OfflineConfig epsilon": lambda v: tiny_config(epsilon=v),
+    "OfflineConfig tolerance": lambda v: tiny_config(tolerance=v),
+    "ie_step dt": burgers_step,
+    "integrate dt": lambda v: burgers_run(v, 1.0),
+    "integrate T": lambda v: burgers_run(0.05, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.3"])
+@pytest.mark.parametrize("setting", sorted(REAL_SETTINGS))
+def test_real_settings_refuse_bool_and_string(setting, value):
+    with pytest.raises(ValueError, match="must be a real number"):
+        REAL_SETTINGS[setting](value)
+
+
+@pytest.mark.parametrize("value", [True, "2", 1.5])
+def test_repetitions_are_an_integer(tiny_model, value):
+    with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
+        compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, repetitions=value)
