@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .ode import IvpProblem, _check_int, _check_real
+from .ode import IvpProblem, _check_int, _check_params, _check_real
 
 __all__ = [
     "BurgersGrid",
@@ -38,7 +38,7 @@ def _boundary_states(mu) -> list[float]:
     # The shape an integration passes on every rhs and Jacobian call.
     if type(mu) is np.ndarray and mu.dtype == np.float64 and mu.shape == (2,):
         return mu.tolist()
-    values = np.asarray(mu, dtype=float).ravel().tolist()
+    values = list(_check_params(mu.ravel() if isinstance(mu, np.ndarray) else mu))
     if len(values) != 2:
         raise ValueError(f"mu must have two components (u_l, u_r), got {len(values)}")
     return values
@@ -101,7 +101,8 @@ def _ghosted(u, mu, grid: BurgersGrid) -> np.ndarray:
         raise ValueError(
             f"state has shape {u.shape}, expected ({grid.cells},) or (M, {grid.cells})"
         )
-    mu = np.asarray(mu, dtype=float)
+    if type(mu) is not np.ndarray or mu.dtype != np.float64:  # as integrate_many passes it
+        mu = np.array([_check_params(row) for row in mu])
     if mu.shape != (len(u), 2):
         raise ValueError(f"a stack of {len(u)} states needs mu of shape ({len(u)}, 2), "
                          f"got {mu.shape}")

@@ -1,10 +1,15 @@
 """Command line driver: run experiments from config files, emit reports.
 
 Experiment configs are INI files with sections [problem], [offline], [cv],
-[newton], [online]; values are Python literals (tuples for parameter
-vectors, semicolon-separated lists of tuples for parameter sets). Three
-presets ship with the package: experiment1 (single training parameter),
-experiment2 (four-corner training grid), experiment3 (mixed step sizes).
+[newton], [online]. Every value is a Python literal (other text reads as a
+string), and a parameter list is ';'-separated literals. Each section goes
+unconverted to the class it configures, which checks it; an error reads
+``invalid [section] settings: ...``. One rule reads a parameter vector
+(``ode._check_params``): a finite real number or a 1-d sequence of them,
+never a bool or a string. ``epsilon = None`` reads as an omitted epsilon.
+Three presets ship with the package: experiment1 (single training
+parameter), experiment2 (four-corner training grid), experiment3 (mixed
+step sizes).
 
 Subcommands, one per phase: offline (train and save a model, plus the
 width search curve as CSV when the config fixes no epsilon), online (one
@@ -20,13 +25,13 @@ import configparser
 import csv
 import importlib.resources
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .model_selection import CrossValidationError, CvConfig
-from .ode import NewtonConfig, _check_int, _nearest_step_count
+from .ode import NewtonConfig, _check_int, _check_params, _check_real, _nearest_step_count
 from .pipeline import (
     CaseResult,
     DataInconsistencyError,
@@ -57,47 +62,15 @@ def _literal(text: str):
         return text
 
 
-def _numbers(value) -> list[float] | None:
-    """``value`` as floats if it is one number or a tuple or list of numbers,
-    else None. A number is an int or a float, never a bool."""
-    items = value if isinstance(value, (tuple, list)) else [value]
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-        return [float(v) for v in items]
-    return None
+def _params(text: str) -> list:
+    """The ';'-separated parameter vectors of ``text``, each read by
+    :func:`_literal`, e.g. '(3.2, 0); (3.6, 0.4)'."""
+    return [_literal(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _parse_params(text: str) -> list[tuple[float, ...]]:
-    """Parameter vectors: tuples or lists separated by ';', e.g. '(3.2, 0); (3.6, 0.4)'."""
-    params: list[tuple[float, ...]] = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            value = ast.literal_eval(chunk)
-        except (ValueError, SyntaxError) as exc:
-            raise ConfigError(f"cannot parse parameter {chunk!r}: {exc}") from exc
-        values = _numbers(value)
-        if values is None:
-            raise ConfigError(f"parameter {chunk!r} is not a number or tuple or list of numbers")
-        params.append(tuple(values))
-    if not params:
-        raise ConfigError("empty parameter list")
-    return params
-
-
-def _parse_floats(text: str) -> list[float]:
-    """One number or a tuple or list of numbers, e.g. '0.01' or '0.01, 0.005'."""
-    try:
-        value = ast.literal_eval(text.strip())
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
-    values = _numbers(value)
-    if values is None:
-        raise ConfigError(f"{text.strip()!r} is not a number or tuple or list of numbers")
-    if not values:
-        raise ConfigError("empty number list")
-    return values
+def _listed(value) -> list:
+    """A tuple or list as a list; any other value as a list of itself."""
+    return list(value) if isinstance(value, (tuple, list)) else [value]
 
 
 def _preset_names() -> list[str]:
@@ -121,42 +94,6 @@ def _read_config_text(source) -> str:
     )
 
 
-class _Section:
-    """One config section with typed, checked key access."""
-
-    def __init__(self, name: str, raw: dict):
-        self.name = name
-        self.raw = dict(raw)
-
-    def take(self, key: str, conv, default=None, required: bool = False):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(f"missing key {key!r} in section [{self.name}]")
-            return default
-        value = self.raw.pop(key)
-        try:
-            return conv(value)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"bad value for {key!r} in [{self.name}]: {exc}") from exc
-
-    def present(self, **convs) -> dict:
-        """Converted values of the keys in ``convs`` that the section sets; the
-        keys it omits take the defaults of the config class they are passed to."""
-        return {key: self.take(key, conv) for key, conv in convs.items() if key in self.raw}
-
-    def finish(self):
-        if self.raw:
-            raise ConfigError(
-                f"unknown keys in section [{self.name}]: {', '.join(sorted(self.raw))}"
-            )
-
-
-def _opt_int(text: str):
-    return None if text.strip().lower() == "none" else int(text)
-
-
 def _build(section: str, factory, /, *args, **kwargs):
     """``factory(*args, **kwargs)``, its ValueError reported against [section]."""
     try:
@@ -173,13 +110,31 @@ def snap_dt(T: float, dt: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Offline phase settings plus the test protocol of one experiment."""
+    """Offline phase settings plus the test protocol of one experiment.
+
+    Every test parameter must give the offline problem an initial value, and
+    every step size, snapped by :func:`snap_dt`, must fit the horizon.
+    """
 
     offline: OfflineConfig
     test_params: tuple
     test_dts: tuple
     test_horizon: float
     repetitions: int
+
+    def __post_init__(self):
+        params = tuple(_check_params(mu) for mu in self.test_params)
+        dts = tuple(_check_real("dt", dt) for dt in self.test_dts)
+        if not (params and dts):
+            raise ValueError("the test protocol needs at least one parameter and one step size")
+        object.__setattr__(self, "test_params", params)
+        object.__setattr__(self, "test_dts", dts)
+        object.__setattr__(self, "test_horizon", _check_real("T", self.test_horizon))
+        _check_int("repetitions", self.repetitions, 1)
+        self.test_cases()  # each step size snaps to the horizon
+        problem = build_problem(self.offline.problem, **self.offline.problem_options)
+        for mu in params:
+            problem.initial_value(np.array(mu))
 
     def test_cases(self) -> list[tuple[tuple[float, ...], float]]:
         """All (mu, dt) combinations, step sizes snapped to divide the horizon."""
@@ -190,6 +145,24 @@ class ExperimentConfig:
         ]
 
 
+def _dt_logspace(value) -> list[float]:
+    """The step sizes of ``test_dt_logspace = (lo, hi, count)``: ``count``
+    of them, log-spaced from lo to hi. A whole float counts, e.g. 1e1."""
+    try:
+        lo, hi, count = (_check_real("test_dt_logspace", v) for v in value)
+        if not count.is_integer():
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("test_dt_logspace must be (lo, hi, count) with lo and hi real "
+                         f"numbers > 0 and an integer count >= 1, got {value!r}") from None
+    return list(np.logspace(np.log10(lo), np.log10(hi), int(count)))
+
+
+_PARAM_LISTS = {"train_params", "test_params"}
+_OFFLINE_KEYS = {"train_params", "train_dts", "horizon", "epsilon", "tolerance", "max_centers"}
+_ONLINE_KEYS = {"test_params", "test_dts", "test_dt_logspace", "horizon", "repetitions"}
+
+
 def load_experiment(source) -> ExperimentConfig:
     """Load an experiment config from a path or a bundled preset name."""
     parser = configparser.ConfigParser()
@@ -198,65 +171,43 @@ def load_experiment(source) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {source!r}: {exc}") from exc
 
-    def section(name):
-        return _Section(name, dict(parser.items(name)) if parser.has_section(name) else {})
+    def section(name: str, keys=None, required=()) -> dict:
+        """The section's values as read; a key outside ``keys`` (unless None)
+        or a missing ``required`` one raises ConfigError."""
+        raw = dict(parser.items(name)) if parser.has_section(name) else {}
+        unknown = sorted(set(raw) - keys) if keys is not None else []
+        if unknown:
+            raise ConfigError(f"unknown keys in section [{name}]: {', '.join(unknown)}")
+        for key in required:
+            if key not in raw:
+                raise ConfigError(f"missing key {key!r} in section [{name}]")
+        return {key: _params(text) if key in _PARAM_LISTS else _literal(text)
+                for key, text in raw.items()}
 
-    prob = section("problem")
-    settings = {"problem": prob.take("name", str)} if "name" in prob.raw else {}
-    problem_options = {k: _literal(v) for k, v in prob.raw.items()}
-    problem = _build("problem", build_problem, settings.get("problem", OfflineConfig.problem),
-                     **problem_options)
-
-    cv_sec = section("cv")
-    cv = _build("cv", CvConfig, **cv_sec.present(epsilon_min=float, epsilon_max=float,
-                                                 grid_size=int, folds=int, seed=int,
-                                                 max_centers=_opt_int))
-    cv_sec.finish()
-
-    newton_sec = section("newton")
+    options = section("problem")
+    name = options.pop("name", OfflineConfig.problem)
+    _build("problem", build_problem, name, **options)  # OfflineConfig builds it again
+    cv = _build("cv", CvConfig, **section("cv", {f.name for f in fields(CvConfig)}))
     newton = _build("newton", NewtonConfig,
-                    **newton_sec.present(tolerance=float, max_iterations=int))
-    newton_sec.finish()
+                    **section("newton", {f.name for f in fields(NewtonConfig)}))
 
-    off_sec = section("offline")
-    train_params = off_sec.take("train_params", _parse_params, required=True)
-    train_dts = off_sec.take("train_dts", _parse_floats, required=True)
-    settings.update(off_sec.present(horizon=float, epsilon=float, tolerance=float,
-                                    max_centers=_opt_int))
-    cases = tuple((mu, dt) for mu in train_params for dt in train_dts)
-    off = _build("offline", OfflineConfig, cases=cases, problem_options=problem_options,
-                 cv=cv, newton=newton, **settings)
-    off_sec.finish()
+    settings = section("offline", _OFFLINE_KEYS, required=("train_params", "train_dts"))
+    train_params, train_dts = settings.pop("train_params"), _listed(settings.pop("train_dts"))
+    off = _build("offline", OfflineConfig,
+                 cases=[(mu, dt) for mu in train_params for dt in train_dts],
+                 problem=name, problem_options=options, cv=cv, newton=newton, **settings)
 
-    on_sec = section("online")
-    test_params = on_sec.take("test_params", _parse_params, default=train_params)
-    test_dts = on_sec.take("test_dts", _parse_floats)
-    logspace = on_sec.take("test_dt_logspace", _parse_floats)
-    if test_dts is None and logspace is None:
-        test_dts = train_dts
-    elif logspace is not None:
-        if test_dts is not None:
+    protocol = section("online", _ONLINE_KEYS)
+    if "test_dt_logspace" in protocol:
+        if "test_dts" in protocol:
             raise ConfigError("give either test_dts or test_dt_logspace, not both")
-        if len(logspace) != 3 or not logspace[2].is_integer() or logspace[2] < 1:
-            raise ConfigError(
-                "test_dt_logspace must be (lo, hi, count) with an integer count >= 1, "
-                f"got {tuple(logspace)}"
-            )
-        lo, hi, count = logspace
-        test_dts = list(np.logspace(np.log10(lo), np.log10(hi), int(count)))
-    exp = ExperimentConfig(
-        offline=off,
-        test_params=tuple(test_params),
-        test_dts=tuple(float(d) for d in test_dts),
-        test_horizon=on_sec.take("horizon", float, 2.0),
-        repetitions=on_sec.take("repetitions", int, 1),
-    )
-    on_sec.finish()
-    _build("online", _check_int, "repetitions", exp.repetitions, 1)
-    _build("online", exp.test_cases)
-    for mu in test_params:
-        _build("online", problem.initial_value, mu)
-    return exp
+        test_dts = _build("online", _dt_logspace, protocol["test_dt_logspace"])
+    else:
+        test_dts = _listed(protocol["test_dts"]) if "test_dts" in protocol else train_dts
+    return _build("online", ExperimentConfig, offline=off,
+                  test_params=protocol.get("test_params", train_params), test_dts=test_dts,
+                  test_horizon=protocol.get("horizon", 2.0),
+                  repetitions=protocol.get("repetitions", 1))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -326,13 +277,11 @@ def cmd_offline(args) -> int:
 
 def cmd_online(args) -> int:
     try:
-        params = _parse_params(args.mu)
-    except (ConfigError, OverflowError) as exc:
+        mu = _check_params(_literal(args.mu))
+    except ValueError as exc:
         raise ConfigError(f"cannot parse --mu {args.mu!r}: {exc}") from None
-    if len(params) != 1:
-        raise ConfigError(f"--mu takes one parameter vector, got {len(params)}")
     model = load_model(args.model)
-    traj, dt_in_training = online(model, params[0], args.dt, args.horizon)
+    traj, dt_in_training = online(model, mu, args.dt, args.horizon)
     print(f"mu = {tuple(float(v) for v in traj.mu)}, dt = {traj.dt:g}, "
           f"T = {args.horizon:g}, steps = {traj.n_steps}")
     if dt_in_training is False:

@@ -84,14 +84,38 @@ def _check_int(name: str, value, minimum: int, optional: bool = False) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}{none}, got {value!r}")
 
 
+def _as_real(value) -> float | None:
+    """``value`` as a float if it is a finite real number, else None. A bool
+    or a string is not real here, nor an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _check_real(name: str, value, zero_ok: bool = False) -> float:
     """Refuse ``value`` unless it is a finite real number > 0, or >= 0 when
-    ``zero_ok``; return it as a float. A bool or a string is not real here."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+    ``zero_ok``; return it as a float."""
+    real = _as_real(value)
+    if real is None or not (real > 0 or (zero_ok and real == 0)):
         floor = ">= 0" if zero_ok else "> 0"
         raise ValueError(f"{name} must be a real number {floor}, got {value!r}")
-    return float(value)
+    return real
+
+
+def _check_params(mu) -> tuple[float, ...]:
+    """Refuse ``mu`` unless it is a finite real number or a 1-d sequence of
+    them, as :func:`_as_real` reads one; return it as a float tuple. The
+    sequence may be empty: a problem without parameters takes ``[]``."""
+    items = mu.tolist() if isinstance(mu, np.ndarray) else mu
+    values = [_as_real(v) for v in (items if isinstance(items, (tuple, list)) else [items])]
+    if None in values:
+        raise ValueError(f"mu must be a finite real number or a 1-d sequence of them, "
+                         f"got {mu!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -497,7 +521,8 @@ def integrate_many(
     initializer: Initializer = PREVIOUS_VALUE,
 ) -> list[Trajectory]:
     """Integrate each parameter of ``mus`` from 0 to T with the one fixed
-    step dt (T must be a multiple of dt), as one stack.
+    step dt (T must be a multiple of dt), as one stack. Each parameter is a
+    finite real number or a 1-d sequence of them (:func:`_check_params`).
 
     Each step of the instances still running is one stacked implicit Euler
     step, so an instance's trajectory is bit for bit the one it has alone; a
@@ -509,7 +534,7 @@ def integrate_many(
     ``wall_time_s`` is the stack's.
     """
     n_steps = _step_count(T, dt)
-    mus = [np.atleast_1d(np.asarray(mu, dtype=float)) for mu in mus]
+    mus = [np.array(_check_params(mu)) for mu in mus]
     states = [np.empty((n_steps + 1, problem.dim)) for _ in mus]
     for m, mu in enumerate(mus):
         u = np.asarray(problem.initial_value(mu), dtype=float)
@@ -519,7 +544,7 @@ def integrate_many(
     stats: list[list[NewtonStats]] = [[] for _ in mus]
     errors: list[str | None] = [None] * len(mus)
     rows = list(range(len(mus)))  # the instances still running
-    mu_rows = np.array(mus, dtype=float)
+    mu_rows = np.array(mus)
     single = len(mus) == 1  # one instance runs unstacked, on 1-d arrays
     start = time.perf_counter()
     for i in range(n_steps):

@@ -29,6 +29,7 @@ from .ode import (
     NewtonConfig,
     Trajectory,
     _check_int,
+    _check_params,
     _check_real,
     _step_count,
     integrate,
@@ -76,12 +77,13 @@ class ModelLoadError(Exception):
 class OfflineConfig:
     """Everything the offline phase needs.
 
-    ``cases`` is a sequence of ((mu components), dt) pairs; the same mu may
-    appear with several step sizes. Each mu must give the named problem an
-    initial value and each dt must divide ``horizon``. ``epsilon=None``
-    selects the width by cross validation with ``cv``, whose folds are
-    trained with the greedy ``tolerance``; a fixed value bypasses it.
-    ``tolerance`` bounds the squared power function, as in ``TrainConfig``.
+    ``cases`` is a sequence of (mu, dt) pairs, each mu a finite real number
+    or a 1-d sequence of them; the same mu may appear with several step
+    sizes. Each mu must give the named problem an initial value and each dt
+    must divide ``horizon``. ``epsilon=None`` selects the width by cross
+    validation with ``cv``, whose folds are trained with the greedy
+    ``tolerance``; a fixed value bypasses it. ``tolerance`` bounds the
+    squared power function, as in ``TrainConfig``.
     """
 
     cases: tuple
@@ -95,12 +97,10 @@ class OfflineConfig:
     newton: NewtonConfig = NewtonConfig()
 
     def __post_init__(self):
-        cases = tuple(
-            (tuple(float(c) for c in np.atleast_1d(np.asarray(mu, dtype=float))), float(dt))
-            for mu, dt in self.cases
-        )
+        cases = tuple((_check_params(mu), _check_real("dt", dt)) for mu, dt in self.cases)
         if not cases:
             raise ValueError("at least one training case (mu, dt) is required")
+        object.__setattr__(self, "horizon", _check_real("T", self.horizon))
         problem = build_problem(self.problem, **self.problem_options)
         for mu, dt in cases:
             try:
@@ -332,11 +332,10 @@ def compare_cases(
     problem = problem if problem is not None else model.build_problem()
     newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
+    cases = [(_check_params(mu), _check_real("dt", dt)) for mu, dt in cases]
     init_new = surrogate_initializer(model.predict)
     results: list[CaseResult] = []
     for index, (mu, dt) in enumerate(cases):
-        mu = tuple(float(v) for v in np.atleast_1d(np.asarray(mu, dtype=float)))
-        dt = float(dt)
         runs = {PREVIOUS_VALUE: [], init_new: []}
         for rep in range(repetitions):
             for init in list(runs)[:: 1 if (index + rep) % 2 == 0 else -1]:
@@ -402,10 +401,12 @@ def load_model(path) -> SurrogateModel:
         unexpected = sorted(set(raw) - _MODEL_KEYS)
         if unexpected:
             raise ValueError(f"unexpected keys {unexpected}")
-        p, q = int(raw["input_dim"]), int(raw["output_dim"])
+        p, q = raw["input_dim"], raw["output_dim"]
+        _check_int("input_dim", p, 1)
+        _check_int("output_dim", q, 1)
         centers = np.asarray(raw["centers"], dtype=float).reshape(-1, p)
         coefficients = np.asarray(raw["coefficients"], dtype=float).reshape(-1, q)
-        model = SurrogateModel(KernelExpansion(centers, coefficients, float(raw["epsilon"])),
+        model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
                                raw["provenance"])
         model.newton()  # the recorded settings are checked on reading, like the problem
         _check_dims(model, model.build_problem())

@@ -25,7 +25,7 @@ def build_problem(name: str, /, **options) -> IvpProblem:
     its signature does not accept, raise ValueError."""
     try:
         factory = _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key
         known = ", ".join(sorted(_REGISTRY)) or "none"
         raise ValueError(f"unknown problem {name!r} (registered: {known})") from None
     try:

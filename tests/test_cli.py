@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcast.cli import ConfigError, _build_parser, load_experiment, main, snap_dt
+from flowcast.cli import (ConfigError, ExperimentConfig, _build_parser, load_experiment, main,
+                          snap_dt)
 from flowcast.ode import _nearest_step_count, _step_count, integrate
 from flowcast.pipeline import OfflineConfig
 from flowcast.problems import build_problem
@@ -160,6 +161,30 @@ def test_shipped_presets_load():
         assert abs(ratio - round(ratio)) < 1e-9  # snapped to divide the horizon
 
 
+def test_experiment_config_checks_the_test_protocol():
+    """ExperimentConfig checks itself, as load_experiment builds it."""
+    protocol = dict(offline=OfflineConfig(cases=[((3.4, 0.2), 0.05)]), test_params=[[3, 0]],
+                    test_dts=[np.float64(0.05)], test_horizon=1, repetitions=2)
+    exp = ExperimentConfig(**protocol)
+    assert exp.test_params == ((3.0, 0.0),) and type(exp.test_params[0][0]) is float
+    assert exp.test_dts == (0.05,) and type(exp.test_dts[0]) is float
+    assert exp.test_horizon == 1.0 and type(exp.test_horizon) is float
+    for change, message in [
+        ({"test_dts": [0.0]}, "dt must be a real number > 0, got 0.0"),
+        ({"test_dts": ["0.05"]}, "dt must be a real number > 0, got '0.05'"),
+        ({"test_dts": [5e-324]}, "dt=5e-324 is too small for T=1.0"),
+        ({"test_horizon": -1.0}, "T must be a real number > 0, got -1.0"),
+        ({"repetitions": 0}, "repetitions must be an integer >= 1, got 0"),
+        ({"repetitions": True}, "repetitions must be an integer >= 1, got True"),
+        ({"test_params": [("3.4", "0.2")]}, "mu must be a finite real number"),
+        ({"test_params": [(3.4,)]}, "mu must have two components"),
+        ({"test_params": []}, "at least one parameter and one step size"),
+        ({"test_dts": ()}, "at least one parameter and one step size"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{**protocol, **change})
+
+
 @pytest.mark.parametrize("count", ["10", "1e1", "10.7"])
 def test_dt_logspace_count_must_be_an_integer(count, tmp_path):
     path = tmp_path / "logspace.cfg"
@@ -191,7 +216,8 @@ def test_load_experiment_errors(tmp_path):
         load_experiment(bad)
 
     bad = variant("params", lambda s: s.replace("(3.4, 0.2)\ntrain_dts", "(3.4, 'a')\ntrain_dts"))
-    with pytest.raises(ConfigError, match="not a number"):
+    with pytest.raises(ConfigError, match=r"invalid \[offline\] settings: mu must be a finite real "
+                                          r"number or a 1-d sequence of them, got \(3.4, 'a'\)"):
         load_experiment(bad)
 
     bad = variant(
@@ -201,23 +227,36 @@ def test_load_experiment_errors(tmp_path):
     with pytest.raises(ConfigError, match="not both"):
         load_experiment(bad)
 
-    bad = variant("no-test-dts", lambda s: s.replace("test_dts = 0.05", "test_dts = ()"))
-    with pytest.raises(ConfigError, match="empty number list"):
-        load_experiment(bad)
+    for old, new in [("test_dts = 0.05", "test_dts = ()"),
+                     ("test_params = (3.4, 0.2); (3.2, 0.4)", "test_params =")]:
+        bad = variant("empty-protocol", lambda s: s.replace(old, new))
+        with pytest.raises(ConfigError, match=r"invalid \[online\] settings: the test "
+                                              r"protocol needs at least one parameter"):
+            load_experiment(bad)
 
-    # A number is an int or a float, never a string, dict, set or bool.
-    for old, new in [
-        ("train_dts = 0.05", "train_dts = '15'"),
-        ("train_dts = 0.05", "train_dts = {0.01: 1}"),
-        ("train_dts = 0.05", "train_dts = {0.01}"),
-        ("train_dts = 0.05", "train_dts = True"),
-        ("train_dts = 0.05", "train_dts = (0.05, True)"),
-        ("test_dts = 0.05", "test_dts = [0.05, '0.01']"),
-        ("train_params = (3.4, 0.2)", "train_params = (True, 0.2)"),
-        ("train_params = (3.4, 0.2)", "train_params = False"),
+    # A number is an int or a float, never a string, dict, set or bool, and
+    # the class that owns the setting says so.
+    dt_message = "settings: dt must be a real number > 0, got "
+    mu_message = r"invalid \[offline\] settings: mu must be a finite real number"
+    for old, new, message in [
+        ("train_dts = 0.05", "train_dts = '15'", r"invalid \[offline\] " + dt_message + "'15'"),
+        ("train_dts = 0.05", "train_dts = {0.01: 1}", r"invalid \[offline\] " + dt_message),
+        ("train_dts = 0.05", "train_dts = {0.01}", r"invalid \[offline\] " + dt_message),
+        ("train_dts = 0.05", "train_dts = True", r"invalid \[offline\] " + dt_message + "True"),
+        ("train_dts = 0.05", "train_dts = (0.05, True)",
+         r"invalid \[offline\] " + dt_message + "True"),
+        ("test_dts = 0.05", "test_dts = [0.05, '0.01']",
+         r"invalid \[online\] " + dt_message + "'0.01'"),
+        ("train_params = (3.4, 0.2)", "train_params = (True, 0.2)", mu_message),
+        ("train_params = (3.4, 0.2)", "train_params = False", mu_message),
+        ("train_params = (3.4, 0.2)", "train_params = ('3.4', '0.2')", mu_message),
+        ("train_params = (3.4, 0.2)", "train_params = (3.4, 1e999)", mu_message),
+        ("train_params = (3.4, 0.2)", "train_params = ((3.4, 0.2),)", mu_message),
+        ("test_params = (3.4, 0.2)", "test_params = (3.4, '0.2')",
+         r"invalid \[online\] settings: mu must be a finite real number"),
     ]:
         assert TINY_CFG.count(old) == 1
-        with pytest.raises(ConfigError, match="is not a number or tuple or list of numbers"):
+        with pytest.raises(ConfigError, match=message):
             load_experiment(variant("not-numbers", lambda s: s.replace(old, new)))
 
     bad = variant(
@@ -241,13 +280,14 @@ def test_load_experiment_errors(tmp_path):
         ("max_centers = 8\nepsilon", "max_centers = 0\nepsilon",
          r"invalid \[offline\] settings: max_centers must be"),
         ("max_centers = 8\nepsilon", "max_centers = 1.5\nepsilon",
-         r"bad value for 'max_centers' in \[offline\]"),
+         r"invalid \[offline\] settings: max_centers must be an integer >= 1 or None, "
+         r"got 1.5"),
         ("tolerance = 1e-12\nmax", "tolerance = -1e-12\nmax",
          r"invalid \[offline\] settings: tolerance must be"),
         ("max_centers = 8\n\n[newton]", "max_centers = 0\n\n[newton]",
          r"invalid \[cv\] settings: max_centers must be"),
         ("max_centers = 8\n\n[newton]", "max_centers = 1.5\n\n[newton]",
-         r"bad value for 'max_centers' in \[cv\]"),
+         r"invalid \[cv\] settings: max_centers must be an integer >= 1 or None, got 1.5"),
         ("tolerance = 1e-12", "tolerance = 1e-12\nnormalize_inputs = true",
          r"unknown keys in section \[offline\]: normalize_inputs$"),
         ("tolerance = 1e-12", "rule = p\ntolerance = 1e-12",
@@ -278,6 +318,7 @@ def test_load_experiment_errors(tmp_path):
     ("cells = 2.5e2", "cells must be an integer >= 1, got 250.0"),
     ("half_width = wide", "half_width must be a real number > 0, got 'wide'"),
     ("name = nonexistent", "unknown problem 'nonexistent'"),
+    ("name = [1]", r"unknown problem \[1\]"),
 ])
 def test_bad_problem_options_fail_cleanly(line, message, tmp_path, capsys):
     key = line.split(" = ")[0]
@@ -528,16 +569,16 @@ def test_cli_online_bad_mu(tiny_cfg, tmp_path, capsys):
     assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
     capsys.readouterr()
     # Each malformed value is one error line and exit 1, before any integration.
+    rule = "mu must be a finite real number or a 1-d sequence of them, got "
     for mu, message in [
-        ("(3.4,", "cannot parse --mu"),
-        ("{1: 2}", "cannot parse --mu '{1: 2}': parameter '{1: 2}' is not a number"),
-        ("(True, 0.2)", "cannot parse --mu '(True, 0.2)': parameter '(True, 0.2)' is not a "
-                        "number"),
-        ("'3.4'", "cannot parse --mu \"'3.4'\": parameter \"'3.4'\" is not a number"),
-        ("((3.4, 0.2),)", "cannot parse --mu '((3.4, 0.2),)': parameter"),
-        ("", "cannot parse --mu '': empty parameter list"),
+        ("(3.4,", f"cannot parse --mu '(3.4,': {rule}'(3.4,'"),
+        ("{1: 2}", f"cannot parse --mu '{{1: 2}}': {rule}{{1: 2}}"),
+        ("(True, 0.2)", f"cannot parse --mu '(True, 0.2)': {rule}(True, 0.2)"),
+        ("'3.4'", f"cannot parse --mu \"'3.4'\": {rule}'3.4'"),
+        ("((3.4, 0.2),)", f"cannot parse --mu '((3.4, 0.2),)': {rule}((3.4, 0.2),)"),
+        ("", f"cannot parse --mu '': {rule}''"),
         ("1" + "0" * 400, "cannot parse --mu '1000"),
-        ("(3.4, 0.2); (3.2, 0.4)", "--mu takes one parameter vector, got 2"),
+        ("(3.4, 0.2); (3.2, 0.4)", f"cannot parse --mu '(3.4, 0.2); (3.2, 0.4)': {rule}"),
     ]:
         assert main(["online", "--model", str(model_path), "--mu", mu,
                      "--dt", "0.05", "-T", "0.25"]) == 1
@@ -559,3 +600,14 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_configs_load(tmp_path):
+    """Every ini block of README is a config that loads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme-{i}.cfg"
+        path.write_text(block)
+        load_experiment(str(path))

@@ -14,6 +14,7 @@ from flowcast.ode import (
     NewtonStats,
     SingularJacobianError,
     StepError,
+    _check_params,
     _ie_step_stack,
     _ie_system,
     _linear_solve,
@@ -281,6 +282,21 @@ def test_integrate_geometric_decay():
     # The final state is a copy: keeping it does not keep every state alive.
     assert not np.shares_memory(traj.final_state, traj.states)
     assert np.array_equal(traj.final_state, traj.states[-1])
+
+
+def test_check_params_reads_one_parameter_vector():
+    assert _check_params([]) == ()  # a problem without parameters
+    assert _check_params(3) == (3.0,)
+    assert _check_params((3, np.float32(0.5), np.int64(-2))) == (3.0, 0.5, -2.0)
+    assert _check_params(np.array([3.4, 0.2])) == (3.4, 0.2)
+    assert _check_params(np.array(2.0)) == (2.0,)
+    for bad in (True, "3.4", ("3.4", 0.2), (True, 0.2), np.array([True, False]), (np.nan,),
+                (1.0, np.inf), 10**400, [[3.4, 0.2]], np.zeros((1, 2)), None, {1: 2}):
+        with pytest.raises(ValueError, match="mu must be a finite real number or a 1-d "
+                                             "sequence of them, got "):
+            _check_params(bad)
+    traj = integrate(decay_problem(), [], 0.1, 0.3)
+    assert traj.completed and traj.mu.shape == (0,)
 
 
 def test_integrate_rejects_bad_horizon():

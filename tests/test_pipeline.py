@@ -8,7 +8,7 @@ import pytest
 
 from flowcast import pipeline
 from flowcast.burgers import BurgersGrid
-from flowcast.cli import _format_table
+from flowcast.cli import ExperimentConfig, _format_table
 from flowcast.greedy import TrainConfig
 from flowcast.kernels import GaussianKernel, KernelExpansion
 from flowcast.model_selection import CvConfig
@@ -459,3 +459,44 @@ def test_real_settings_refuse_bool_and_string(setting, value):
 def test_repetitions_are_an_integer(tiny_model, value):
     with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
         compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, repetitions=value)
+
+
+# Every way a (mu, dt) case enters the package, each given a model trained
+# with T = 1 and a case of the tiny problem.
+CASE_USERS = {
+    "OfflineConfig": lambda model, mu, dt: tiny_config(cases=[(mu, dt)]),
+    "integrate": lambda model, mu, dt: integrate(model.build_problem(), mu, dt, 1.0),
+    "compare_cases": lambda model, mu, dt: compare_cases(model, [(mu, dt)], 1.0),
+    "ExperimentConfig": lambda model, mu, dt: ExperimentConfig(tiny_config(), [mu], [dt], 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("mu", [("3.4", "0.2"), (True, 0.2), (3.4, np.inf), "3.4", [[3.4, 0.2]]],
+                         ids=["strings", "bool", "inf", "string", "nested"])
+@pytest.mark.parametrize("user", sorted(CASE_USERS))
+def test_parameters_are_finite_real_numbers(tiny_model, user, mu):
+    with pytest.raises(ValueError, match="mu must be a finite real number or a 1-d sequence"):
+        CASE_USERS[user](tiny_model, mu, 0.05)
+
+
+@pytest.mark.parametrize("dt", [True, "0.05", 0.0])
+@pytest.mark.parametrize("user", sorted(CASE_USERS))
+def test_step_sizes_are_real_numbers(tiny_model, user, dt):
+    with pytest.raises(ValueError, match="dt must be a real number > 0"):
+        CASE_USERS[user](tiny_model, (3.4, 0.2), dt)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("input_dim", 17.7, "input_dim must be an integer >= 1, got 17.7"),  # once read as 17
+    ("input_dim", True, "input_dim must be an integer >= 1, got True"),
+    ("output_dim", "16", "output_dim must be an integer >= 1, got '16'"),
+    ("epsilon", "0.3", "epsilon must be a real number > 0, got '0.3'"),  # once read as 0.3
+    ("epsilon", True, "epsilon must be a real number > 0, got True"),
+])
+def test_load_model_checks_scalars_without_coercing(tiny_model, tmp_path, key, value, message):
+    path = tmp_path / "model.json"
+    save_model(tiny_model, path)
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(raw, **{key: value})))
+    with pytest.raises(ModelLoadError, match=f"malformed model file .*: {message}"):
+        load_model(path)
