@@ -52,7 +52,7 @@ class BurgersGrid:
     half_width: float = 5.0
 
     def __post_init__(self):
-        _check_int("cells", self.cells, 1)
+        object.__setattr__(self, "cells", _check_int("cells", self.cells, 1))
         object.__setattr__(self, "half_width", _check_real("half_width", self.half_width))
 
     @property

@@ -130,7 +130,7 @@ class ExperimentConfig:
         object.__setattr__(self, "test_params", params)
         object.__setattr__(self, "test_dts", dts)
         object.__setattr__(self, "test_horizon", _check_real("T", self.test_horizon))
-        _check_int("repetitions", self.repetitions, 1)
+        object.__setattr__(self, "repetitions", _check_int("repetitions", self.repetitions, 1))
         self.test_cases()  # each step size snaps to the horizon
         problem = build_problem(self.offline.problem, **self.offline.problem_options)
         for mu in params:

@@ -126,7 +126,8 @@ class TrainConfig:
         object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
         tolerance = _check_real("tolerance", self.tolerance, zero_ok=True)
         object.__setattr__(self, "tolerance", tolerance)
-        _check_int("max_centers", self.max_centers, 1, optional=True)
+        max_centers = _check_int("max_centers", self.max_centers, 1, optional=True)
+        object.__setattr__(self, "max_centers", max_centers)
 
 
 class GreedyState:

@@ -58,10 +58,10 @@ class CvConfig:
         if self.epsilon_min > self.epsilon_max:
             raise ValueError(f"need epsilon_min <= epsilon_max, got "
                              f"[{self.epsilon_min!r}, {self.epsilon_max!r}]")
-        _check_int("grid_size", self.grid_size, 1)
-        _check_int("folds", self.folds, 2)
-        _check_int("seed", self.seed, 0)
-        _check_int("max_centers", self.max_centers, 1, optional=True)
+        for name, minimum in (("grid_size", 1), ("folds", 2), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum))
+        max_centers = _check_int("max_centers", self.max_centers, 1, optional=True)
+        object.__setattr__(self, "max_centers", max_centers)
 
 
 @dataclass(frozen=True)

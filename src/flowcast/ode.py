@@ -15,7 +15,10 @@ well below tight tolerances for states of moderate magnitude.
 The cost of a step is dominated by the Newton iteration count, which in turn
 depends on the quality of the starting guess. Initializers encapsulate that
 choice; besides the classical one (the previous state) a trained kernel
-surrogate of the time-evolution map can be plugged in.
+surrogate of the time-evolution map can be plugged in. The surrogate's guess
+is corrected by its own error at the run's previous step, which is known
+exactly once that step has converged: each run's memory lives in the guess
+function :meth:`Initializer.start` makes for it, never in the initializer.
 
 :func:`newton_solve` and :func:`ie_step` solve one system. Stacks are
 :func:`integrate_many`'s: instances of one step size advance together, one
@@ -74,14 +77,16 @@ class StepError(Exception):
         self.stats = stats
 
 
-def _check_int(name: str, value, minimum: int, optional: bool = False) -> None:
+def _check_int(name: str, value, minimum: int, optional: bool = False) -> int | None:
     """Refuse ``value`` unless it is an integer >= ``minimum``, or None when
-    ``optional``. A bool or an integral float is not an integer here."""
+    ``optional``; return it as a plain int (or None). A bool or an integral
+    float is not an integer here."""
     if optional and value is None:
-        return
+        return None
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         none = " or None" if optional else ""
         raise ValueError(f"{name} must be an integer >= {minimum}{none}, got {value!r}")
+    return int(value)
 
 
 def _as_real(value) -> float | None:
@@ -127,7 +132,8 @@ class NewtonConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tolerance", _check_real("tolerance", self.tolerance))
-        _check_int("max_iterations", self.max_iterations, 1)
+        object.__setattr__(self, "max_iterations",
+                           _check_int("max_iterations", self.max_iterations, 1))
 
 
 _DEFAULT_NEWTON = NewtonConfig()
@@ -308,14 +314,20 @@ class IvpProblem:
     jacobian_bands: tuple[int, int] | None = None
 
     def __post_init__(self):
-        _check_int("dim", self.dim, 1)
+        object.__setattr__(self, "dim", _check_int("dim", self.dim, 1))
         if not callable(self.jacobian):
             raise ValueError(f"jacobian must be callable, got {self.jacobian!r}")
         _check_bands(self.jacobian_bands)
 
 
 class Initializer:
-    """Named strategy mapping (problem, u_prev, mu, dt) to a Newton starting guess."""
+    """Named strategy mapping (problem, u_prev, mu, dt) to a Newton starting guess.
+
+    A strategy that learns from the earlier steps of a run keeps that memory
+    in the guess function :meth:`start` makes for each run, never in the
+    initializer, which runs share. Calling the initializer itself guesses as
+    the first step of a run does.
+    """
 
     def __init__(self, name: str, fn: Callable):
         self.name = name
@@ -330,6 +342,12 @@ class Initializer:
             )
         return guess
 
+    def start(self) -> Callable:
+        """The guess function of one run, to be called at its steps in
+        order, each with the state the step before converged to. A strategy
+        without memory is its own guess function."""
+        return self
+
     def __repr__(self):
         return f"Initializer({self.name!r})"
 
@@ -337,11 +355,34 @@ class Initializer:
 PREVIOUS_VALUE = Initializer("previous", lambda p, u, mu, dt: u)
 
 
+class _ErrorFeedback(Initializer):
+    """A predictor whose guess at each step after a run's first is corrected
+    by the error it made at the step before."""
+
+    def start(self) -> Callable:
+        previous = None  # p_n: the raw prediction made at the run's last step
+
+        def guess(problem, u, mu, dt):
+            nonlocal previous
+            raw = self(problem, u, mu, dt)
+            corrected = raw if previous is None else raw + (u - previous)
+            previous = raw
+            return corrected
+
+        return guess
+
+
 def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray], name: str = "surrogate") -> Initializer:
     """Wrap a map (dt, u_prev) -> predicted next state as an initializer.
 
     ``model`` must accept a single 1-d input: the step size prepended to the
-    current state.
+    current state. Within a run, step n + 1 starts Newton from
+    ``s(dt, u_n) + (u_n - p_n)``, where ``p_n = s(dt, u_{n-1})`` is the raw
+    prediction made at step n and ``u_n`` the state Newton converged to
+    there: the surrogate's own error at the previous step, added to its next
+    guess. That costs one subtraction and one addition, no further
+    prediction. The first step of a run, and a call of the initializer
+    itself, start from the raw prediction.
     """
 
     def guess(problem, u, mu, dt):
@@ -350,7 +391,7 @@ def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray], name: str =
         x[1:] = u
         return model(x)
 
-    return Initializer(name, guess)
+    return _ErrorFeedback(name, guess)
 
 
 def _not_converged(stats: NewtonStats) -> StepError:
@@ -388,10 +429,12 @@ def ie_step(
     mu,
     dt: float,
     cfg: NewtonConfig | None = None,
-    initializer: Initializer = PREVIOUS_VALUE,
+    initializer: Initializer | Callable = PREVIOUS_VALUE,
 ) -> tuple[np.ndarray, NewtonStats]:
     """One implicit Euler step of the 1-d state ``u_prev``; raises StepError
-    if Newton does not converge."""
+    if Newton does not converge. ``initializer`` is an :class:`Initializer`,
+    which guesses as at a run's first step, or the guess function of a run
+    that :meth:`Initializer.start` made."""
     _check_real("dt", dt)
     u_prev = np.asarray(u_prev, dtype=float)
     _check_one_system("u_prev", u_prev)
@@ -404,17 +447,18 @@ def ie_step(
 
 
 def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt: float,
-                   cfg: NewtonConfig | None, initializer: Initializer):
+                   cfg: NewtonConfig | None, u0: np.ndarray):
     """One implicit Euler step of each state ``u_prev[j]`` with parameter
-    ``mus[j]``, each bit for bit as :func:`ie_step` takes it alone.
+    ``mus[j]`` from the starting guess ``u0[j]``, each bit for bit as
+    :func:`ie_step` takes it alone.
 
-    The initializer sees one state at a time. Each Newton iteration makes one
-    stacked ``rhs``, Jacobian and :func:`_solve_stack` for the states still
-    iterating; a state leaves as soon as it converges, reaches the cap or
-    fails. Returns the new states and, per state, its NewtonStats or the
-    StepError or NewtonError that ended it."""
+    Each Newton iteration makes one stacked ``rhs``, Jacobian and
+    :func:`_solve_stack` for the states still iterating; a state leaves as
+    soon as it converges, reaches the cap or fails. Returns the new states
+    and, per state, its NewtonStats or the StepError or NewtonError that
+    ended it."""
     cfg = cfg or _DEFAULT_NEWTON
-    u = np.array([initializer(problem, v, mu, dt) for v, mu in zip(u_prev, mus)])
+    u = np.array(u0, dtype=float)
     out, outcomes = u, [None] * len(u)  # written as each state leaves
     rows = list(range(len(u)))  # the states still iterating
     residual, jacobian = _ie_system(problem, u_prev, mus, dt)
@@ -528,9 +572,11 @@ def integrate_many(
     step, so an instance's trajectory is bit for bit the one it has alone; a
     single instance runs unstacked, through :func:`ie_step`. Several
     instances need a problem whose ``rhs`` and ``jacobian`` take a leading
-    instance axis (see :class:`IvpProblem`). Never raises on step failure:
-    the instance leaves the stack, and its partial trajectory is returned
-    with ``completed=False`` and the error message recorded.
+    instance axis (see :class:`IvpProblem`). Each instance guesses with its
+    own guess function from ``initializer.start()``, one state at a time, so
+    a guess remembers the steps of its own run only. Never raises on step
+    failure: the instance leaves the stack, and its partial trajectory is
+    returned with ``completed=False`` and the error message recorded.
     ``wall_time_s`` is the stack's.
     """
     n_steps = _step_count(T, dt)
@@ -543,6 +589,7 @@ def integrate_many(
         states[m][0] = u
     stats: list[list[NewtonStats]] = [[] for _ in mus]
     errors: list[str | None] = [None] * len(mus)
+    guesses = [initializer.start() for _ in mus]
     rows = list(range(len(mus)))  # the instances still running
     mu_rows = np.array(mus)
     single = len(mus) == 1  # one instance runs unstacked, on 1-d arrays
@@ -551,7 +598,7 @@ def integrate_many(
         if single:  # a lone instance's failed step ends the run at once
             try:
                 states[0][i + 1], outcome = ie_step(problem, states[0][i], mus[0], dt, cfg,
-                                                    initializer)
+                                                    guesses[0])
             except (StepError, NewtonError) as exc:
                 errors[0] = f"step {i + 1}: {exc}"
                 break
@@ -559,8 +606,9 @@ def integrate_many(
             continue
         if not rows:
             break
+        u0 = [guesses[m](problem, states[m][i], mus[m], dt) for m in rows]
         u, outcomes = _ie_step_stack(problem, np.array([states[m][i] for m in rows]),
-                                     mu_rows[rows], dt, cfg, initializer)
+                                     mu_rows[rows], dt, cfg, u0)
         for m, u_m, outcome in zip(rows, u, outcomes):
             if isinstance(outcome, NewtonStats):
                 states[m][i + 1] = u_m

@@ -7,8 +7,9 @@ the sparse greedy trainer on those pairs as they are, without rescaling.
 The result is a surrogate of the one-step map that can be persisted to a
 versioned JSON file.
 
-Online: the surrogate predicts each next state and Newton polishes it, which
-cuts iterations without changing the converged states. ``compare_cases``
+Online: the surrogate predicts each next state, corrected by its own error
+at the step before, and Newton polishes it, which cuts iterations without
+changing the converged states. ``compare_cases``
 runs the baseline and the surrogate side by side and reports iteration and
 wall time gains per case.
 """
@@ -80,7 +81,9 @@ class OfflineConfig:
     ``cases`` is a sequence of (mu, dt) pairs, each mu a finite real number
     or a 1-d sequence of them; the same mu may appear with several step
     sizes. Each mu must give the named problem an initial value and each dt
-    must divide ``horizon``. ``epsilon=None`` selects the width by cross
+    must divide ``horizon``. A numpy scalar in ``problem_options`` is kept
+    as the Python number it holds, as the provenance is JSON; the problem's
+    factory checks every option. ``epsilon=None`` selects the width by cross
     validation with ``cv``, whose folds are trained with the greedy
     ``tolerance``; a fixed value bypasses it. ``tolerance`` bounds the
     squared power function, as in ``TrainConfig``.
@@ -101,7 +104,10 @@ class OfflineConfig:
         if not cases:
             raise ValueError("at least one training case (mu, dt) is required")
         object.__setattr__(self, "horizon", _check_real("T", self.horizon))
-        problem = build_problem(self.problem, **self.problem_options)
+        options = {key: value.item() if isinstance(value, np.generic) else value
+                   for key, value in self.problem_options.items()}
+        object.__setattr__(self, "problem_options", options)
+        problem = build_problem(self.problem, **options)
         for mu, dt in cases:
             try:
                 _step_count(self.horizon, dt)
@@ -116,7 +122,8 @@ class OfflineConfig:
             object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
         tolerance = _check_real("tolerance", self.tolerance, zero_ok=True)
         object.__setattr__(self, "tolerance", tolerance)
-        _check_int("max_centers", self.max_centers, 1, optional=True)
+        max_centers = _check_int("max_centers", self.max_centers, 1, optional=True)
+        object.__setattr__(self, "max_centers", max_centers)
         object.__setattr__(self, "cases", cases)
 
 
@@ -267,11 +274,13 @@ def online(
 ) -> tuple[Trajectory, bool | None]:
     """Integrate with the surrogate as Newton initializer.
 
-    ``problem`` and ``newton`` default to the ones the model was trained on.
-    Returns the trajectory and whether ``dt`` is one of the model's training
-    step sizes (None if the model does not record them); other step sizes
-    are allowed. Step failures do not raise; the partial trajectory carries
-    the error.
+    Newton starts the first step from the model's prediction, and each later
+    step from the prediction plus the model's error at the step before (see
+    :func:`~flowcast.ode.surrogate_initializer`). ``problem`` and ``newton``
+    default to the ones the model was trained on. Returns the trajectory
+    and whether ``dt`` is one of the model's training step sizes (None if
+    the model does not record them); other step sizes are allowed. Step
+    failures do not raise; the partial trajectory carries the error.
     """
     problem = problem if problem is not None else model.build_problem()
     newton = newton if newton is not None else model.newton()
@@ -404,8 +413,8 @@ def load_model(path) -> SurrogateModel:
         p, q = raw["input_dim"], raw["output_dim"]
         _check_int("input_dim", p, 1)
         _check_int("output_dim", q, 1)
-        centers = np.asarray(raw["centers"], dtype=float).reshape(-1, p)
-        coefficients = np.asarray(raw["coefficients"], dtype=float).reshape(-1, q)
+        centers = _real_array("centers", raw["centers"]).reshape(-1, p)
+        coefficients = _real_array("coefficients", raw["coefficients"]).reshape(-1, q)
         model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
                                raw["provenance"])
         model.newton()  # the recorded settings are checked on reading, like the problem
@@ -413,5 +422,16 @@ def load_model(path) -> SurrogateModel:
         return model
     except ModelLoadError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelLoadError(f"malformed model file {path}: {exc}") from exc
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """The JSON array ``value`` as a float array. An entry that is not a
+    real number (a string, a bool, null, a nested object) is refused, not
+    coerced."""
+    entries = np.array(value, dtype=object).ravel()
+    if not set(map(type, entries)) <= {int, float}:
+        bad = next(e for e in entries if type(e) not in (int, float))
+        raise ValueError(f"{name} must hold real numbers only, got {bad!r}")
+    return entries.astype(float)

@@ -156,7 +156,8 @@ def test_newton_config_validation():
     for bad in (0, 2.5, True, "3"):
         with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
             NewtonConfig(max_iterations=bad)
-    assert NewtonConfig(max_iterations=np.int64(3)).max_iterations == 3
+    cap = NewtonConfig(max_iterations=np.int64(3)).max_iterations
+    assert cap == 3 and type(cap) is int
 
 
 def test_finite_difference_jacobian_matches_analytic(rng):
@@ -242,6 +243,72 @@ def test_surrogate_initializer_packs_dt_and_state():
     assert np.array_equal(guess, [10.0])
     assert init.name == "test"
 
+
+
+def test_error_feedback_makes_an_offset_model_exact():
+    # The "model" is the exact implicit Euler map of u' = A u plus a constant
+    # offset. Newton needs one iteration from any guess of a linear step; the
+    # previous step's error cancels the offset from the second step on, so
+    # Newton starts there at the converged state.
+    a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    problem = IvpProblem(dim=2, rhs=lambda u, mu: a @ u, jacobian=lambda u, mu: a,
+                         initial_value=lambda mu: np.array([1.0, -2.0]))
+    step, offset = np.linalg.inv(np.eye(2) - 0.1 * a), np.array([0.3, -0.2])
+
+    def model(x):
+        return step @ x[1:] + offset
+
+    cfg = NewtonConfig(tolerance=1e-12)
+    raw = integrate(problem, [], 0.1, 1.0, cfg,
+                    Initializer("raw", lambda p, u, mu, dt: model(np.r_[dt, u])))
+    corrected = integrate(problem, [], 0.1, 1.0, cfg, surrogate_initializer(model))
+    assert [s.iterations for s in raw.newton_stats] == [1] * 10
+    assert [s.iterations for s in corrected.newton_stats] == [1] + [0] * 9
+    assert corrected.newton_stats[0] == raw.newton_stats[0]  # the first step is raw
+    assert min(s.initializer_residual_norm for s in raw.newton_stats) > 0.1
+    assert max(s.initializer_residual_norm for s in corrected.newton_stats[1:]) < 1e-15
+    assert np.allclose(corrected.states, raw.states, rtol=0, atol=1e-15)
+
+
+def test_error_feedback_starts_each_run_from_the_raw_prediction():
+    def model(x):
+        return 1.5 * x[1:]
+
+    problem, init = decay_problem(), surrogate_initializer(model)
+    guess = init.start()
+    assert np.array_equal(guess(problem, np.array([2.0]), [], 0.1), [3.0])  # raw
+    # The next step adds the last one's error: 1.5 * 1.0 + (1.0 - 3.0).
+    assert np.array_equal(guess(problem, np.array([1.0]), [], 0.1), [-0.5])
+    # A lone call, a new run and ie_step start from the raw prediction.
+    assert np.array_equal(init(problem, np.array([1.0]), [], 0.1), [1.5])
+    assert np.array_equal(init.start()(problem, np.array([1.0]), [], 0.1), [1.5])
+    _, stats = ie_step(problem, np.array([1.0]), [], 0.1, None, init)
+    assert stats.initializer_residual_norm == pytest.approx(0.65, rel=1e-15)
+    assert PREVIOUS_VALUE.start() is PREVIOUS_VALUE  # no memory: its own guess function
+
+
+def test_error_feedback_memory_stays_in_one_run():
+    # One initializer serves runs one after another and the instances of a
+    # stack; each run guesses as a run with a new initializer does.
+    problem, mus = make_burgers_problem(cells=8), [(3.4, 0.2), (3.0, 0.4)]
+
+    def model(x):
+        return 1.01 * x[1:]
+
+    fresh = [integrate(problem, mu, 0.1, 0.5, None, surrogate_initializer(model)) for mu in mus]
+    assert all(t.completed and t.initializer == "surrogate" for t in fresh)
+    shared = surrogate_initializer(model)
+    for _ in range(2):
+        for got, want in zip([integrate(problem, mu, 0.1, 0.5, None, shared) for mu in mus],
+                             fresh):
+            assert_same_runs(got, want)
+        for got, want in zip(integrate_many(problem, mus, 0.1, 0.5, None, shared), fresh):
+            assert_same_runs(got, want)
+    # The memory is at work: the raw predictions start Newton elsewhere.
+    raw = integrate(problem, mus[0], 0.1, 0.5, None,
+                    Initializer("raw", lambda p, u, mu, dt: model(np.r_[dt, u])))
+    assert raw.newton_stats[0] == fresh[0].newton_stats[0]
+    assert raw.newton_stats[1:] != fresh[0].newton_stats[1:]
 
 def test_ie_step_linear_closed_form():
     # u' = -u: the implicit step has the exact solution u_prev / (1 + dt).
@@ -521,7 +588,7 @@ def test_spoiled_system_does_not_touch_its_neighbours(bad, error):
     # every other system its own solve's bits.
     problem, mus = tridiagonal_systems(bad)
     u_prev, cfg = np.ones((3, 4)), NewtonConfig(tolerance=1e-12)
-    u, outcomes = _ie_step_stack(problem, u_prev, mus, 1.0, cfg, PREVIOUS_VALUE)
+    u, outcomes = _ie_step_stack(problem, u_prev, mus, 1.0, cfg, u_prev)  # previous values
     with pytest.raises(error) as alone:
         ie_step(problem, u_prev[1], mus[1], 1.0, cfg)
     assert type(outcomes[1]) is error and str(outcomes[1]) == str(alone.value)
@@ -551,7 +618,7 @@ def test_stack_outcomes_per_system():
     guess = Initializer("guess", lambda p, u, mu, dt: mu[1:])
     mus = np.array([[4.0, 3.0], [np.inf, 1.0], [0.0, 1.0]])
     cfg = NewtonConfig(max_iterations=8)
-    u, outcomes = _ie_step_stack(problem, np.zeros((3, 1)), mus, 1.0, cfg, guess)
+    u, outcomes = _ie_step_stack(problem, np.zeros((3, 1)), mus, 1.0, cfg, mus[:, 1:])
     want_u, want = ie_step(problem, np.zeros(1), mus[0], 1.0, cfg, guess)
     assert outcomes[0] == want and want.converged and u[0, 0] == 2.0
     assert u[0].tobytes() == want_u.tobytes()

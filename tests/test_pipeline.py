@@ -1,7 +1,9 @@
 """Offline/online pipeline: data assembly, training, benchmarking, persistence."""
 
 import json
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,14 @@ from flowcast.cli import ExperimentConfig, _format_table
 from flowcast.greedy import TrainConfig
 from flowcast.kernels import GaussianKernel, KernelExpansion
 from flowcast.model_selection import CvConfig
-from flowcast.ode import NewtonConfig, NewtonStats, Trajectory, ie_step, integrate
+from flowcast.ode import (
+    NewtonConfig,
+    NewtonStats,
+    Trajectory,
+    ie_step,
+    integrate,
+    surrogate_initializer,
+)
 from flowcast.pipeline import (
     DataInconsistencyError,
     ModelLoadError,
@@ -210,10 +219,29 @@ def test_provenance_is_the_config():
 
 
 def test_offline_refuses_non_json_options_before_integrating(monkeypatch):
-    cfg = tiny_config(problem_options={**TINY, "cells": np.int64(16)})
+    # A Fraction is a real number to the problem, but JSON cannot hold it.
+    cfg = tiny_config(problem_options={**TINY, "half_width": Fraction(5)})
     monkeypatch.setattr(pipeline, "build_training_data", lambda cfg: pytest.fail("integrated"))
     with pytest.raises(TypeError, match="JSON serializable"):
         offline(cfg)
+
+
+@pytest.mark.parametrize("overrides, path", [
+    (dict(max_centers=np.int64(3)), ("max_centers",)),
+    (dict(problem_options={**TINY, "cells": np.int64(12)}), ("problem_options", "cells")),
+    (dict(newton=NewtonConfig(max_iterations=np.int64(50))), ("newton", "max_iterations")),
+    (dict(cv=CvConfig(seed=np.int64(3))), ("cv", "seed")),
+], ids=["max_centers", "cells", "max_iterations", "cv_seed"])
+def test_numpy_integer_settings_train_and_save(overrides, path, tmp_path):
+    # A numpy integer is an integer setting; the config keeps it as a plain
+    # int, so the JSON provenance can hold it.
+    model = offline(tiny_config(**overrides))
+    save_model(model, tmp_path / "model.json")
+    for provenance in (model.provenance, load_model(tmp_path / "model.json").provenance):
+        value = provenance
+        for key in path:
+            value = value[key]
+        assert type(value) is int and value in (3, 12, 50)
 
 
 def test_offline_reports_failing_case():
@@ -296,6 +324,28 @@ def test_compare_alternates_run_order(tiny_model, monkeypatch):
     # (case index + repetition) even: baseline first; odd: surrogate first.
     assert order == ["previous", "surrogate", "surrogate", "previous",
                      "surrogate", "previous", "previous", "surrogate"]
+
+
+def test_compare_cases_runs_keep_their_own_guess_memory(tiny_model, monkeypatch):
+    # compare_cases reuses one surrogate initializer for every case and
+    # repetition; each run must still guess as a run of its own does.
+    runs = []
+
+    def recording_integrate(problem, mu, dt, T, newton, initializer):
+        runs.append(integrate(problem, mu, dt, T, newton, initializer))
+        return runs[-1]
+
+    monkeypatch.setattr(pipeline, "integrate", recording_integrate)
+    cases = [((3.0, 0.4), 0.05), ((3.4, 0.2), 0.05)]
+    compare_cases(tiny_model, cases, 0.5, repetitions=2)
+    surrogate = [t for t in runs if t.initializer == "surrogate"]
+    assert len(surrogate) == 4
+    problem, newton = tiny_model.build_problem(), tiny_model.newton()
+    for got, (mu, dt) in zip(surrogate, [case for case in cases for _ in range(2)]):
+        want = integrate(problem, mu, dt, 0.5, newton, surrogate_initializer(tiny_model.predict))
+        assert got.completed and want.completed
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.newton_stats == want.newton_stats
 
 
 def test_compare_excludes_failures_with_warning(tiny_model, capsys):
@@ -499,4 +549,25 @@ def test_load_model_checks_scalars_without_coercing(tiny_model, tmp_path, key, v
     raw = json.loads(path.read_text())
     path.write_text(json.dumps(dict(raw, **{key: value})))
     with pytest.raises(ModelLoadError, match=f"malformed model file .*: {message}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key, entry", [("centers", "0.5"), ("centers", True),
+                                        ("coefficients", None), ("coefficients", False)])
+def test_load_model_refuses_entries_that_are_not_real(tiny_model, tmp_path, key, entry):
+    path = tmp_path / "model.json"
+    save_model(tiny_model, path)
+    raw = json.loads(path.read_text())
+    rows = [list(row) for row in raw[key]]
+    rows[-1][-1] = entry
+    path.write_text(json.dumps(dict(raw, **{key: rows})))
+    with pytest.raises(ModelLoadError, match=re.escape(f"{key} must hold real numbers only, "
+                                                       f"got {entry!r}")):
+        load_model(path)
+    # Once read as numbers: every center a string and the first coefficient true.
+    raw["centers"] = [[repr(v) for v in row] for row in raw["centers"]]
+    raw["coefficients"][0][0] = True
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ModelLoadError, match=r"malformed model file .*: centers must hold "
+                                             r"real numbers only, got '"):
         load_model(path)
