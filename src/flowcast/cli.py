@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .model_selection import CrossValidationError, CvConfig
-from .ode import NewtonConfig, _check_int, _check_params, _check_real, _nearest_step_count
+from .ode import NewtonConfig, _check_int, _check_params, _check_real, _step_count
 from .pipeline import (
     CaseResult,
     DataInconsistencyError,
@@ -46,7 +46,7 @@ from .pipeline import (
 )
 from .problems import build_problem
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "snap_dt", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "main"]
 
 
 class ConfigError(Exception):
@@ -102,18 +102,12 @@ def _build(section: str, factory, /, *args, **kwargs):
         raise ConfigError(f"invalid [{section}] settings: {exc}") from exc
 
 
-def snap_dt(T: float, dt: float) -> float:
-    """Adjust dt minimally so the horizon T is an integer number of steps."""
-    n, exact = _nearest_step_count(T, dt)
-    return float(dt) if exact else T / n
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Offline phase settings plus the test protocol of one experiment.
 
     Every test parameter must give the offline problem an initial value, and
-    every step size, snapped by :func:`snap_dt`, must fit the horizon.
+    every step size must divide the test horizon, as training step sizes do.
     """
 
     offline: OfflineConfig
@@ -131,36 +125,20 @@ class ExperimentConfig:
         object.__setattr__(self, "test_dts", dts)
         object.__setattr__(self, "test_horizon", _check_real("T", self.test_horizon))
         object.__setattr__(self, "repetitions", _check_int("repetitions", self.repetitions, 1))
-        self.test_cases()  # each step size snaps to the horizon
+        for dt in dts:
+            _step_count(self.test_horizon, dt)
         problem = build_problem(self.offline.problem, **self.offline.problem_options)
         for mu in params:
             problem.initial_value(np.array(mu))
 
     def test_cases(self) -> list[tuple[tuple[float, ...], float]]:
-        """All (mu, dt) combinations, step sizes snapped to divide the horizon."""
-        return [
-            (mu, snap_dt(self.test_horizon, dt))
-            for mu in self.test_params
-            for dt in self.test_dts
-        ]
-
-
-def _dt_logspace(value) -> list[float]:
-    """The step sizes of ``test_dt_logspace = (lo, hi, count)``: ``count``
-    of them, log-spaced from lo to hi. A whole float counts, e.g. 1e1."""
-    try:
-        lo, hi, count = (_check_real("test_dt_logspace", v) for v in value)
-        if not count.is_integer():
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ValueError("test_dt_logspace must be (lo, hi, count) with lo and hi real "
-                         f"numbers > 0 and an integer count >= 1, got {value!r}") from None
-    return list(np.logspace(np.log10(lo), np.log10(hi), int(count)))
+        """All (mu, dt) combinations, in parameter-major order."""
+        return [(mu, dt) for mu in self.test_params for dt in self.test_dts]
 
 
 _PARAM_LISTS = {"train_params", "test_params"}
 _OFFLINE_KEYS = {"train_params", "train_dts", "horizon", "epsilon", "tolerance", "max_centers"}
-_ONLINE_KEYS = {"test_params", "test_dts", "test_dt_logspace", "horizon", "repetitions"}
+_ONLINE_KEYS = {"test_params", "test_dts", "horizon", "repetitions"}
 
 
 def load_experiment(source) -> ExperimentConfig:
@@ -198,14 +176,9 @@ def load_experiment(source) -> ExperimentConfig:
                  problem=name, problem_options=options, cv=cv, newton=newton, **settings)
 
     protocol = section("online", _ONLINE_KEYS)
-    if "test_dt_logspace" in protocol:
-        if "test_dts" in protocol:
-            raise ConfigError("give either test_dts or test_dt_logspace, not both")
-        test_dts = _build("online", _dt_logspace, protocol["test_dt_logspace"])
-    else:
-        test_dts = _listed(protocol["test_dts"]) if "test_dts" in protocol else train_dts
     return _build("online", ExperimentConfig, offline=off,
-                  test_params=protocol.get("test_params", train_params), test_dts=test_dts,
+                  test_params=protocol.get("test_params", train_params),
+                  test_dts=_listed(protocol.get("test_dts", train_dts)),
                   test_horizon=protocol.get("horizon", 2.0),
                   repetitions=protocol.get("repetitions", 1))
 

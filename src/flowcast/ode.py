@@ -534,24 +534,16 @@ class Trajectory:
         return self.states[-1].copy()
 
 
-def _nearest_step_count(T: float, dt: float) -> tuple[int, bool]:
-    """Whole number of dt steps nearest to T (at least 1), and whether it
-    spans T exactly, i.e. T/dt is an integer up to relative round-off.
-
-    This is the one horizon rule of the package. Raises ValueError unless
-    dt and T are finite and > 0.
+def _step_count(T: float, dt: float) -> int:
+    """T as a whole number of dt steps: T/dt must be an integer >= 1 within
+    a relative 1e-9. This is the one horizon rule of the package. Raises
+    ValueError unless dt and T are finite and > 0 and dt divides T.
     """
     ratio = _check_real("T", T) / _check_real("dt", dt)
     if not math.isfinite(ratio):
         raise ValueError(f"dt={dt!r} is too small for T={T!r}")
-    n = int(round(ratio))
-    return max(1, n), n >= 1 and abs(ratio - n) <= 1e-9 * max(1.0, ratio)
-
-
-def _step_count(T: float, dt: float) -> int:
-    """T as an integer number of steps; rejects non-divisible horizons."""
-    n, exact = _nearest_step_count(T, dt)
-    if not exact:
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"horizon T={T!r} is not an integer multiple of dt={dt!r}")
     return n
 

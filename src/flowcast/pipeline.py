@@ -335,13 +335,16 @@ def compare_cases(
     timings (iteration counts are deterministic, timings are not). The
     initializer that runs first alternates with (case index + repetition)
     so that one-time costs do not all land on one of them. ``problem`` and
-    ``newton`` default to the ones the model was trained on.
+    ``newton`` default to the ones the model was trained on. Every dt must
+    divide T; each case is checked before the first integration.
     """
     _check_int("repetitions", repetitions, 1)
     problem = problem if problem is not None else model.build_problem()
     newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
-    cases = [(_check_params(mu), _check_real("dt", dt)) for mu, dt in cases]
+    cases = [(_check_params(mu), dt) for mu, dt in cases]
+    for _, dt in cases:
+        _step_count(T, dt)
     init_new = surrogate_initializer(model.predict)
     results: list[CaseResult] = []
     for index, (mu, dt) in enumerate(cases):
@@ -356,7 +359,7 @@ def compare_cases(
         time_old, time_new = (float(np.mean([t.wall_time_s for t in ts])) for ts in runs.values())
         results.append(CaseResult(
             mu=mu,
-            dt=dt,
+            dt=float(dt),
             iter_old=base.mean_iterations,
             iter_vkoga=sur.mean_iterations,
             time_old_s=time_old,

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcast.cli import (ConfigError, ExperimentConfig, _build_parser, load_experiment, main,
-                          snap_dt)
-from flowcast.ode import _nearest_step_count, _step_count, integrate
-from flowcast.pipeline import OfflineConfig
+from flowcast.cli import ConfigError, ExperimentConfig, _build_parser, load_experiment, main
+from flowcast.ode import _step_count, integrate
+from flowcast.pipeline import (OfflineConfig, compare_cases, load_model, offline,
+                               save_model)
 from flowcast.problems import build_problem
 
 TINY_CFG = """
@@ -62,14 +62,6 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_snap_dt():
-    assert snap_dt(2.0, 0.01) == 0.01
-    snapped = snap_dt(2.0, 0.0299)
-    assert snapped == 2.0 / 67
-    assert abs(2.0 / snapped - round(2.0 / snapped)) < 1e-9
-    assert snap_dt(2.0, 5.0) == 2.0  # at most one step
-
-
 # How each step size is written in a config file; nan has no literal form,
 # so the config parser rejects it before the horizon rule sees it. With
 # dt = 5e-324 the step count T/dt overflows to inf.
@@ -77,30 +69,52 @@ BAD_DTS = {0.0: "0.0", np.inf: "1e999", np.nan: "nan", -0.1: "-0.1", 0.0299: "0.
            5e-324: "5e-324"}
 
 
-@pytest.mark.parametrize("dt", list(BAD_DTS))
-def test_horizon_rule_rejects_everywhere(dt, tmp_path, capsys):
-    """T = 2 with a zero, non-finite, negative, vanishing or non-dividing dt
-    is rejected with ValueError by every layer, and by the CLI as a clean
-    error."""
-    with pytest.raises(ValueError):
-        OfflineConfig(cases=[((3.4, 0.2), dt)], horizon=2.0)
-    with pytest.raises(ValueError):
-        integrate(build_problem("burgers", cells=8), (3.4, 0.2), dt, 2.0)
-    with pytest.raises(ValueError):
-        _step_count(2.0, dt)
-    if dt == 0.0299:
-        assert _nearest_step_count(2.0, dt) == (67, False)
-    else:
-        with pytest.raises(ValueError):
-            snap_dt(2.0, dt)
+# The [offline] section of TINY_CFG, as a config object.
+TINY_OFFLINE = OfflineConfig(cases=[((3.4, 0.2), 0.05)], horizon=0.5,
+                             problem_options={"cells": 12}, epsilon=0.3, max_centers=8)
 
-    cfg = tmp_path / "bad-dt.cfg"
-    cfg.write_text(TINY_CFG.replace("train_dts = 0.05\nhorizon = 0.5",
-                                    f"train_dts = {BAD_DTS[dt]}\nhorizon = 2.0"))
-    assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert not (tmp_path / "m.json").exists()
+
+@pytest.fixture(scope="module")
+def tiny_model_path(tmp_path_factory):
+    """The model TINY_CFG trains, saved to a file."""
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(offline(TINY_OFFLINE), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("dt", list(BAD_DTS))
+def test_horizon_rule_rejects_everywhere(dt, tiny_model_path, tmp_path, capsys):
+    """T = 2 with a zero, non-finite, negative, vanishing or non-dividing dt
+    is rejected with ValueError by every layer, and by every command as a
+    clean error that writes no file. A non-dividing dt gets one message from
+    all of them."""
+    message = "horizon T=2.0 is not an integer multiple of dt=0.0299" if dt == 0.0299 else ""
+    model = load_model(tiny_model_path)
+    for refuse in [
+        lambda: OfflineConfig(cases=[((3.4, 0.2), dt)], horizon=2.0),
+        lambda: ExperimentConfig(TINY_OFFLINE, [(3.4, 0.2)], [dt], 2.0, 1),
+        lambda: integrate(model.build_problem(), (3.4, 0.2), dt, 2.0),
+        lambda: compare_cases(model, [((3.4, 0.2), 0.1), ((3.4, 0.2), dt)], 2.0),
+        lambda: _step_count(2.0, dt),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message) or None):
+            refuse()
+
+    train_cfg, test_cfg = tmp_path / "bad-train-dt.cfg", tmp_path / "bad-test-dt.cfg"
+    train_cfg.write_text(TINY_CFG.replace("train_dts = 0.05\nhorizon = 0.5",
+                                          f"train_dts = {BAD_DTS[dt]}\nhorizon = 2.0"))
+    test_cfg.write_text(TINY_CFG.replace("test_dts = 0.05", f"test_dts = {BAD_DTS[dt]}")
+                        .replace("horizon = 0.25", "horizon = 2.0"))
+    out = str(tmp_path / "out")
+    for argv in [["offline", "--config", str(train_cfg), "--out", out],
+                 ["online", "--model", tiny_model_path, "--mu", "(3.4, 0.2)",
+                  "--dt", BAD_DTS[dt], "-T", "2.0", "--out", out],
+                 ["bench", "--config", str(test_cfg), "--model", tiny_model_path,
+                  "--out", out]]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_horizon_rule_accepts_round_off(tmp_path):
@@ -109,7 +123,6 @@ def test_horizon_rule_accepts_round_off(tmp_path):
     traj = integrate(build_problem("burgers", cells=8), (3.4, 0.2), 0.1, 0.3)
     assert traj.completed and traj.n_steps == 3
     assert _step_count(0.3, 0.1) == 3
-    assert snap_dt(0.3, 0.1) == 0.1
 
     cfg = tmp_path / "round-off.cfg"
     cfg.write_text(TINY_CFG.replace("train_dts = 0.05\nhorizon = 0.5",
@@ -154,11 +167,15 @@ def test_shipped_presets_load():
 
     exp3 = load_experiment("experiment3")
     assert len(exp3.offline.cases) == 3
-    cases = exp3.test_cases()
-    assert len(cases) == 10
-    for _, dt in cases:
-        ratio = exp3.test_horizon / dt
-        assert abs(ratio - round(ratio)) < 1e-9  # snapped to divide the horizon
+    # The ten divisors of T = 2 nearest to log-spaced sizes in [0.001, 0.05],
+    # 2000 down to 40 steps.
+    assert exp3.test_horizon == 2.0
+    assert exp3.test_dts == (
+        0.001, 0.0015444015444015444, 0.002386634844868735, 0.003683241252302026,
+        0.005681818181818182, 0.008771929824561403, 0.013605442176870748,
+        0.021052631578947368, 0.03225806451612903, 0.049999999999999996)
+    assert [_step_count(2.0, dt) for dt in exp3.test_dts] == [
+        2000, 1295, 838, 543, 352, 228, 147, 95, 62, 40]
 
 
 def test_experiment_config_checks_the_test_protocol():
@@ -185,19 +202,6 @@ def test_experiment_config_checks_the_test_protocol():
             ExperimentConfig(**{**protocol, **change})
 
 
-@pytest.mark.parametrize("count", ["10", "1e1", "10.7"])
-def test_dt_logspace_count_must_be_an_integer(count, tmp_path):
-    path = tmp_path / "logspace.cfg"
-    path.write_text(
-        TINY_CFG.replace("test_dts = 0.05", f"test_dt_logspace = (0.001, 0.05, {count})")
-    )
-    if count == "10.7":
-        with pytest.raises(ConfigError, match="test_dt_logspace .* integer count"):
-            load_experiment(str(path))
-    else:
-        assert len(load_experiment(str(path)).test_dts) == 10
-
-
 def test_load_experiment_errors(tmp_path):
     with pytest.raises(ConfigError, match="neither a file nor a preset"):
         load_experiment("no-such-preset")
@@ -220,11 +224,11 @@ def test_load_experiment_errors(tmp_path):
                                           r"number or a 1-d sequence of them, got \(3.4, 'a'\)"):
         load_experiment(bad)
 
-    bad = variant(
-        "both-dts",
-        lambda s: s.replace("test_dts = 0.05", "test_dts = 0.05\ntest_dt_logspace = (0.01, 0.1, 3)"),
-    )
-    with pytest.raises(ConfigError, match="not both"):
+    # Test step sizes are listed; there is no log-spaced shorthand for them.
+    bad = variant("logspace", lambda s: s.replace("test_dts = 0.05",
+                                                  "test_dt_logspace = (0.001, 0.05, 10)"))
+    with pytest.raises(ConfigError, match=r"unknown keys in section \[online\]: "
+                                          r"test_dt_logspace$"):
         load_experiment(bad)
 
     for old, new in [("test_dts = 0.05", "test_dts = ()"),
@@ -258,13 +262,6 @@ def test_load_experiment_errors(tmp_path):
         assert TINY_CFG.count(old) == 1
         with pytest.raises(ConfigError, match=message):
             load_experiment(variant("not-numbers", lambda s: s.replace(old, new)))
-
-    bad = variant(
-        "no-logspace-count",
-        lambda s: s.replace("test_dts = 0.05", "test_dt_logspace = (0.01, 0.1, 0)"),
-    )
-    with pytest.raises(ConfigError, match="count >= 1"):
-        load_experiment(bad)
 
     bad = variant("reps", lambda s: s.replace("repetitions = 1", "repetitions = 0"))
     with pytest.raises(ConfigError, match="repetitions"):

@@ -326,6 +326,16 @@ def test_compare_alternates_run_order(tiny_model, monkeypatch):
                      "surrogate", "previous", "previous", "surrogate"]
 
 
+def test_compare_cases_checks_every_horizon_before_integrating(tiny_model, monkeypatch):
+    # The second case's dt does not divide T; the first case is not run either.
+    calls = []
+    monkeypatch.setattr(pipeline, "integrate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"horizon T=0\.3 is not an integer multiple of "
+                                         r"dt=0\.07"):
+        compare_cases(tiny_model, [((3.4, 0.2), 0.1), ((3.4, 0.2), 0.07)], 0.3)
+    assert calls == []
+
+
 def test_compare_cases_runs_keep_their_own_guess_memory(tiny_model, monkeypatch):
     # compare_cases reuses one surrogate initializer for every case and
     # repetition; each run must still guess as a run of its own does.
