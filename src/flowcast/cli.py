@@ -4,9 +4,9 @@ Experiment configs are INI files with sections [problem], [offline], [cv],
 [newton], [online]. Every value is a Python literal (other text reads as a
 string), and a parameter list is ';'-separated literals. Each section goes
 unconverted to the class it configures, which checks it; an error reads
-``invalid [section] settings: ...``. One rule reads a parameter vector
-(``ode._check_params``): a finite real number or a 1-d sequence of them,
-never a bool or a string. ``epsilon = None`` reads as an omitted epsilon.
+``invalid [section] settings: ...``. Every parameter vector is paired with
+every step size into (mu, dt) cases, each checked by the one case rule
+(``ode._check_cases``). ``epsilon = None`` reads as an omitted epsilon.
 Three presets ship with the package: experiment1 (single training
 parameter), experiment2 (four-corner training grid), experiment3 (mixed
 step sizes).
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .model_selection import CrossValidationError, CvConfig
-from .ode import NewtonConfig, _check_int, _check_params, _check_real, _step_count
+from .ode import NewtonConfig, _check_cases, _check_int, _check_params, _check_real
 from .pipeline import (
     CaseResult,
     DataInconsistencyError,
@@ -68,9 +68,11 @@ def _params(text: str) -> list:
     return [_literal(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _listed(value) -> list:
-    """A tuple or list as a list; any other value as a list of itself."""
-    return list(value) if isinstance(value, (tuple, list)) else [value]
+def _cases(params: list, dts) -> list:
+    """Every (mu, dt) of the parameter vectors and of ``dts``, one step size
+    or a tuple or list of them, in parameter-major order."""
+    dts = dts if isinstance(dts, (tuple, list)) else [dts]
+    return [(mu, dt) for mu in params for dt in dts]
 
 
 def _preset_names() -> list[str]:
@@ -106,34 +108,27 @@ def _build(section: str, factory, /, *args, **kwargs):
 class ExperimentConfig:
     """Offline phase settings plus the test protocol of one experiment.
 
-    Every test parameter must give the offline problem an initial value, and
-    every step size must divide the test horizon, as training step sizes do.
+    ``cases`` are (mu, dt) pairs, checked against the offline problem and
+    ``test_horizon`` by the case rule, as the training cases are.
     """
 
     offline: OfflineConfig
-    test_params: tuple
-    test_dts: tuple
+    cases: tuple
     test_horizon: float
     repetitions: int
 
     def __post_init__(self):
-        params = tuple(_check_params(mu) for mu in self.test_params)
-        dts = tuple(_check_real("dt", dt) for dt in self.test_dts)
-        if not (params and dts):
-            raise ValueError("the test protocol needs at least one parameter and one step size")
-        object.__setattr__(self, "test_params", params)
-        object.__setattr__(self, "test_dts", dts)
         object.__setattr__(self, "test_horizon", _check_real("T", self.test_horizon))
         object.__setattr__(self, "repetitions", _check_int("repetitions", self.repetitions, 1))
-        for dt in dts:
-            _step_count(self.test_horizon, dt)
         problem = build_problem(self.offline.problem, **self.offline.problem_options)
-        for mu in params:
-            problem.initial_value(np.array(mu))
+        cases = tuple(_check_cases(problem, self.cases, self.test_horizon))
+        if not cases:
+            raise ValueError("at least one test case (mu, dt) is required")
+        object.__setattr__(self, "cases", cases)
 
     def test_cases(self) -> list[tuple[tuple[float, ...], float]]:
-        """All (mu, dt) combinations, in parameter-major order."""
-        return [(mu, dt) for mu in self.test_params for dt in self.test_dts]
+        """The test cases, in their order, as a list."""
+        return list(self.cases)
 
 
 _PARAM_LISTS = {"train_params", "test_params"}
@@ -170,15 +165,14 @@ def load_experiment(source) -> ExperimentConfig:
                     **section("newton", {f.name for f in fields(NewtonConfig)}))
 
     settings = section("offline", _OFFLINE_KEYS, required=("train_params", "train_dts"))
-    train_params, train_dts = settings.pop("train_params"), _listed(settings.pop("train_dts"))
-    off = _build("offline", OfflineConfig,
-                 cases=[(mu, dt) for mu in train_params for dt in train_dts],
+    train_params, train_dts = settings.pop("train_params"), settings.pop("train_dts")
+    off = _build("offline", OfflineConfig, cases=_cases(train_params, train_dts),
                  problem=name, problem_options=options, cv=cv, newton=newton, **settings)
 
     protocol = section("online", _ONLINE_KEYS)
     return _build("online", ExperimentConfig, offline=off,
-                  test_params=protocol.get("test_params", train_params),
-                  test_dts=_listed(protocol.get("test_dts", train_dts)),
+                  cases=_cases(protocol.get("test_params", train_params),
+                               protocol.get("test_dts", train_dts)),
                   test_horizon=protocol.get("horizon", 2.0),
                   repetitions=protocol.get("repetitions", 1))
 
@@ -227,11 +221,10 @@ def cmd_offline(args) -> int:
     out = Path(args.out)
     prov = model.provenance
     cv = model.cv
+    cv_path = out.with_name(out.stem + "-cv.csv")
     if cv is not None:
-        cv_path = out.with_name(out.stem + "-cv.csv")
-        _write_csv(cv_path, ["epsilon", "score"], zip(cv.grid, cv.scores))
         prov["cv"]["table"] = str(cv_path)
-    save_model(model, out)
+    save_model(model, out)  # before the curve: a model that cannot be written leaves no file
     n_before, n_after = prov["n_training_before_dedup"], prov["n_training"]
     dedup = f" ({n_after} after deduplication)" if n_after != n_before else ""
     print(f"problem: {prov['problem']} ({model.build_problem().notes})")
@@ -239,6 +232,7 @@ def cmd_offline(args) -> int:
     print(f"selected centers: n = {model.expansion.n_centers} (stop: {prov['greedy_status']})")
     print(f"epsilon: {model.expansion.epsilon:.8g} ({'fixed' if cv is None else 'cv'})")
     if cv is not None:
+        _write_csv(cv_path, ["epsilon", "score"], zip(cv.grid, cv.scores))
         print(f"cv curve: {cv_path}")
         if cv.stalled_widths:  # one line for all stalled greedy runs of the search
             print(f"warning: greedy selection stalled in some fold at "
@@ -285,7 +279,7 @@ def cmd_bench(args) -> int:
     failed = [r for r in results if not r.completed]
     count = f"{len(failed)} of {len(results)}"
     first = next((f"; first at mu={r.mu}, dt={r.dt:g}: {r.error}" for r in failed), "")
-    if len(failed) == len(results):  # also when the config yields no case
+    if len(failed) == len(results):
         print(f"error: every benchmark case failed ({count}){first}", file=sys.stderr)
         return 1
     if failed:
@@ -342,7 +336,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, OfflineError, ModelLoadError, CrossValidationError,
-            DataInconsistencyError, ValueError, OSError) as exc:
+            DataInconsistencyError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

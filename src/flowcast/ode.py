@@ -548,6 +548,27 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
+def _check_cases(problem: IvpProblem, cases, T: float) -> list[tuple[tuple[float, ...], float]]:
+    """The (mu, dt) ``cases`` as (float tuple, float) pairs: the one case
+    rule of the package, applied before anything integrates.
+    Each mu must pass :func:`_check_params` and give ``problem`` an initial
+    value of shape (dim,); each dt must pass :func:`_step_count`. Raises
+    ValueError naming the first case that fails.
+    """
+    checked = []
+    for mu, dt in cases:
+        try:
+            params = _check_params(mu)
+            _step_count(T, dt)
+            shape = np.shape(problem.initial_value(np.array(params)))
+            if shape != (problem.dim,):
+                raise ValueError(f"initial value has shape {shape}, expected ({problem.dim},)")
+        except ValueError as exc:
+            raise ValueError(f"{exc} (case mu={mu!r}, dt={dt!r})") from None
+        checked.append((params, float(dt)))
+    return checked
+
+
 def integrate_many(
     problem: IvpProblem,
     mus,
@@ -557,8 +578,8 @@ def integrate_many(
     initializer: Initializer = PREVIOUS_VALUE,
 ) -> list[Trajectory]:
     """Integrate each parameter of ``mus`` from 0 to T with the one fixed
-    step dt (T must be a multiple of dt), as one stack. Each parameter is a
-    finite real number or a 1-d sequence of them (:func:`_check_params`).
+    step dt, as one stack. Every case (mu, dt) passes :func:`_check_cases`
+    before the first step.
 
     Each step of the instances still running is one stacked implicit Euler
     step, so an instance's trajectory is bit for bit the one it has alone; a
@@ -571,14 +592,11 @@ def integrate_many(
     returned with ``completed=False`` and the error message recorded.
     ``wall_time_s`` is the stack's.
     """
+    mus = [np.array(mu) for mu, _ in _check_cases(problem, [(mu, dt) for mu in mus], T)]
     n_steps = _step_count(T, dt)
-    mus = [np.array(_check_params(mu)) for mu in mus]
     states = [np.empty((n_steps + 1, problem.dim)) for _ in mus]
-    for m, mu in enumerate(mus):
-        u = np.asarray(problem.initial_value(mu), dtype=float)
-        if u.shape != (problem.dim,):
-            raise ValueError(f"initial value has shape {u.shape}, expected ({problem.dim},)")
-        states[m][0] = u
+    for state, mu in zip(states, mus):
+        state[0] = problem.initial_value(mu)
     stats: list[list[NewtonStats]] = [[] for _ in mus]
     errors: list[str | None] = [None] * len(mus)
     guesses = [initializer.start() for _ in mus]

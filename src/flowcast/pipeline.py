@@ -29,10 +29,9 @@ from .ode import (
     IvpProblem,
     NewtonConfig,
     Trajectory,
+    _check_cases,
     _check_int,
-    _check_params,
     _check_real,
-    _step_count,
     integrate,
     integrate_many,
     surrogate_initializer,
@@ -78,15 +77,15 @@ class ModelLoadError(Exception):
 class OfflineConfig:
     """Everything the offline phase needs.
 
-    ``cases`` is a sequence of (mu, dt) pairs, each mu a finite real number
-    or a 1-d sequence of them; the same mu may appear with several step
-    sizes. Each mu must give the named problem an initial value and each dt
-    must divide ``horizon``. A numpy scalar in ``problem_options`` is kept
-    as the Python number it holds, as the provenance is JSON; the problem's
-    factory checks every option. ``epsilon=None`` selects the width by cross
-    validation with ``cv``, whose folds are trained with the greedy
-    ``tolerance``; a fixed value bypasses it. ``tolerance`` bounds the
-    squared power function, as in ``TrainConfig``.
+    ``cases`` is a sequence of (mu, dt) pairs, each checked against the
+    named problem and ``horizon`` by the case rule (``ode._check_cases``);
+    the same mu may appear with several step sizes. A numpy scalar in
+    ``problem_options`` is kept as the Python number it holds, as the
+    provenance is JSON; the problem's factory checks every option.
+    ``epsilon=None`` selects the width by cross validation with ``cv``, whose
+    folds are trained with the greedy ``tolerance``; a fixed value bypasses
+    it. ``tolerance`` bounds the squared power function, as in
+    ``TrainConfig``.
     """
 
     cases: tuple
@@ -100,31 +99,21 @@ class OfflineConfig:
     newton: NewtonConfig = NewtonConfig()
 
     def __post_init__(self):
-        cases = tuple((_check_params(mu), _check_real("dt", dt)) for mu, dt in self.cases)
-        if not cases:
-            raise ValueError("at least one training case (mu, dt) is required")
         object.__setattr__(self, "horizon", _check_real("T", self.horizon))
         options = {key: value.item() if isinstance(value, np.generic) else value
                    for key, value in self.problem_options.items()}
         object.__setattr__(self, "problem_options", options)
-        problem = build_problem(self.problem, **options)
-        for mu, dt in cases:
-            try:
-                _step_count(self.horizon, dt)
-            except ValueError as exc:
-                raise ValueError(f"{exc} (training case mu={mu})") from None
-        for mu in dict.fromkeys(mu for mu, _ in cases):
-            try:
-                problem.initial_value(np.array(mu))
-            except ValueError as exc:
-                raise ValueError(f"{exc} (training case mu={mu})") from None
+        cases = tuple(_check_cases(build_problem(self.problem, **options), self.cases,
+                                   self.horizon))
+        if not cases:
+            raise ValueError("at least one training case (mu, dt) is required")
+        object.__setattr__(self, "cases", cases)
         if self.epsilon is not None:
             object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
         tolerance = _check_real("tolerance", self.tolerance, zero_ok=True)
         object.__setattr__(self, "tolerance", tolerance)
         max_centers = _check_int("max_centers", self.max_centers, 1, optional=True)
         object.__setattr__(self, "max_centers", max_centers)
-        object.__setattr__(self, "cases", cases)
 
 
 @dataclass
@@ -335,16 +324,14 @@ def compare_cases(
     timings (iteration counts are deterministic, timings are not). The
     initializer that runs first alternates with (case index + repetition)
     so that one-time costs do not all land on one of them. ``problem`` and
-    ``newton`` default to the ones the model was trained on. Every dt must
-    divide T; each case is checked before the first integration.
+    ``newton`` default to the ones the model was trained on. Every case
+    passes the case rule (``ode._check_cases``) before the first integration.
     """
     _check_int("repetitions", repetitions, 1)
     problem = problem if problem is not None else model.build_problem()
     newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
-    cases = [(_check_params(mu), dt) for mu, dt in cases]
-    for _, dt in cases:
-        _step_count(T, dt)
+    cases = _check_cases(problem, cases, T)
     init_new = surrogate_initializer(model.predict)
     results: list[CaseResult] = []
     for index, (mu, dt) in enumerate(cases):
@@ -359,7 +346,7 @@ def compare_cases(
         time_old, time_new = (float(np.mean([t.wall_time_s for t in ts])) for ts in runs.values())
         results.append(CaseResult(
             mu=mu,
-            dt=float(dt),
+            dt=dt,
             iter_old=base.mean_iterations,
             iter_vkoga=sur.mean_iterations,
             time_old_s=time_old,

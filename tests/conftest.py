@@ -4,6 +4,7 @@ experiment models used by the acceptance tests (session scoped, built once)."""
 import numpy as np
 import pytest
 
+from flowcast import ode
 from flowcast.cli import load_experiment
 from flowcast.pipeline import build_training_data, compare_cases, offline
 
@@ -91,3 +92,14 @@ def exp3_results(exp3, exp3_model):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def step_calls(monkeypatch):
+    """A list that gains one entry per implicit Euler step, lone or stacked."""
+    calls = []
+    for name in ("ie_step", "_ie_step_stack"):
+        step = getattr(ode, name)
+        monkeypatch.setattr(ode, name, lambda *args, name=name, step=step:
+                            calls.append(name) or step(*args))
+    return calls

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowcast import pipeline
 from flowcast.cli import ConfigError, ExperimentConfig, _build_parser, load_experiment, main
 from flowcast.ode import _step_count, integrate
 from flowcast.pipeline import (OfflineConfig, compare_cases, load_model, offline,
@@ -92,7 +93,7 @@ def test_horizon_rule_rejects_everywhere(dt, tiny_model_path, tmp_path, capsys):
     model = load_model(tiny_model_path)
     for refuse in [
         lambda: OfflineConfig(cases=[((3.4, 0.2), dt)], horizon=2.0),
-        lambda: ExperimentConfig(TINY_OFFLINE, [(3.4, 0.2)], [dt], 2.0, 1),
+        lambda: ExperimentConfig(TINY_OFFLINE, [((3.4, 0.2), dt)], 2.0, 1),
         lambda: integrate(model.build_problem(), (3.4, 0.2), dt, 2.0),
         lambda: compare_cases(model, [((3.4, 0.2), 0.1), ((3.4, 0.2), dt)], 2.0),
         lambda: _step_count(2.0, dt),
@@ -141,8 +142,7 @@ def test_load_experiment_round_trip(tiny_cfg):
     assert off.epsilon == 0.3
     assert off.cv.grid_size == 4
     assert off.newton.max_iterations == 100
-    assert exp.test_params == ((3.4, 0.2), (3.2, 0.4))
-    assert exp.test_dts == (0.05,)
+    assert exp.cases == (((3.4, 0.2), 0.05), ((3.2, 0.4), 0.05))
     assert exp.test_horizon == 0.25
     assert exp.repetitions == 1
     assert exp.test_cases() == [((3.4, 0.2), 0.05), ((3.2, 0.4), 0.05)]
@@ -158,7 +158,7 @@ def test_load_experiment_omitted_keys_take_library_defaults(tmp_path):
 def test_shipped_presets_load():
     exp1 = load_experiment("experiment1")
     assert exp1.offline.cases == (((3.4, 0.2), 0.01),)
-    assert len(exp1.test_params) == 9
+    assert len(exp1.cases) == 9
     assert exp1.offline.max_centers == 150
 
     exp2 = load_experiment("experiment2")
@@ -170,33 +170,32 @@ def test_shipped_presets_load():
     # The ten divisors of T = 2 nearest to log-spaced sizes in [0.001, 0.05],
     # 2000 down to 40 steps.
     assert exp3.test_horizon == 2.0
-    assert exp3.test_dts == (
+    assert exp3.cases == tuple(((3.4, 0.2), dt) for dt in (
         0.001, 0.0015444015444015444, 0.002386634844868735, 0.003683241252302026,
         0.005681818181818182, 0.008771929824561403, 0.013605442176870748,
-        0.021052631578947368, 0.03225806451612903, 0.049999999999999996)
-    assert [_step_count(2.0, dt) for dt in exp3.test_dts] == [
+        0.021052631578947368, 0.03225806451612903, 0.049999999999999996))
+    assert [_step_count(2.0, dt) for _, dt in exp3.cases] == [
         2000, 1295, 838, 543, 352, 228, 147, 95, 62, 40]
 
 
 def test_experiment_config_checks_the_test_protocol():
     """ExperimentConfig checks itself, as load_experiment builds it."""
-    protocol = dict(offline=OfflineConfig(cases=[((3.4, 0.2), 0.05)]), test_params=[[3, 0]],
-                    test_dts=[np.float64(0.05)], test_horizon=1, repetitions=2)
+    protocol = dict(offline=OfflineConfig(cases=[((3.4, 0.2), 0.05)]),
+                    cases=[([3, 0], np.float64(0.05))], test_horizon=1, repetitions=2)
     exp = ExperimentConfig(**protocol)
-    assert exp.test_params == ((3.0, 0.0),) and type(exp.test_params[0][0]) is float
-    assert exp.test_dts == (0.05,) and type(exp.test_dts[0]) is float
+    assert exp.cases == (((3.0, 0.0), 0.05),) and type(exp.cases[0][0][0]) is float
+    assert type(exp.cases[0][1]) is float
     assert exp.test_horizon == 1.0 and type(exp.test_horizon) is float
     for change, message in [
-        ({"test_dts": [0.0]}, "dt must be a real number > 0, got 0.0"),
-        ({"test_dts": ["0.05"]}, "dt must be a real number > 0, got '0.05'"),
-        ({"test_dts": [5e-324]}, "dt=5e-324 is too small for T=1.0"),
+        ({"cases": [((3, 0), 0.0)]}, "dt must be a real number > 0, got 0.0"),
+        ({"cases": [((3, 0), "0.05")]}, "dt must be a real number > 0, got '0.05'"),
+        ({"cases": [((3, 0), 5e-324)]}, "dt=5e-324 is too small for T=1.0"),
         ({"test_horizon": -1.0}, "T must be a real number > 0, got -1.0"),
         ({"repetitions": 0}, "repetitions must be an integer >= 1, got 0"),
         ({"repetitions": True}, "repetitions must be an integer >= 1, got True"),
-        ({"test_params": [("3.4", "0.2")]}, "mu must be a finite real number"),
-        ({"test_params": [(3.4,)]}, "mu must have two components"),
-        ({"test_params": []}, "at least one parameter and one step size"),
-        ({"test_dts": ()}, "at least one parameter and one step size"),
+        ({"cases": [(("3.4", "0.2"), 0.05)]}, "mu must be a finite real number"),
+        ({"cases": [((3.4,), 0.05)]}, "mu must have two components"),
+        ({"cases": []}, "at least one test case"),
     ]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{**protocol, **change})
@@ -234,8 +233,8 @@ def test_load_experiment_errors(tmp_path):
     for old, new in [("test_dts = 0.05", "test_dts = ()"),
                      ("test_params = (3.4, 0.2); (3.2, 0.4)", "test_params =")]:
         bad = variant("empty-protocol", lambda s: s.replace(old, new))
-        with pytest.raises(ConfigError, match=r"invalid \[online\] settings: the test "
-                                              r"protocol needs at least one parameter"):
+        with pytest.raises(ConfigError, match=r"invalid \[online\] settings: at least one "
+                                              r"test case \(mu, dt\) is required"):
             load_experiment(bad)
 
     # A number is an int or a float, never a string, dict, set or bool, and
@@ -385,6 +384,53 @@ def test_cli_offline_with_cv_writes_curve(tiny_cfg, tmp_path, capsys):
     assert payload["provenance"]["epsilon"] is None  # chosen by cross validation
     assert payload["provenance"]["cv"]["grid_size"] == 4
     assert payload["provenance"]["cv"]["max_centers"] == 8
+
+
+def test_cli_offline_that_cannot_write_its_model_leaves_no_file(tmp_path, capsys):
+    # The model is written before the width search curve: when --out names a
+    # directory, the run fails and leaves no curve behind.
+    cfg = tmp_path / "cv-route.cfg"
+    cfg.write_text(TINY_CFG.replace("epsilon = 0.3\n", ""))
+    (tmp_path / "model").mkdir()
+    assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "model")]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cv-route.cfg", "model"]
+
+
+def test_cli_online_reports_memory_error(tiny_model_path, monkeypatch, capsys):
+    # A state array that cannot be allocated ends the run with one error line.
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 87.3 TiB for an array")
+
+    monkeypatch.setattr(pipeline, "integrate", no_memory)
+    assert main(["online", "--model", tiny_model_path, "--mu", "(3.4, 0.2)",
+                 "--dt", "0.05", "-T", "0.25"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 87.3 TiB for an array\n"
+
+
+@pytest.mark.parametrize("command, old, new, named", [
+    ("offline", "train_params = (3.4, 0.2)\n", "train_params = (3.2, 0.4); (3.4, 0.2, 1.0)\n",
+     "[offline] settings: mu must have two components (u_l, u_r), got 3 "
+     "(case mu=(3.4, 0.2, 1.0), dt=0.05)"),
+    ("offline", "train_dts = 0.05\n", "train_dts = 0.05, 0.07\n",
+     "[offline] settings: horizon T=0.5 is not an integer multiple of dt=0.07 "
+     "(case mu=(3.4, 0.2), dt=0.07)"),
+    ("bench", "test_params = (3.4, 0.2); (3.2, 0.4)", "test_params = (3.4, 0.2); (3.2, 0.4, 1.0)",
+     "[online] settings: mu must have two components (u_l, u_r), got 3 "
+     "(case mu=(3.2, 0.4, 1.0), dt=0.05)"),
+    ("bench", "test_dts = 0.05", "test_dts = 0.05, 0.07",
+     "[online] settings: horizon T=0.25 is not an integer multiple of dt=0.07 "
+     "(case mu=(3.4, 0.2), dt=0.07)"),
+], ids=["offline-mu", "offline-dt", "bench-mu", "bench-dt"])
+def test_cli_refuses_a_bad_later_case_before_anything_integrates(
+        command, old, new, named, tiny_model_path, tmp_path, step_calls, capsys):
+    cfg, out = tmp_path / "later.cfg", tmp_path / "out"
+    assert old in TINY_CFG
+    cfg.write_text(TINY_CFG.replace(old, new))
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--model", tiny_model_path] if command == "bench" else [])) == 1
+    assert capsys.readouterr().err == f"error: invalid {named}\n"
+    assert step_calls == [] and not out.exists()
 
 
 def test_cli_reports_stalled_widths_once(tmp_path, capsys):

@@ -20,6 +20,7 @@ from flowcast.ode import (
     Trajectory,
     ie_step,
     integrate,
+    integrate_many,
     surrogate_initializer,
 )
 from flowcast.pipeline import (
@@ -149,7 +150,7 @@ def test_offline_config_validation():
     # Each training mu is checked on the named problem, before any
     # integration: a bad case after a good one is caught too.
     for cases in ([((3.4, 0.2, 1.0), 0.05)], [((3.4, 0.2), 0.05), ((3.4,), 0.05)]):
-        with pytest.raises(ValueError, match=r"two components .*\(training case mu=\("):
+        with pytest.raises(ValueError, match=r"two components .*\(case mu=\("):
             tiny_config(cases=cases)
     # The greedy settings are checked when the config is built, before any
     # training integration runs.
@@ -324,16 +325,6 @@ def test_compare_alternates_run_order(tiny_model, monkeypatch):
     # (case index + repetition) even: baseline first; odd: surrogate first.
     assert order == ["previous", "surrogate", "surrogate", "previous",
                      "surrogate", "previous", "previous", "surrogate"]
-
-
-def test_compare_cases_checks_every_horizon_before_integrating(tiny_model, monkeypatch):
-    # The second case's dt does not divide T; the first case is not run either.
-    calls = []
-    monkeypatch.setattr(pipeline, "integrate", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match=r"horizon T=0\.3 is not an integer multiple of "
-                                         r"dt=0\.07"):
-        compare_cases(tiny_model, [((3.4, 0.2), 0.1), ((3.4, 0.2), 0.07)], 0.3)
-    assert calls == []
 
 
 def test_compare_cases_runs_keep_their_own_guess_memory(tiny_model, monkeypatch):
@@ -522,12 +513,16 @@ def test_repetitions_are_an_integer(tiny_model, value):
 
 
 # Every way a (mu, dt) case enters the package, each given a model trained
-# with T = 1 and a case of the tiny problem.
+# with T = 1 and a list of cases of the tiny problem. integrate takes one
+# case; integrate_many takes one step size for all its parameters, the last
+# case's.
 CASE_USERS = {
-    "OfflineConfig": lambda model, mu, dt: tiny_config(cases=[(mu, dt)]),
-    "integrate": lambda model, mu, dt: integrate(model.build_problem(), mu, dt, 1.0),
-    "compare_cases": lambda model, mu, dt: compare_cases(model, [(mu, dt)], 1.0),
-    "ExperimentConfig": lambda model, mu, dt: ExperimentConfig(tiny_config(), [mu], [dt], 1.0, 1),
+    "OfflineConfig": lambda model, cases: tiny_config(cases=cases),
+    "integrate": lambda model, cases: integrate(model.build_problem(), *cases[0], 1.0),
+    "integrate_many": lambda model, cases: integrate_many(
+        model.build_problem(), [mu for mu, _ in cases], cases[-1][1], 1.0),
+    "compare_cases": lambda model, cases: compare_cases(model, cases, 1.0),
+    "ExperimentConfig": lambda model, cases: ExperimentConfig(tiny_config(), cases, 1.0, 1),
 }
 
 
@@ -536,14 +531,51 @@ CASE_USERS = {
 @pytest.mark.parametrize("user", sorted(CASE_USERS))
 def test_parameters_are_finite_real_numbers(tiny_model, user, mu):
     with pytest.raises(ValueError, match="mu must be a finite real number or a 1-d sequence"):
-        CASE_USERS[user](tiny_model, mu, 0.05)
+        CASE_USERS[user](tiny_model, [(mu, 0.05)])
 
 
 @pytest.mark.parametrize("dt", [True, "0.05", 0.0])
 @pytest.mark.parametrize("user", sorted(CASE_USERS))
 def test_step_sizes_are_real_numbers(tiny_model, user, dt):
     with pytest.raises(ValueError, match="dt must be a real number > 0"):
-        CASE_USERS[user](tiny_model, (3.4, 0.2), dt)
+        CASE_USERS[user](tiny_model, [((3.4, 0.2), dt)])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (((3.4, 0.2, 1.0), 0.05),
+     r"mu must have two components \(u_l, u_r\), got 3 \(case mu=\(3\.4, 0\.2, 1\.0\), "
+     r"dt=0\.05\)"),
+    # integrate_many takes this dt for both parameters, so its first case fails.
+    (((3.4, 0.2), 0.07),
+     r"horizon T=1\.0 is not an integer multiple of dt=0\.07 \(case mu=\(3\.[04], 0\.[42]\), "
+     r"dt=0\.07\)"),
+], ids=["mu", "dt"])
+@pytest.mark.parametrize("user", sorted(set(CASE_USERS) - {"integrate"}))
+def test_a_bad_later_case_is_refused_before_anything_integrates(tiny_model, step_calls, user,
+                                                                 bad, message):
+    with pytest.raises(ValueError, match=message):
+        CASE_USERS[user](tiny_model, [((3.0, 0.4), 0.05), bad])
+    assert step_calls == []
+
+
+def test_baseline_and_surrogate_agree_whenever_both_complete():
+    # Invariant 1 on seeded parameters of a 12-cell model trained on a box:
+    # inside the box, and far outside it, where the state is large enough
+    # that the residual of some runs plateaus above the Newton tolerance and
+    # both initializers fail (3 of 8 off-box parameters complete at dt = 0.05,
+    # none at 0.25).
+    corners = [(3.2, 0.0), (3.2, 0.4), (3.6, 0.0), (3.6, 0.4)]
+    model = offline(OfflineConfig(cases=[(mu, 0.05) for mu in corners], horizon=0.5,
+                                  problem_options={"cells": 12}, epsilon=0.3, max_centers=40))
+    rng = np.random.default_rng(22)
+    mus = [tuple(mu) for mu in np.concatenate([rng.uniform([3.2, 0.0], [3.6, 0.4], (4, 2)),
+                                               rng.uniform(-40.0, 40.0, (8, 2))])]
+    results = compare_cases(model, [(mu, dt) for dt in (0.05, 0.25) for mu in mus], 1.0)
+    both = [r for r in results if r.baseline.completed and r.surrogate.completed]
+    assert 0 < len(both) < len(results)
+    for r in both:
+        assert r.baseline.n_steps == r.surrogate.n_steps
+        assert np.max(np.abs(r.baseline.final_state - r.surrogate.final_state)) <= 1e-10
 
 
 @pytest.mark.parametrize("key, value, message", [
