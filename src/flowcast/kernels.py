@@ -98,7 +98,9 @@ class KernelExpansion:
 
     def __post_init__(self):
         centers = np.array(self.centers, dtype=float, copy=True)
-        coefficients = np.array(self.coefficients, dtype=float, copy=True)
+        # Fortran order, as training's solve_triangular gives it: a loaded
+        # model then evaluates bit for bit as the trained one.
+        coefficients = np.array(self.coefficients, dtype=float, order="F")
         if centers.ndim != 2:
             raise ValueError(f"centers must be 2-d, got shape {centers.shape}")
         if coefficients.ndim != 2:

@@ -16,8 +16,9 @@ The cost of a step is dominated by the Newton iteration count, which in turn
 depends on the quality of the starting guess. Initializers encapsulate that
 choice; besides the classical one (the previous state) a trained kernel
 surrogate of the time-evolution map can be plugged in. The surrogate's guess
-is corrected by its own error at the run's previous step, which is known
-exactly once that step has converged: each run's memory lives in the guess
+is corrected by its own errors at the run's previous steps, each known
+exactly once its step has converged, extrapolated at the order that would
+have guessed the last step best: each run's memory lives in the guess
 function :meth:`Initializer.start` makes for it, never in the initializer.
 
 :func:`newton_solve` and :func:`ie_step` solve one system. Stacks are
@@ -357,16 +358,28 @@ PREVIOUS_VALUE = Initializer("previous", lambda p, u, mu, dt: u)
 
 class _ErrorFeedback(Initializer):
     """A predictor whose guess at each step after a run's first is corrected
-    by the error it made at the step before."""
+    by its errors at the steps before, extrapolated at the order that would
+    have guessed the step just solved best."""
 
     def start(self) -> Callable:
         previous = None  # p_n: the raw prediction made at the run's last step
+        history = []  # e_{n-1} and its backward differences of orders 1 and 2, as far as they go
 
         def guess(problem, u, mu, dt):
-            nonlocal previous
+            nonlocal previous, history
             raw = self(problem, u, mu, dt)
-            corrected = raw if previous is None else raw + (u - previous)
-            previous = raw
+            if previous is None:
+                previous = raw
+                return raw
+            diffs = [u - previous]  # e_n, then its backward differences
+            for older in history:
+                diffs.append(diffs[-1] - older)
+            # Order k adds diffs[:k]; at the step just solved it erred by diffs[k].
+            order = min(range(1, len(diffs)), key=lambda k: np.vdot(diffs[k], diffs[k]), default=1)
+            corrected = raw + diffs[0]
+            for d in diffs[1:order]:
+                corrected += d
+            previous, history = raw, diffs[:3]
             return corrected
 
         return guess
@@ -377,12 +390,17 @@ def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray], name: str =
 
     ``model`` must accept a single 1-d input: the step size prepended to the
     current state. Within a run, step n + 1 starts Newton from
-    ``s(dt, u_n) + (u_n - p_n)``, where ``p_n = s(dt, u_{n-1})`` is the raw
-    prediction made at step n and ``u_n`` the state Newton converged to
-    there: the surrogate's own error at the previous step, added to its next
-    guess. That costs one subtraction and one addition, no further
-    prediction. The first step of a run, and a call of the initializer
-    itself, start from the raw prediction.
+    ``s(dt, u_n) + e_n + ... + D^(k-1) e_n``. Here ``e_n = u_n - p_n`` is the
+    surrogate's error at step n, ``p_n = s(dt, u_{n-1})`` the raw prediction
+    made there and ``u_n`` the state Newton converged to; ``D^j e_n`` is its
+    j-th backward difference. That guess, made at step n, would have erred
+    by ``D^k e_n``, so the order k in {1, 2, 3} with the smallest
+    ``||D^k e_n||_2`` is taken, the lower on a tie, as far as the run's
+    history goes: its second and third steps take order 1,
+    ``s(dt, u_n) + e_n``. That costs a few vector operations, no further
+    prediction or residual.
+    The first step of a run, and a call of the initializer itself, start
+    from the raw prediction.
     """
 
     def guess(problem, u, mu, dt):

@@ -7,8 +7,8 @@ the sparse greedy trainer on those pairs as they are, without rescaling.
 The result is a surrogate of the one-step map that can be persisted to a
 versioned JSON file.
 
-Online: the surrogate predicts each next state, corrected by its own error
-at the step before, and Newton polishes it, which cuts iterations without
+Online: the surrogate predicts each next state, corrected by its own errors
+at the steps before, and Newton polishes it, which cuts iterations without
 changing the converged states. ``compare_cases``
 runs the baseline and the surrogate side by side and reports iteration and
 wall time gains per case.
@@ -264,7 +264,8 @@ def online(
     """Integrate with the surrogate as Newton initializer.
 
     Newton starts the first step from the model's prediction, and each later
-    step from the prediction plus the model's error at the step before (see
+    step from the prediction plus the model's errors at the steps before,
+    extrapolated at the order that fit the last step best (see
     :func:`~flowcast.ode.surrogate_initializer`). ``problem`` and ``newton``
     default to the ones the model was trained on. Returns the trajectory
     and whether ``dt`` is one of the model's training step sizes (None if

@@ -1,7 +1,7 @@
-"""Acceptance gate: eleven end-to-end criteria with pinned tolerances.
+"""Acceptance gate: twelve end-to-end criteria with pinned tolerances.
 
 Each criterion test prints one always-visible ACCEPTANCE line (PASS/FAIL
-plus the measured numbers). Criteria 5-8 and 11 run the shipped experiment
+plus the measured numbers). Criteria 5-8, 11 and 12 run the shipped experiment
 presets at full scale through session fixtures, so this file takes about
 two and a half minutes.
 """
@@ -291,6 +291,25 @@ def test_criterion_11_step_size_generalization(capsys, exp3_model, exp3_results)
         f"{len(done)} of {len(exp3_results)} step sizes complete; "
         f"mean gain {mean_gain:.2f}% >= 25%, min gain {min_gain:.2f}% >= 15%; "
         f"max |baseline - surrogate| = {gap:.2e} <= 1e-10",
+    )
+    assert ok
+
+
+def test_criterion_12_experiment1_generalization(capsys, exp1_results):
+    # The training parameter and eight off-training parameters of experiment 1.
+    gains = [r.gain_iter_pct for r in exp1_results]
+    mean_gain = float(np.mean(gains))
+    ok = (
+        len(exp1_results) == 9
+        and all(r.completed for r in exp1_results)
+        and mean_gain >= 38.0
+        and min(gains) >= 20.0
+    )
+    report_criterion(
+        capsys, 12, "experiment-1 generalization",
+        ok,
+        f"mean gain {mean_gain:.2f}% >= 38%, "
+        f"min gain {min(gains):.2f}% >= 20% over {len(exp1_results)} parameters",
     )
     assert ok
 

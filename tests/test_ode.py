@@ -310,6 +310,26 @@ def test_error_feedback_memory_stays_in_one_run():
     assert raw.newton_stats[0] == fresh[0].newton_stats[0]
     assert raw.newton_stats[1:] != fresh[0].newton_stats[1:]
 
+
+@pytest.mark.parametrize("increment, exact_from", [
+    (lambda n: np.array([3.0, -2.0]), 2),  # constant: order 1
+    (lambda n: np.array([3.0 + 2.0 * n, -1.0 - n]), 4),  # linear in n: order 2
+    (lambda n: np.array([1.0 - n + n * n, 2.0 + 3.0 * n * n]), 5),  # quadratic: order 3
+], ids=["constant", "linear", "quadratic"])
+def test_error_feedback_extrapolates_at_the_order_that_fit_best(increment, exact_from):
+    # With the identity as model, the surrogate's error at a step is the
+    # state's increment there; integer states keep the arithmetic exact. An
+    # order-k guess extrapolates the increments by a polynomial of degree
+    # k - 1, and is chosen once the run is long enough to show that it fits.
+    guess = surrogate_initializer(lambda x: x[1:]).start()
+    u, exact = np.array([5.0, -7.0]), []
+    for step in range(1, 12):
+        following = u + increment(step)
+        exact.append(np.array_equal(guess(decay_problem(), u, [], 0.1), following))
+        u = following
+    assert exact == [step >= exact_from for step in range(1, 12)]
+
+
 def test_ie_step_linear_closed_form():
     # u' = -u: the implicit step has the exact solution u_prev / (1 + dt).
     u, stats = ie_step(decay_problem(), np.array([1.0]), [], 0.1)

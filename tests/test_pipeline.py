@@ -385,6 +385,24 @@ def test_save_load_roundtrip(tiny_model, tmp_path):
     assert loaded.diagnostics is None  # training traces are not persisted
 
 
+def test_loaded_model_guesses_bit_for_bit_as_the_trained_one(tiny_model, tmp_path):
+    # Single points and (1, p) batches take a matrix-vector kernel whose
+    # rounding depends on the coefficients' memory layout.
+    path = tmp_path / "model.json"
+    save_model(tiny_model, path)
+    loaded = load_model(path)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = np.r_[0.05, rng.uniform(0.0, 3.5, tiny_model.expansion.input_dim - 1)]
+        for point in (x, x[None]):
+            assert tiny_model.predict(point).tobytes() == loaded.predict(point).tobytes()
+    trained, _ = online(tiny_model, (3.4, 0.2), 0.05, 1.0)
+    reloaded, _ = online(loaded, (3.4, 0.2), 0.05, 1.0)
+    assert trained.completed and reloaded.completed
+    assert trained.states.tobytes() == reloaded.states.tobytes()
+    assert trained.newton_stats == reloaded.newton_stats
+
+
 def test_load_model_error_paths(tiny_model, tmp_path):
     with pytest.raises(ModelLoadError, match="cannot read"):
         load_model(tmp_path / "missing.json")
