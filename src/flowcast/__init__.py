@@ -44,7 +44,7 @@ from .pipeline import (
     online,
     save_model,
 )
-from .problems import available_problems, build_problem, register_problem
+from .problems import build_problem, register_problem
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "offline",
     "online",
     "save_model",
-    "available_problems",
     "build_problem",
     "register_problem",
     "__version__",

@@ -221,9 +221,6 @@ def cmd_offline(args) -> int:
     out = Path(args.out)
     prov = model.provenance
     cv = model.cv
-    cv_path = out.with_name(out.stem + "-cv.csv")
-    if cv is not None:
-        prov["cv"]["table"] = str(cv_path)
     save_model(model, out)  # before the curve: a model that cannot be written leaves no file
     n_before, n_after = prov["n_training_before_dedup"], prov["n_training"]
     dedup = f" ({n_after} after deduplication)" if n_after != n_before else ""
@@ -232,6 +229,7 @@ def cmd_offline(args) -> int:
     print(f"selected centers: n = {model.expansion.n_centers} (stop: {prov['greedy_status']})")
     print(f"epsilon: {model.expansion.epsilon:.8g} ({'fixed' if cv is None else 'cv'})")
     if cv is not None:
+        cv_path = out.with_name(out.stem + "-cv.csv")
         _write_csv(cv_path, ["epsilon", "score"], zip(cv.grid, cv.scores))
         print(f"cv curve: {cv_path}")
         if cv.stalled_widths:  # one line for all stalled greedy runs of the search

@@ -27,24 +27,23 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-def _rows_distinct(points: np.ndarray) -> bool:
-    """Whether the rows of a 2-d array are pairwise distinct by value (+0
-    equals -0, as under ``np.unique``).
+def _first_equal_rows(points: np.ndarray) -> np.ndarray:
+    """For each row of a 2-d array, the index of the first row equal to it by
+    value (+0 equals -0, as under ``np.unique``). The rows must be finite.
 
-    A lexicographic sort of the row indices puts equal rows next to each
-    other; neighbours are then compared one column at a time, so no sorted
-    copy of the points is made.
+    Adding +0 turns -0 into +0 and leaves every other finite value as it is,
+    so two finite rows are equal exactly when their bytes are. The sum is
+    taken 64 rows at a time, so no copy of all the rows is made.
     """
-    if len(points) < 2:
-        return True
-    order = np.lexsort(points.T)
-    same = np.ones(len(points) - 1, dtype=bool)
-    for column in points.T:
-        sorted_column = column[order]
-        same &= sorted_column[1:] == sorted_column[:-1]
-        if not same.any():
-            return True
-    return False
+    first: dict[bytes, int] = {}
+    rows = (row for start in range(0, len(points), 64) for row in points[start:start + 64] + 0.0)
+    return np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)],
+                    dtype=np.intp)
+
+
+def _rows_distinct(points: np.ndarray) -> bool:
+    """Whether the finite rows of a 2-d array are pairwise distinct by value."""
+    return bool((_first_equal_rows(points) == np.arange(len(points))).all())
 
 
 def _gaussian(sq_dists: np.ndarray, epsilon: float) -> np.ndarray:

@@ -274,14 +274,12 @@ def _singular(iterations: int, exc: Exception) -> SingularJacobianError:
     return SingularJacobianError(f"linear solve failed at iteration {iterations}: {exc}")
 
 
-def finite_difference_jacobian(
-    fn: Callable[[np.ndarray], np.ndarray], u: np.ndarray, scale: float = 1e-6
-) -> np.ndarray:
-    """Central-difference Jacobian with per-component step scale*max(1, |u_j|)."""
+def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian with per-component step 1e-6 * max(1, |u_j|)."""
     u = np.asarray(u, dtype=float)
     cols = []
     for j in range(u.size):
-        h = scale * max(1.0, abs(u[j]))
+        h = 1e-6 * max(1.0, abs(u[j]))
         up, um = u.copy(), u.copy()
         up[j] += h
         um[j] -= h
@@ -385,8 +383,8 @@ class _ErrorFeedback(Initializer):
         return guess
 
 
-def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray], name: str = "surrogate") -> Initializer:
-    """Wrap a map (dt, u_prev) -> predicted next state as an initializer.
+def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray]) -> Initializer:
+    """Wrap a map (dt, u_prev) -> predicted next state as initializer "surrogate".
 
     ``model`` must accept a single 1-d input: the step size prepended to the
     current state. Within a run, step n + 1 starts Newton from
@@ -409,7 +407,7 @@ def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray], name: str =
         x[1:] = u
         return model(x)
 
-    return _ErrorFeedback(name, guess)
+    return _ErrorFeedback("surrogate", guess)
 
 
 def _not_converged(stats: NewtonStats) -> StepError:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .greedy import GreedyResult, TrainConfig, TrainingSet, greedy_train
-from .kernels import KernelExpansion
+from .kernels import KernelExpansion, _first_equal_rows
 from .model_selection import CvConfig, CvResult, select_epsilon
 from .ode import (
     PREVIOUS_VALUE,
@@ -157,31 +157,24 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    rows_x: list[np.ndarray] = []
-    rows_y: list[np.ndarray] = []
-    seen: dict[bytes, int] = {}
-    for traj in trajectories:
-        if traj.n_steps < 1:
-            raise ValueError("every trajectory must contain at least one step")
-        inputs = np.column_stack([np.full(traj.n_steps, traj.dt), traj.states[:-1]])
-        targets = traj.states[1:]
-        # Adding +0 turns -0 into +0 and leaves every other finite value, so
-        # equal bytes mean equal values.
-        keys = inputs + 0.0
-        for i in range(traj.n_steps):
-            key = keys[i].tobytes()
-            if key in seen:
-                held = rows_y[seen[key]]
-                if np.max(np.abs(held - targets[i])) > 1e-10:
-                    raise DataInconsistencyError(
-                        f"input (dt={traj.dt}, state at step {i}) repeats with "
-                        f"targets differing by {np.max(np.abs(held - targets[i])):.3e}"
-                    )
-            else:
-                seen[key] = len(rows_x)
-                rows_x.append(inputs[i])
-                rows_y.append(targets[i])
-    return TrainingSet(np.asarray(rows_x), np.asarray(rows_y))
+    if any(traj.n_steps < 1 for traj in trajectories):
+        raise ValueError("every trajectory must contain at least one step")
+    inputs = np.vstack([np.column_stack([np.full(traj.n_steps, traj.dt), traj.states[:-1]])
+                        for traj in trajectories])
+    targets = np.vstack([traj.states[1:] for traj in trajectories])
+    first = _first_equal_rows(inputs)
+    repeated = np.flatnonzero(first != np.arange(len(first)))
+    starts = np.cumsum([0] + [traj.n_steps for traj in trajectories])
+    for row in repeated:
+        gap = np.max(np.abs(targets[first[row]] - targets[row]))
+        if gap > 1e-10:
+            k = int(np.searchsorted(starts, row, side="right")) - 1
+            raise DataInconsistencyError(
+                f"input (dt={trajectories[k].dt}, state at step {row - starts[k]}) "
+                f"repeats with targets differing by {gap:.3e}"
+            )
+    inputs, targets = np.delete(inputs, repeated, axis=0), np.delete(targets, repeated, axis=0)
+    return TrainingSet(inputs, targets)  # the stacks with repeats are freed before its check
 
 
 def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int]:
@@ -246,13 +239,6 @@ def _check_dims(model: SurrogateModel, problem: IvpProblem):
         )
 
 
-def _dt_in_training(model: SurrogateModel, dt: float) -> bool | None:
-    dts = model.training_dts()
-    if not dts:
-        return None
-    return any(abs(dt - d) <= 1e-12 * max(1.0, d) for d in dts)
-
-
 def online(
     model: SurrogateModel,
     mu,
@@ -268,7 +254,7 @@ def online(
     extrapolated at the order that fit the last step best (see
     :func:`~flowcast.ode.surrogate_initializer`). ``problem`` and ``newton``
     default to the ones the model was trained on. Returns the trajectory
-    and whether ``dt`` is one of the model's training step sizes (None if
+    and whether ``dt`` equals one of the model's training step sizes (None if
     the model does not record them); other step sizes are allowed. Step
     failures do not raise; the partial trajectory carries the error.
     """
@@ -276,7 +262,8 @@ def online(
     newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
     traj = integrate(problem, mu, dt, T, newton, surrogate_initializer(model.predict))
-    return traj, _dt_in_training(model, dt)
+    dts = model.training_dts()
+    return traj, (dt in dts) if dts else None
 
 
 def percent_gain(old: float, new: float) -> float:
@@ -408,7 +395,8 @@ def load_model(path) -> SurrogateModel:
         coefficients = _real_array("coefficients", raw["coefficients"]).reshape(-1, q)
         model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
                                raw["provenance"])
-        model.newton()  # the recorded settings are checked on reading, like the problem
+        model.newton()  # the recorded settings and cases are checked on reading,
+        model.training_dts()  # like the problem
         _check_dims(model, model.build_problem())
         return model
     except ModelLoadError:

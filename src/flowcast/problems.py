@@ -8,14 +8,14 @@ from typing import Callable
 from .burgers import make_burgers_problem
 from .ode import IvpProblem
 
-__all__ = ["register_problem", "build_problem", "available_problems"]
+__all__ = ["register_problem", "build_problem"]
 
 _REGISTRY: dict[str, Callable[..., IvpProblem]] = {}
 
 
-def register_problem(name: str, factory: Callable[..., IvpProblem], replace: bool = False):
-    """Register a factory keyword-callable as ``name``; collisions need replace=True."""
-    if name in _REGISTRY and not replace:
+def register_problem(name: str, factory: Callable[..., IvpProblem]):
+    """Register a factory keyword-callable as ``name``, a name not yet taken."""
+    if name in _REGISTRY:
         raise ValueError(f"problem {name!r} is already registered")
     _REGISTRY[name] = factory
 
@@ -33,10 +33,6 @@ def build_problem(name: str, /, **options) -> IvpProblem:
     except TypeError as exc:
         raise ValueError(f"bad options for problem {name!r}: {exc}") from None
     return factory(**options)
-
-
-def available_problems() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 register_problem("burgers", make_burgers_problem)

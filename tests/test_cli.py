@@ -386,6 +386,22 @@ def test_cli_offline_with_cv_writes_curve(tiny_cfg, tmp_path, capsys):
     assert payload["provenance"]["cv"]["max_centers"] == 8
 
 
+def test_cli_offline_model_bytes_do_not_depend_on_the_output_path(tmp_path, monkeypatch, capsys):
+    # The curve is always <model stem>-cv.csv beside the model, so the model
+    # records no path: a relative and an absolute --out give the same bytes.
+    cfg = tmp_path / "cv-route.cfg"
+    cfg.write_text(TINY_CFG.replace("epsilon = 0.3\n", ""))
+    here, elsewhere = tmp_path / "here", tmp_path / "elsewhere"
+    here.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(here)
+    assert main(["offline", "--config", str(cfg), "--out", "m.json"]) == 0
+    assert main(["offline", "--config", str(cfg), "--out", str(elsewhere / "m.json")]) == 0
+    assert "(cv)" in capsys.readouterr().out
+    assert (here / "m.json").read_bytes() == (elsewhere / "m.json").read_bytes()
+    assert (here / "m-cv.csv").read_bytes() == (elsewhere / "m-cv.csv").read_bytes()
+
+
 def test_cli_offline_that_cannot_write_its_model_leaves_no_file(tmp_path, capsys):
     # The model is written before the width search curve: when --out names a
     # directory, the run fails and leaves no curve behind.
@@ -519,6 +535,21 @@ def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
         main(["offline", "--config", tiny_cfg, "--out", str(tmp_path / "m.json"), "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cases", [[[[3.4, 0.2], None]], "x"])
+def test_malformed_recorded_cases_fail_on_reading(tiny_model_path, tmp_path, capsys, cases):
+    # Once read only by the first online run: a traceback from float(None),
+    # or an error line that did not name the file.
+    raw = json.loads(Path(tiny_model_path).read_text())
+    raw["provenance"]["cases"] = cases
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(pipeline.ModelLoadError, match="malformed model file"):
+        load_model(path)
+    assert main(["online", "--model", str(path), "--mu", "(3.4, 0.2)",
+                 "--dt", "0.05", "-T", "0.25"]) == 1
+    assert re.fullmatch(r"error: malformed model file .*\n", capsys.readouterr().err)
 
 
 def test_cli_bench_uses_newton_section(tiny_cfg, tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy.linalg import solve
 from flowcast.kernels import (
     GaussianKernel,
     KernelExpansion,
+    _first_equal_rows,
     _rows_distinct,
 )
 from flowcast.ode import _check_real
@@ -152,6 +153,19 @@ def test_expansion_is_immutable(rng):
         model.epsilon = 2.0
     with pytest.raises(ValueError):
         model.centers[0, 0] = 99.0
+
+
+def test_first_equal_rows_matches_pairwise_comparison(rng):
+    # Repeats planted at random places, entries of either sign of zero, the
+    # empty and one-row arrays, and arrays beyond one 64-row block, against a
+    # brute-force pairwise check.
+    for n in [0, 1, *rng.integers(2, 40, 300), 63, 64, 65, 129, 300]:
+        p = int(rng.integers(1, 5))
+        points = rng.integers(-2, 3, (n, p)) * rng.choice([1.0, -1.0], (n, p))
+        if n > 1:
+            points[rng.integers(1, n)] = points[rng.integers(0, n)]
+        want = [int(np.flatnonzero((points == points[i]).all(axis=1))[0]) for i in range(n)]
+        assert _first_equal_rows(points).tolist() == want
 
 
 def test_rows_distinct_is_value_equality(rng):

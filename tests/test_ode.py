@@ -237,11 +237,11 @@ def test_surrogate_initializer_packs_dt_and_state():
         seen["input"] = x.copy()
         return x[1:] * 2.0
 
-    init = surrogate_initializer(model, name="test")
+    init = surrogate_initializer(model)
     guess = init(decay_problem(), np.array([5.0]), [], 0.25)
     assert np.array_equal(seen["input"], [0.25, 5.0])
     assert np.array_equal(guess, [10.0])
-    assert init.name == "test"
+    assert init.name == "surrogate"
 
 
 

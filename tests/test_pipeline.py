@@ -263,6 +263,9 @@ def test_online_runs_and_flags_dt(tiny_model):
     )
     _, dt_in_training = online(tiny_model, (3.4, 0.2), 0.025, 0.5)
     assert dt_in_training is False
+    # A training step size matches exactly, as training groups its cases.
+    _, dt_in_training = online(tiny_model, (3.4, 0.2), np.nextafter(0.05, 1.0), 0.5)
+    assert dt_in_training is False
 
 
 def test_online_checks_dimensions(tiny_model):
