@@ -2,7 +2,9 @@
 
 For each candidate width a sparse greedy interpolant is trained on k-1 folds
 and scored by mean squared prediction error on the held-out fold (mean over
-points and output components, then over folds). Each fold is one greedy run
+points and output components, then over folds). A fold is trained as the
+final model will be, with its tolerance and within its center budget, so the
+search scores the model class that is deployed. Each fold is one greedy run
 over all N rows with the fold masked out of the candidates, whose held-out
 errors at the fold rows follow from one triangular solve after the run (the
 greedy selection never reads the targets). One (N, N) squared-distance
@@ -41,8 +43,9 @@ class CvConfig:
     """Grid and protocol parameters for the width search.
 
     ``max_centers`` caps the per-fold greedy runs (further capped by the
-    fold's training size); keeping it well below the data size bounds the
-    cost of scoring widths that would otherwise select every point.
+    final training's budget, see :func:`select_epsilon`, and by the fold's
+    training size); keeping it well below the data size bounds the cost of
+    scoring widths that would otherwise select every point.
     """
 
     epsilon_min: float = 1e-4
@@ -115,20 +118,24 @@ def _score_width(data: TrainingSet, split: list[np.ndarray], train_cfg: TrainCon
     return np.mean(fold_scores), "stalled" in statuses
 
 
-def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float) -> CvResult:
+def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float,
+                   max_centers: int | None) -> CvResult:
     """Cross-validate kernel widths on ``data`` and return the winner.
 
-    Folds are trained with the greedy ``tolerance`` of the training that
-    follows. Raises CrossValidationError when no width attains a finite
-    score.
+    Folds are trained as the training that follows, with its greedy
+    ``tolerance`` and within its center budget ``max_centers``: each fold's
+    budget is the smaller of ``cfg.max_centers`` and ``max_centers``, where
+    None sets no cap. Raises CrossValidationError when no width attains a
+    finite score.
     """
     grid = epsilon_grid(cfg.epsilon_min, cfg.epsilon_max, cfg.grid_size)
     split = kfold_split(data.size, cfg.folds, cfg.seed)
     sq_dists = cdist(data.inputs, data.inputs, "sqeuclidean")
+    budget = min((cap for cap in (cfg.max_centers, max_centers) if cap is not None), default=None)
     scores = np.empty(grid.size)
     stalled = 0
     for i, eps in enumerate(grid):
-        train_cfg = TrainConfig(eps, tolerance=tolerance, max_centers=cfg.max_centers)
+        train_cfg = TrainConfig(eps, tolerance=tolerance, max_centers=budget)
         scores[i], fold_stalled = _score_width(data, split, train_cfg, sq_dists)
         stalled += fold_stalled
     # Extreme widths routinely break down numerically; they never win.

@@ -83,9 +83,9 @@ class OfflineConfig:
     ``problem_options`` is kept as the Python number it holds, as the
     provenance is JSON; the problem's factory checks every option.
     ``epsilon=None`` selects the width by cross validation with ``cv``, whose
-    folds are trained with the greedy ``tolerance``; a fixed value bypasses
-    it. ``tolerance`` bounds the squared power function, as in
-    ``TrainConfig``.
+    folds are trained with the greedy ``tolerance`` and within
+    ``max_centers``; a fixed value bypasses it. ``tolerance`` bounds the
+    squared power function, as in ``TrainConfig``.
     """
 
     cases: tuple
@@ -218,7 +218,8 @@ def offline(cfg: OfflineConfig) -> SurrogateModel:
     if cfg.epsilon is not None:
         epsilon = cfg.epsilon
     else:
-        cv_result = select_epsilon(data, cfg.cv, tolerance=cfg.tolerance)
+        cv_result = select_epsilon(data, cfg.cv, tolerance=cfg.tolerance,
+                                   max_centers=cfg.max_centers)
         epsilon = cv_result.epsilon
     result = greedy_train(
         data, TrainConfig(epsilon, tolerance=cfg.tolerance, max_centers=cfg.max_centers)
@@ -370,7 +371,8 @@ def save_model(model: SurrogateModel, path) -> None:
 def load_model(path) -> SurrogateModel:
     """Read a model written by :func:`save_model`; raises ModelLoadError,
     also for a file of another format version, with keys beyond the format-2
-    layout, or whose problem cannot be built or does not fit the model."""
+    layout, whose problem cannot be built or does not fit the model, or
+    whose recorded cases are empty or fail the case rule (``_check_cases``)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -396,8 +398,10 @@ def load_model(path) -> SurrogateModel:
         model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
                                raw["provenance"])
         model.newton()  # the recorded settings and cases are checked on reading,
-        model.training_dts()  # like the problem
-        _check_dims(model, model.build_problem())
+        problem, prov = model.build_problem(), model.provenance  # like the problem
+        if not _check_cases(problem, prov["cases"], prov["horizon"]):
+            raise ValueError("at least one training case (mu, dt) is required")
+        _check_dims(model, problem)
         return model
     except ModelLoadError:
         raise

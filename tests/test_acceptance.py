@@ -238,6 +238,7 @@ def test_criterion_9_cv_planted_width(capsys):
         data,
         CvConfig(epsilon_min=1e-2, epsilon_max=1e1, grid_size=15, max_centers=80),
         tolerance=1e-12,
+        max_centers=None,
     )
     elapsed = time.perf_counter() - start
     ok = abs(result.best_index - planted_index) <= 1 and elapsed < 60.0
@@ -318,6 +319,8 @@ def test_preset_cv_choices(exp1_model, exp2_model):
     # The widths each preset's 50-width 5-fold cross validation picks.
     assert (exp1_model.cv.best_index, exp1_model.cv.epsilon) == (22, 0.04941713361323833)
     assert (exp2_model.cv.best_index, exp2_model.cv.epsilon) == (18, 0.015998587196060572)
-    # Widths at which some fold's greedy run stalled at the power floor.
-    assert exp1_model.cv.stalled_widths == 12
+    # Widths at which some fold's greedy run stalled at the power floor. The
+    # experiment1 folds stop at its 150-center budget, so the folds that
+    # stalled at 226-240 centers (grid indices 29-46) now end before that.
+    assert exp1_model.cv.stalled_widths == 5
     assert exp2_model.cv.stalled_widths == 0

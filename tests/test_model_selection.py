@@ -92,8 +92,8 @@ def test_cv_config_validation():
     assert CvConfig(grid_size=np.int64(3), folds=np.int64(2), seed=np.int64(7)).seed == 7
 
 
-# The folds' greedy settings: the default tolerance of OfflineConfig.
-GREEDY = dict(tolerance=1e-12)
+# The folds' greedy settings: the defaults of OfflineConfig.
+GREEDY = dict(tolerance=1e-12, max_centers=None)
 
 
 def planted_data(rng, n=120):
@@ -181,14 +181,16 @@ def test_scores_are_mean_held_out_errors(rng):
     inputs, targets, eps = well_separated_set(rng, 40, 2, 1)
     data = TrainingSet(inputs, targets)
     cfg = CvConfig(epsilon_min=eps, epsilon_max=3.0 * eps, grid_size=3, max_centers=20)
-    result = select_epsilon(data, cfg, **GREEDY)
-    for width, score in zip(result.grid, result.scores):
-        fold_scores = []
-        for fold in kfold_split(data.size, cfg.folds, cfg.seed):
-            keep = np.setdiff1d(np.arange(data.size), fold)
-            model = greedy_train(
-                TrainingSet(inputs[keep], targets[keep]),
-                TrainConfig(width, max_centers=cfg.max_centers, **GREEDY),
-            ).model
-            fold_scores.append(np.mean((model(inputs[fold]) - targets[fold]) ** 2))
-        assert score == pytest.approx(np.mean(fold_scores), rel=1e-10)
+    # Each fold trains within the smaller of the CV cap and the training's budget.
+    for max_centers, budget in ((None, cfg.max_centers), (10, 10)):
+        result = select_epsilon(data, cfg, tolerance=1e-12, max_centers=max_centers)
+        for width, score in zip(result.grid, result.scores):
+            fold_scores = []
+            for fold in kfold_split(data.size, cfg.folds, cfg.seed):
+                keep = np.setdiff1d(np.arange(data.size), fold)
+                model = greedy_train(
+                    TrainingSet(inputs[keep], targets[keep]),
+                    TrainConfig(width, tolerance=1e-12, max_centers=budget),
+                ).model
+                fold_scores.append(np.mean((model(inputs[fold]) - targets[fold]) ** 2))
+            assert score == pytest.approx(np.mean(fold_scores), rel=1e-10)

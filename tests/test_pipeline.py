@@ -13,7 +13,7 @@ from flowcast.burgers import BurgersGrid
 from flowcast.cli import ExperimentConfig, _format_table
 from flowcast.greedy import TrainConfig
 from flowcast.kernels import GaussianKernel, KernelExpansion
-from flowcast.model_selection import CvConfig
+from flowcast.model_selection import CvConfig, select_epsilon
 from flowcast.ode import (
     NewtonConfig,
     NewtonStats,
@@ -196,6 +196,21 @@ def test_offline_with_cv_attaches_curve():
     assert model.provenance["cv"]["grid_size"] == 5
     assert model.provenance["cv"]["best_score"] == model.cv.scores[model.cv.best_index]
     assert model.expansion.epsilon in model.cv.grid
+
+
+def test_cv_folds_train_within_the_center_budget():
+    # A budget below the CV cap bounds every fold: the curve is the one a
+    # direct search at that budget gives, not the one at the CV cap.
+    cfg = tiny_config(
+        epsilon=None, max_centers=8,
+        cv=CvConfig(epsilon_min=1e-3, epsilon_max=1.0, grid_size=5, folds=3, max_centers=15),
+    )
+    model = offline(cfg)
+    data, _ = build_training_data(cfg)
+    direct = select_epsilon(data, cfg.cv, tolerance=cfg.tolerance, max_centers=cfg.max_centers)
+    assert model.cv.scores.tobytes() == direct.scores.tobytes()
+    uncapped = select_epsilon(data, cfg.cv, tolerance=cfg.tolerance, max_centers=None)
+    assert not np.array_equal(model.cv.scores, uncapped.scores)
 
 
 def test_provenance_is_the_config():
@@ -459,6 +474,20 @@ def test_load_model_error_paths(tiny_model, tmp_path):
         load_model(path)
     path.write_text(json.dumps({k: v for k, v in raw.items() if k != "provenance"}))
     with pytest.raises(ModelLoadError, match="malformed.*provenance"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("cases", [[], [[[3.4, 0.2], "0.05"]], [[[3.4, 0.2], -1.0]],
+                                   [["abc", 0.05]]],
+                         ids=["empty", "string_dt", "negative_dt", "string_mu"])
+def test_load_model_checks_the_recorded_cases(tiny_model, tmp_path, cases):
+    # The recorded cases pass the case rule against the recorded problem and
+    # horizon, as the config that trained the model did.
+    path = tmp_path / "model.json"
+    save_model(tiny_model, path)
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(raw, provenance={**raw["provenance"], "cases": cases})))
+    with pytest.raises(ModelLoadError, match="malformed model file "):
         load_model(path)
 
 
