@@ -30,7 +30,6 @@ __all__ = [
     "burgers_rhs",
     "burgers_jacobian",
     "make_burgers_problem",
-    "shock_position",
 ]
 
 
@@ -140,16 +139,6 @@ def burgers_initial(mu, grid: BurgersGrid) -> np.ndarray:
     """Step profile: u_l on cells with center left of x = 0, u_r elsewhere."""
     u_l, u_r = _boundary_states(mu)
     return np.where(grid.centers < 0, u_l, u_r)
-
-
-def shock_position(u: np.ndarray, mu, grid: BurgersGrid) -> float:
-    """Center of the first cell at or below the midpoint of the boundary states."""
-    u_l, u_r = _boundary_states(mu)
-    mid = 0.5 * (u_l + u_r)
-    below = np.nonzero(np.asarray(u) <= mid)[0]
-    if below.size == 0:
-        return float(grid.half_width)
-    return float(grid.centers[below[0]])
 
 
 # The problem calls burgers_rhs and burgers_jacobian through these module

@@ -249,7 +249,7 @@ def cmd_online(args) -> int:
     traj, dt_in_training = online(model, mu, args.dt, args.horizon)
     print(f"mu = {tuple(float(v) for v in traj.mu)}, dt = {traj.dt:g}, "
           f"T = {args.horizon:g}, steps = {traj.n_steps}")
-    if dt_in_training is False:
+    if not dt_in_training:
         print("note: dt differs from every training step size")
     print(f"mean Newton iterations per step: {traj.mean_iterations:.2f} "
           f"(total {traj.total_iterations})")

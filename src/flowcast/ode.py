@@ -46,7 +46,6 @@ __all__ = [
     "DivergenceError",
     "StepError",
     "newton_solve",
-    "finite_difference_jacobian",
     "IvpProblem",
     "Initializer",
     "PREVIOUS_VALUE",
@@ -274,19 +273,6 @@ def _singular(iterations: int, exc: Exception) -> SingularJacobianError:
     return SingularJacobianError(f"linear solve failed at iteration {iterations}: {exc}")
 
 
-def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with per-component step 1e-6 * max(1, |u_j|)."""
-    u = np.asarray(u, dtype=float)
-    cols = []
-    for j in range(u.size):
-        h = 1e-6 * max(1.0, abs(u[j]))
-        up, um = u.copy(), u.copy()
-        up[j] += h
-        um[j] -= h
-        cols.append((np.asarray(fn(up)) - np.asarray(fn(um))) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 @dataclass(frozen=True)
 class IvpProblem:
     """Parametric initial value problem u' = rhs(u, mu), u(0) = initial_value(mu).
@@ -294,9 +280,8 @@ class IvpProblem:
     ``jacobian(u, mu)``, the derivative of ``rhs`` in u, is required. It
     returns the dense ``(dim, dim)`` matrix, or, when ``jacobian_bands=(1, 1)``
     declares it tridiagonal, LAPACK band storage of shape ``(3, dim)`` with
-    entry (i, j) at ``[1 + i - j, j]``; other bands raise ValueError. A
-    problem without an analytic derivative can wrap
-    :func:`finite_difference_jacobian`.
+    entry (i, j) at ``[1 + i - j, j]``; other bands raise ValueError. There
+    is no finite-difference fallback: every problem brings its own derivative.
 
     To integrate several parameters as one stack (:func:`integrate_many`),
     ``rhs`` and ``jacobian`` must also take a leading instance axis: states

@@ -134,7 +134,7 @@ class SurrogateModel:
     cv: CvResult | None = field(default=None, repr=False, compare=False)
 
     def training_dts(self) -> list[float]:
-        return sorted({float(dt) for _, dt in self.provenance.get("cases", [])})
+        return sorted({float(dt) for _, dt in self.provenance["cases"]})
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.expansion(x)
@@ -247,7 +247,7 @@ def online(
     T: float,
     problem: IvpProblem | None = None,
     newton: NewtonConfig | None = None,
-) -> tuple[Trajectory, bool | None]:
+) -> tuple[Trajectory, bool]:
     """Integrate with the surrogate as Newton initializer.
 
     Newton starts the first step from the model's prediction, and each later
@@ -255,16 +255,15 @@ def online(
     extrapolated at the order that fit the last step best (see
     :func:`~flowcast.ode.surrogate_initializer`). ``problem`` and ``newton``
     default to the ones the model was trained on. Returns the trajectory
-    and whether ``dt`` equals one of the model's training step sizes (None if
-    the model does not record them); other step sizes are allowed. Step
-    failures do not raise; the partial trajectory carries the error.
+    and whether ``dt`` equals one of the model's training step sizes; other
+    step sizes are allowed. Step failures do not raise; the partial
+    trajectory carries the error.
     """
     problem = problem if problem is not None else model.build_problem()
     newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
     traj = integrate(problem, mu, dt, T, newton, surrogate_initializer(model.predict))
-    dts = model.training_dts()
-    return traj, (dt in dts) if dts else None
+    return traj, dt in model.training_dts()
 
 
 def percent_gain(old: float, new: float) -> float:

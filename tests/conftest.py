@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowcast import ode
+from flowcast.burgers import _boundary_states
 from flowcast.cli import load_experiment
 from flowcast.pipeline import build_training_data, compare_cases, offline
 
@@ -28,6 +29,31 @@ def well_separated_set(rng, n, p, q):
     pick = rng.choice(nodes.shape[0], size=n, replace=False)
     inputs = (nodes[pick] + rng.uniform(-0.2, 0.2, size=(n, p))) / m
     return inputs, rng.standard_normal((n, q)), 0.8 * m
+
+
+def finite_difference_jacobian(fn, u):
+    """Central-difference Jacobian with per-component step 1e-6 * max(1, |u_j|),
+    the reference the analytic Jacobians are checked against."""
+    u = np.asarray(u, dtype=float)
+    cols = []
+    for j in range(u.size):
+        h = 1e-6 * max(1.0, abs(u[j]))
+        up, um = u.copy(), u.copy()
+        up[j] += h
+        um[j] -= h
+        cols.append((np.asarray(fn(up)) - np.asarray(fn(um))) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def shock_position(u, mu, grid):
+    """Center of the first Burgers cell at or below the midpoint of the
+    boundary states (the half width if there is none)."""
+    u_l, u_r = _boundary_states(mu)
+    mid = 0.5 * (u_l + u_r)
+    below = np.nonzero(np.asarray(u) <= mid)[0]
+    if below.size == 0:
+        return float(grid.half_width)
+    return float(grid.centers[below[0]])
 
 
 def report_criterion(capsys, number, name, ok, detail):

@@ -11,12 +11,7 @@ import time
 import numpy as np
 from scipy.linalg import solve
 
-from flowcast.burgers import (
-    BurgersGrid,
-    burgers_initial,
-    make_burgers_problem,
-    shock_position,
-)
+from flowcast.burgers import BurgersGrid, burgers_initial, make_burgers_problem
 from flowcast.greedy import (
     GreedyState,
     TrainConfig,
@@ -30,7 +25,7 @@ from flowcast.model_selection import CvConfig, epsilon_grid, select_epsilon
 from flowcast.ode import IvpProblem, integrate
 from flowcast.pipeline import load_model, save_model
 
-from conftest import make_training_set, report_criterion, well_separated_set
+from conftest import make_training_set, report_criterion, shock_position, well_separated_set
 
 
 def dense_interpolant(inputs, targets, epsilon):

@@ -13,10 +13,11 @@ from flowcast.burgers import (
     burgers_jacobian,
     burgers_rhs,
     make_burgers_problem,
-    shock_position,
 )
-from flowcast.ode import NewtonConfig, finite_difference_jacobian, integrate
+from flowcast.ode import NewtonConfig, integrate
 from flowcast.problems import build_problem, register_problem
+
+from conftest import finite_difference_jacobian, shock_position
 
 PARAMS = (3.4, 0.2)
 
@@ -80,8 +81,6 @@ def test_mu_is_checked_pair():
             problem.rhs(np.zeros(4), mu)
         with pytest.raises(ValueError, match="two components"):
             problem.jacobian(np.zeros(4), mu)
-        with pytest.raises(ValueError, match="two components"):
-            shock_position(np.zeros(4), mu, BurgersGrid(4))
 
 
 def test_problem_calls_module_globals(monkeypatch):
@@ -295,5 +294,12 @@ def test_stacked_rhs_and_jacobian_rows_are_single_calls(cells):
         assert same_bits(jac_block, burgers_jacobian(u, mu, grid))
     with pytest.raises(ValueError, match=r"mu of shape \(5, 2\)"):
         burgers_rhs(states, mus[:, :1], grid)
+    # Parameters in any other form than a float64 array are converted first.
+    pairs = mus[:2].tolist()
+    assert same_bits(burgers_rhs(states[:2], pairs, grid), burgers_rhs(states[:2], mus[:2], grid))
+    assert same_bits(burgers_jacobian(states[:2], pairs, grid),
+                     burgers_jacobian(states[:2], mus[:2], grid))
+    with pytest.raises(ValueError, match=r"needs mu of shape \(2, 2\), got \(2, 3\)"):
+        burgers_rhs(states[:2], [(3.4, 0.2, 1.0), (3.0, 0.4, 0.0)], grid)
     with pytest.raises(ValueError, match="shape"):
         burgers_jacobian(states[:, 1:], mus, grid)

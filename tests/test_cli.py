@@ -210,6 +210,10 @@ def test_load_experiment_errors(tmp_path):
         path.write_text(mangle(TINY_CFG))
         return str(path)
 
+    bad = variant("no-header", lambda s: s.replace("[problem]\n", ""))
+    with pytest.raises(ConfigError, match="cannot parse config .*no-header.cfg"):
+        load_experiment(bad)
+
     bad = variant("unknown-key", lambda s: s.replace("repetitions = 1", "shoes = 2"))
     with pytest.raises(ConfigError, match="unknown keys"):
         load_experiment(bad)
@@ -587,6 +591,30 @@ def test_cli_online_uses_trained_newton_settings(tmp_path, capsys):
     iter_vkoga = float(read_csv(bench_csv)[1][3])
     assert f"mean Newton iterations per step: {iter_vkoga:.2f} " in online_out
     assert iter_vkoga == 0.4  # at the library default tolerance, 1e-14, it reads 1.50
+
+
+def test_cli_online_reports_a_failed_step_and_a_new_step_size(tmp_path, capsys):
+    """A step that does not converge ends online with exit 1, one error line
+    and a per-step report of the steps before it; a step size outside the
+    model's training ones gets a note, a training one none."""
+    cfg = tmp_path / "four-iterations.cfg"
+    cfg.write_text(TINY_CFG.replace("max_iterations = 100", "max_iterations = 4"))
+    model_path = tmp_path / "model.json"
+    assert main(["offline", "--config", str(cfg), "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    steps_csv = tmp_path / "s.csv"
+    assert main(["online", "--model", str(model_path), "--mu", "(3.4, 0.2)",
+                 "--dt", "0.5", "-T", "0.5", "--out", str(steps_csv)]) == 1
+    captured = capsys.readouterr()
+    assert "note: dt differs from every training step size\n" in captured.out
+    assert "mean Newton iterations per step: nan (total 0)\n" in captured.out
+    assert read_csv(steps_csv) == [["step", "time", "iterations", "initializer_residual",
+                                    "final_residual"]]
+    assert captured.err.startswith("error: step 1: step did not converge within 4 iterations")
+    assert captured.err.count("\n") == 1
+    assert main(["online", "--model", str(model_path), "--mu", "(3.4, 0.2)",
+                 "--dt", "0.05", "-T", "0.5"]) == 0
+    assert "note:" not in capsys.readouterr().out
 
 
 def test_cli_bench_solves_config_problem(tiny_cfg, tmp_path, capsys):

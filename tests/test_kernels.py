@@ -73,6 +73,8 @@ def test_kernel_diag_and_self_matrix(rng):
 def test_kernel_dimension_mismatch():
     with pytest.raises(ValueError, match="dimensions differ"):
         GaussianKernel(1.0)(np.zeros((3, 2)), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="expected a 2-d array of points"):
+        GaussianKernel(1.0)(np.zeros(3))
 
 
 def test_kernel_matrix_positive_definite(rng):
@@ -133,6 +135,8 @@ def test_expansion_validation(rng):
         KernelExpansion(centers, coeffs[:3], 1.0)
     with pytest.raises(ValueError, match="2-d"):
         KernelExpansion(centers[0], coeffs, 1.0)
+    with pytest.raises(ValueError, match="coefficients must be 2-d"):
+        KernelExpansion(centers, coeffs[:, 0], 1.0)
     with pytest.raises(ValueError, match="pairwise distinct"):
         KernelExpansion(np.zeros((2, 2)), np.zeros((2, 1)), 1.0)
     with pytest.raises(ValueError, match="epsilon must be a real number > 0"):

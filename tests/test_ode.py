@@ -18,13 +18,14 @@ from flowcast.ode import (
     _ie_step_stack,
     _ie_system,
     _linear_solve,
-    finite_difference_jacobian,
     ie_step,
     integrate,
     integrate_many,
     newton_solve,
     surrogate_initializer,
 )
+
+from conftest import finite_difference_jacobian
 
 EXPLICIT_EULER = Initializer("explicit-euler", lambda p, u, mu, dt: u + dt * p.rhs(u, mu))
 

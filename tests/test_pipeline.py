@@ -138,6 +138,8 @@ def test_assemble_training_set_detects_inconsistency():
         assemble_training_set([a, b])
     with pytest.raises(ValueError, match="at least one trajectory"):
         assemble_training_set([])
+    with pytest.raises(ValueError, match="every trajectory must contain at least one step"):
+        assemble_training_set([a, fake_trajectory(0.1, [[0.0]])])
 
 
 def test_offline_config_validation():
@@ -415,8 +417,8 @@ def test_loaded_model_guesses_bit_for_bit_as_the_trained_one(tiny_model, tmp_pat
         for point in (x, x[None]):
             assert tiny_model.predict(point).tobytes() == loaded.predict(point).tobytes()
     trained, _ = online(tiny_model, (3.4, 0.2), 0.05, 1.0)
-    reloaded, _ = online(loaded, (3.4, 0.2), 0.05, 1.0)
-    assert trained.completed and reloaded.completed
+    reloaded, dt_in_training = online(loaded, (3.4, 0.2), 0.05, 1.0)
+    assert trained.completed and reloaded.completed and dt_in_training is True
     assert trained.states.tobytes() == reloaded.states.tobytes()
     assert trained.newton_stats == reloaded.newton_stats
 
