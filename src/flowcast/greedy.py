@@ -258,10 +258,6 @@ class GreedyResult:
     status: str
     max_power_history: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def n_centers(self) -> int:
-        return self.model.n_centers
-
 
 def run_greedy(state: GreedyState):
     """Select until ``state.cfg.tolerance``, budget, pool, or floor exhaustion;

@@ -41,10 +41,6 @@ from scipy.linalg.lapack import dgtsv
 __all__ = [
     "NewtonConfig",
     "NewtonStats",
-    "NewtonError",
-    "SingularJacobianError",
-    "DivergenceError",
-    "StepError",
     "newton_solve",
     "IvpProblem",
     "Initializer",
@@ -55,26 +51,6 @@ __all__ = [
     "integrate_many",
     "Trajectory",
 ]
-
-
-class NewtonError(Exception):
-    """Base class for failures inside the Newton iteration."""
-
-
-class SingularJacobianError(NewtonError):
-    """The linearized system could not be solved."""
-
-
-class DivergenceError(NewtonError):
-    """The iteration produced a residual whose norm is not finite."""
-
-
-class StepError(Exception):
-    """An implicit step did not converge within the iteration budget."""
-
-    def __init__(self, message: str, stats: "NewtonStats | None" = None):
-        super().__init__(message)
-        self.stats = stats
 
 
 def _check_int(name: str, value, minimum: int, optional: bool = False) -> int | None:
@@ -144,14 +120,34 @@ class NewtonStats:
     """Outcome of one Newton solve.
 
     ``iterations`` counts linear solves; a guess that already satisfies the
-    tolerance converges with zero. ``initializer_residual_norm`` is the
-    residual norm of the starting guess, before any correction.
+    tolerance converges with zero. ``status`` says how the solve stopped:
+    "converged" (residual norm at or below the tolerance), "cap" (the
+    iteration cap reached above it), "singular" (the linear solve of the
+    next iteration failed) or "non-finite" (a residual norm that is not
+    finite). ``final_residual_norm`` is the residual norm of the last
+    iterate, ``initializer_residual_norm`` that of the starting guess,
+    before any correction.
     """
 
     iterations: int
     final_residual_norm: float
-    converged: bool
+    status: str
     initializer_residual_norm: float
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+
+def _failure(stats: NewtonStats) -> str:
+    """What went wrong in a solve that did not converge, as a run's error."""
+    if stats.status == "singular":
+        return f"linear solve failed at iteration {stats.iterations}: singular matrix"
+    if stats.status == "non-finite":
+        return ("residual norm of the starting guess is not finite" if stats.iterations == 0
+                else f"non-finite residual norm at iteration {stats.iterations}")
+    return (f"step did not converge within {stats.iterations} iterations "
+            f"(residual {stats.final_residual_norm:.3e})")
 
 
 def _check_bands(bands) -> None:
@@ -171,7 +167,7 @@ def _linear_solve(jac: np.ndarray, rhs: np.ndarray, bands: tuple[int, int] | Non
             raise np.linalg.LinAlgError("singular matrix")
         return rhs / pivot
     # Unchecked, as the dense solve: non-finite entries give a non-finite
-    # step, which newton_solve reports as DivergenceError. This is
+    # step, which newton_solve reports as status "non-finite". This is
     # solve_banded's own gtsv call minus its validation layer; the zero
     # overwrite flags leave the caller's band and right-hand side intact.
     _, _, _, x, info = dgtsv(jac[2, :-1], jac[1], jac[0, 1:], rhs, 0, 0, 0, 0)
@@ -180,33 +176,33 @@ def _linear_solve(jac: np.ndarray, rhs: np.ndarray, bands: tuple[int, int] | Non
     return x
 
 
-def _solve_stack(jac, rhs, bands) -> tuple[np.ndarray, dict[int, Exception]]:
+def _solve_stack(jac, rhs, bands) -> tuple[np.ndarray, list[int]]:
     """Solve a stack of systems, ``rhs`` of shape (M, d) with ``jac`` (M, d, d)
     or, for bands, (M, 3, d), each as :func:`_linear_solve` would alone.
 
     A band stack is one ``dgtsv`` on the concatenated (3, M*d) band, where
     each block's zero corners are its couplings to its neighbours. Dense
-    systems are solved one at a time. Returns the solutions and, by
-    position, the LinAlgError of each singular system (its row left unset).
+    systems are solved one at a time. Returns the solutions and the
+    positions of the singular systems, whose rows are left unset.
     """
     if bands is not None:
         try:
             band = jac.transpose(1, 0, 2).reshape(3, -1)
             x = _linear_solve(band, rhs.reshape(-1), bands).reshape(rhs.shape)
             if np.isfinite(x).all():
-                return x, {}
+                return x, []
         except np.linalg.LinAlgError:
             pass
         # dgtsv stops at the first singular system, and a non-finite one
         # spills into its neighbours through 0 * inf: solve each alone.
     x = np.empty_like(rhs)
-    failed = {}
+    singular = []
     for j in range(len(rhs)):
         try:
             x[j] = _linear_solve(jac[j], rhs[j], bands)
-        except np.linalg.LinAlgError as exc:
-            failed[j] = exc
-    return x, failed
+        except np.linalg.LinAlgError:
+            singular.append(j)
+    return x, singular
 
 
 def _check_one_system(name: str, u: np.ndarray) -> None:
@@ -226,10 +222,10 @@ def newton_solve(
     ``u0`` is 1-d. ``jacobian`` returns a dense matrix, or, when
     ``bands=(1, 1)``, the tridiagonal matrix in LAPACK band storage of shape
     ``(3, d)``; any other ``bands`` raises ValueError. Returns the last
-    iterate and its stats; hitting the iteration cap yields
-    ``converged=False`` rather than an exception. Singular linear systems
-    raise SingularJacobianError. A residual whose 2-norm is not finite raises
-    DivergenceError: besides non-finite entries, that includes finite ones
+    iterate and its stats for every numerical outcome, the way the solve
+    stopped in ``stats.status``: "cap" at the iteration cap, "singular" when
+    a linear system cannot be solved, "non-finite" when a residual's 2-norm
+    is not finite, which besides non-finite entries includes finite ones
     whose squares overflow (entries beyond about 1e154).
     """
     _check_bands(bands)
@@ -241,36 +237,27 @@ def newton_solve(
     # bit for bit. vdot, unlike dot and @, does not warn when g.g overflows.
     initial = norm = math.sqrt(np.vdot(g, g))
     iterations = 0
-    while (outcome := _outcome(iterations, norm, cfg, initial)) is None:
+    while (status := _status(iterations, norm, cfg)) is None:
         jac = np.asarray(jacobian(u), dtype=float)
         try:
             delta = _linear_solve(jac, -g, bands)
-        except np.linalg.LinAlgError as exc:
-            raise _singular(iterations, exc) from exc
+        except np.linalg.LinAlgError:
+            status = "singular"
+            break
         u = u + delta
         g = np.asarray(residual(u), dtype=float)
         iterations += 1
         norm = math.sqrt(np.vdot(g, g))
-    if isinstance(outcome, NewtonError):
-        raise outcome
-    return u, outcome
+    return u, NewtonStats(iterations, norm, status, initial)
 
 
-def _outcome(iterations: int, norm: float, cfg: NewtonConfig, initial: float):
-    """None while a system at residual ``norm`` iterates on; then its
-    NewtonStats, or DivergenceError when ``norm`` is not finite."""
+def _status(iterations: int, norm: float, cfg: NewtonConfig) -> str | None:
+    """None while a system at residual ``norm`` iterates on; then how it stopped."""
     if cfg.tolerance < norm < math.inf and iterations < cfg.max_iterations:
         return None
-    if math.isfinite(norm):
-        return NewtonStats(iterations, norm, norm <= cfg.tolerance, initial)
-    return DivergenceError(
-        "residual norm of the starting guess is not finite" if iterations == 0
-        else f"non-finite residual norm at iteration {iterations}"
-    )
-
-
-def _singular(iterations: int, exc: Exception) -> SingularJacobianError:
-    return SingularJacobianError(f"linear solve failed at iteration {iterations}: {exc}")
+    if not math.isfinite(norm):
+        return "non-finite"
+    return "converged" if norm <= cfg.tolerance else "cap"
 
 
 @dataclass(frozen=True)
@@ -395,14 +382,6 @@ def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray]) -> Initiali
     return _ErrorFeedback("surrogate", guess)
 
 
-def _not_converged(stats: NewtonStats) -> StepError:
-    return StepError(
-        f"step did not converge within {stats.iterations} iterations "
-        f"(residual {stats.final_residual_norm:.3e})",
-        stats,
-    )
-
-
 def _ie_system(problem: IvpProblem, u_prev: np.ndarray, mu, dt: float):
     """The residual g(u) = (u - u_prev) - dt * f(u, mu) of an implicit Euler
     step and its Jacobian I - dt * J, as functions of u: for one state, or
@@ -432,19 +411,17 @@ def ie_step(
     cfg: NewtonConfig | None = None,
     initializer: Initializer | Callable = PREVIOUS_VALUE,
 ) -> tuple[np.ndarray, NewtonStats]:
-    """One implicit Euler step of the 1-d state ``u_prev``; raises StepError
-    if Newton does not converge. ``initializer`` is an :class:`Initializer`,
-    which guesses as at a run's first step, or the guess function of a run
-    that :meth:`Initializer.start` made."""
+    """One implicit Euler step of the 1-d state ``u_prev``: the Newton
+    iterate and stats of :func:`newton_solve`, whether or not it converged.
+    ``initializer`` is an :class:`Initializer`, which guesses as at a run's
+    first step, or the guess function of a run that :meth:`Initializer.start`
+    made."""
     _check_real("dt", dt)
     u_prev = np.asarray(u_prev, dtype=float)
     _check_one_system("u_prev", u_prev)
     residual, jacobian = _ie_system(problem, u_prev, mu, dt)
     u0 = initializer(problem, u_prev, mu, dt)
-    u, stats = newton_solve(residual, jacobian, u0, cfg, problem.jacobian_bands)
-    if not stats.converged:
-        raise _not_converged(stats)
-    return u, stats
+    return newton_solve(residual, jacobian, u0, cfg, problem.jacobian_bands)
 
 
 def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt: float,
@@ -455,9 +432,9 @@ def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt:
 
     Each Newton iteration makes one stacked ``rhs``, Jacobian and
     :func:`_solve_stack` for the states still iterating; a state leaves as
-    soon as it converges, reaches the cap or fails. Returns the new states
-    and, per state, its NewtonStats or the StepError or NewtonError that
-    ended it."""
+    soon as it stops. Returns, per state, its last iterate and its
+    NewtonStats; a state whose linear system is singular stops with status
+    "singular" while the others solve again without it."""
     cfg = cfg or _DEFAULT_NEWTON
     u = np.array(u0, dtype=float)
     out, outcomes = u, [None] * len(u)  # written as each state leaves
@@ -467,24 +444,24 @@ def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt:
     initial = norms = [math.sqrt(np.vdot(r, r)) for r in g]  # as newton_solve
     iterations = 0
     while True:
-        ended = {j: outcome for j, norm in enumerate(norms)
-                 if (outcome := _outcome(iterations, norm, cfg, initial[rows[j]])) is not None}
+        ended = {j: status for j, norm in enumerate(norms)
+                 if (status := _status(iterations, norm, cfg)) is not None}
         if not ended:
-            delta, failed = _solve_stack(jacobian(u), -g, problem.jacobian_bands)
-            if not failed:
+            delta, singular = _solve_stack(jacobian(u), -g, problem.jacobian_bands)
+            if not singular:
                 u = u + delta
                 g = residual(u)
                 iterations += 1
                 norms = [math.sqrt(np.vdot(r, r)) for r in g]
                 continue
             # The others solve again without the singular ones.
-            ended = {j: _singular(iterations, exc) for j, exc in failed.items()}
-        for j, outcome in ended.items():
-            outcomes[rows[j]], out[rows[j]] = outcome, u[j]
+            ended = dict.fromkeys(singular, "singular")
+        for j, status in ended.items():
+            outcomes[rows[j]] = NewtonStats(iterations, norms[j], status, initial[rows[j]])
+            out[rows[j]] = u[j]
         keep = [j for j in range(len(rows)) if j not in ended]
         if not keep:
-            return out, [_not_converged(s) if isinstance(s, NewtonStats) and not s.converged
-                         else s for s in outcomes]
+            return out, outcomes
         rows, u, g, norms = [rows[j] for j in keep], u[keep], g[keep], [norms[j] for j in keep]
         residual, jacobian = _ie_system(problem, u_prev[rows], mus[rows], dt)
 
@@ -589,9 +566,10 @@ def integrate_many(
     instance axis (see :class:`IvpProblem`). Each instance guesses with its
     own guess function from ``initializer.start()``, one state at a time, so
     a guess remembers the steps of its own run only. Never raises on step
-    failure: the instance leaves the stack, and its partial trajectory is
-    returned with ``completed=False`` and the error message recorded.
-    ``wall_time_s`` is the stack's.
+    failure: a step whose NewtonStats did not converge takes its instance
+    out of the stack, and the partial trajectory is returned with
+    ``completed=False`` and ``error`` saying at which step and how the
+    solve stopped. ``wall_time_s`` is the stack's.
     """
     mus = [np.array(mu) for mu, _ in _check_cases(problem, [(mu, dt) for mu in mus], T)]
     n_steps = _step_count(T, dt)
@@ -606,26 +584,21 @@ def integrate_many(
     single = len(mus) == 1  # one instance runs unstacked, on 1-d arrays
     start = time.perf_counter()
     for i in range(n_steps):
-        if single:  # a lone instance's failed step ends the run at once
-            try:
-                states[0][i + 1], outcome = ie_step(problem, states[0][i], mus[0], dt, cfg,
-                                                    guesses[0])
-            except (StepError, NewtonError) as exc:
-                errors[0] = f"step {i + 1}: {exc}"
-                break
-            stats[0].append(outcome)
-            continue
         if not rows:
             break
-        u0 = [guesses[m](problem, states[m][i], mus[m], dt) for m in rows]
-        u, outcomes = _ie_step_stack(problem, np.array([states[m][i] for m in rows]),
-                                     mu_rows[rows], dt, cfg, u0)
+        if single:
+            u, outcome = ie_step(problem, states[0][i], mus[0], dt, cfg, guesses[0])
+            u, outcomes = [u], [outcome]
+        else:
+            u0 = [guesses[m](problem, states[m][i], mus[m], dt) for m in rows]
+            u, outcomes = _ie_step_stack(problem, np.array([states[m][i] for m in rows]),
+                                         mu_rows[rows], dt, cfg, u0)
         for m, u_m, outcome in zip(rows, u, outcomes):
-            if isinstance(outcome, NewtonStats):
+            if outcome.converged:
                 states[m][i + 1] = u_m
                 stats[m].append(outcome)
             else:
-                errors[m] = f"step {i + 1}: {outcome}"
+                errors[m] = f"step {i + 1}: {_failure(outcome)}"
                 rows = [r for r in rows if r != m]  # the zip keeps iterating the old list
     wall = time.perf_counter() - start
     return [Trajectory(mu=mu, dt=float(dt), times=dt * np.arange(len(stats[m]) + 1),

@@ -292,11 +292,11 @@ def test_status_tolerance(rng):
     data = TrainingSet(inputs, targets)
     result = greedy_train(data, TrainConfig(1.0, tolerance=1e-2))
     assert result.status == "tolerance"
-    assert result.n_centers < data.size
+    assert result.model.n_centers < data.size
     # The tolerance bounds the squared power: the run stops at the first
     # pool maximum at or below it.
     history = result.max_power_history
-    assert len(history) == result.n_centers + 1
+    assert len(history) == result.model.n_centers + 1
     assert history[-1] <= 1e-2 < np.min(history[:-1])
     # The power bounds the pointwise error, |f - s| <= P ||f||_H, so on these
     # smooth targets every residual norm is at most sqrt(tol).
@@ -308,14 +308,14 @@ def test_status_max_centers(rng):
     data = small_data(rng)
     result = greedy_train(data, TrainConfig(1.0, tolerance=0.0, max_centers=4))
     assert result.status == "max_centers"
-    assert result.n_centers == 4
+    assert result.model.n_centers == 4
 
 
 def test_status_exhausted(rng):
     data = small_data(rng, n=6)
     result = greedy_train(data, TrainConfig(1.0, tolerance=0.0))
     assert result.status == "exhausted"
-    assert result.n_centers == 6
+    assert result.model.n_centers == 6
 
 
 def test_status_stalled_without_warning():
@@ -328,7 +328,7 @@ def test_status_stalled_without_warning():
         warnings.simplefilter("error")
         result = greedy_train(data, TrainConfig(1.0, tolerance=0.0))
     assert result.status == "stalled"
-    assert result.n_centers == 2
+    assert result.model.n_centers == 2
 
 
 def test_select_next_returns_none_at_floor():
@@ -346,7 +346,7 @@ def test_zero_targets_give_empty_model(rng):
     data = TrainingSet(inputs, np.zeros((5, 1)))
     result = greedy_train(data, TrainConfig(1.0, tolerance=1.0))
     assert result.status == "tolerance"
-    assert result.n_centers == 0
+    assert result.model.n_centers == 0
     assert np.array_equal(result.model(inputs), np.zeros((5, 1)))
 
 

@@ -7,14 +7,12 @@ from scipy.linalg import solve_banded
 from flowcast.burgers import make_burgers_problem
 from flowcast.ode import (
     PREVIOUS_VALUE,
-    DivergenceError,
     Initializer,
     IvpProblem,
     NewtonConfig,
     NewtonStats,
-    SingularJacobianError,
-    StepError,
     _check_params,
+    _failure,
     _ie_step_stack,
     _ie_system,
     _linear_solve,
@@ -59,21 +57,25 @@ def test_newton_zero_iterations_on_exact_guess():
     assert u[0] == 2.0
 
 
+SINGULAR_AT_0 = "linear solve failed at iteration 0: singular matrix"
+
+
 def test_newton_singular_jacobian():
-    with pytest.raises(SingularJacobianError):
-        newton_solve(lambda x: x + 1.0, lambda x: np.zeros((1, 1)), np.array([0.0]))
+    u, stats = newton_solve(lambda x: x + 1.0, lambda x: np.zeros((1, 1)), np.array([0.0]))
+    assert stats == NewtonStats(0, 1.0, "singular", 1.0) and not stats.converged
+    assert _failure(stats) == SINGULAR_AT_0 and u[0] == 0.0
 
 
 def test_newton_singular_banded_jacobian():
     # A 1x1 system: solve_banded itself would divide by the zero pivot.
     for pivot in (0.0, np.inf, np.nan):
         ab = np.array([[0.0], [pivot], [0.0]])
-        with pytest.raises(SingularJacobianError):
-            newton_solve(lambda x: x + 1.0, lambda x: ab, np.array([0.0]), bands=(1, 1))
+        _, stats = newton_solve(lambda x: x + 1.0, lambda x: ab, np.array([0.0]), bands=(1, 1))
+        assert stats.status == "singular" and _failure(stats) == SINGULAR_AT_0
     # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: equal first two rows.
     ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(SingularJacobianError):
-        newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+    _, stats = newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+    assert stats.status == "singular" and _failure(stats) == SINGULAR_AT_0
 
 
 def test_tridiagonal_solve_matches_solve_banded(rng):
@@ -99,33 +101,42 @@ def test_tridiagonal_solve_matches_solve_banded(rng):
         assert ab.tobytes() == ab_before.tobytes() and b.tobytes() == b_before.tobytes()
 
 
+def assert_non_finite(stats, iterations):
+    assert stats.status == "non-finite" and stats.iterations == iterations
+    assert not np.isfinite(stats.final_residual_norm)
+    assert _failure(stats) == ("residual norm of the starting guess is not finite"
+                               if iterations == 0
+                               else f"non-finite residual norm at iteration {iterations}")
+
+
 def test_newton_divergence():
-    with pytest.raises(DivergenceError, match="starting guess"):
-        newton_solve(lambda x: x * np.inf, lambda x: np.eye(1), np.array([1.0]))
+    _, stats = newton_solve(lambda x: x * np.inf, lambda x: np.eye(1), np.array([1.0]))
+    assert_non_finite(stats, 0)
 
     def residual(x):
         return np.array([np.nan]) if x[0] != 0.0 else np.array([1.0])
 
-    with pytest.raises(DivergenceError, match="iteration 1"):
-        newton_solve(residual, lambda x: np.eye(1), np.array([0.0]))
+    _, stats = newton_solve(residual, lambda x: np.eye(1), np.array([0.0]))
+    assert_non_finite(stats, 1)
 
     # A non-finite band entry, like a non-finite dense one, gives a
     # non-finite step rather than a ValueError from the solver.
     ab = np.array([[0.0, 1.0, np.nan], [1.0, 2.0, 1.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(DivergenceError, match="iteration 1"):
-        newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+    _, stats = newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+    assert_non_finite(stats, 1)
 
 
 def test_newton_residual_norm_overflow_raises():
-    """Finite entries whose squares overflow give a non-finite 2-norm."""
-    with pytest.raises(DivergenceError, match="starting guess"):
-        newton_solve(lambda x: np.full(3, 1e200), lambda x: np.eye(3), np.zeros(3))
+    """Finite entries whose squares overflow give a non-finite 2-norm: the
+    solve stops with status "non-finite", as on a non-finite entry."""
+    _, stats = newton_solve(lambda x: np.full(3, 1e200), lambda x: np.eye(3), np.zeros(3))
+    assert_non_finite(stats, 0)
 
     def residual(x):
         return np.full(3, 1e200) if x[0] != 0.0 else np.ones(3)
 
-    with pytest.raises(DivergenceError, match="iteration 1"):
-        newton_solve(residual, lambda x: np.eye(3), np.zeros(3))
+    _, stats = newton_solve(residual, lambda x: np.eye(3), np.zeros(3))
+    assert_non_finite(stats, 1)
 
 
 def test_newton_residual_norm_is_numpy_norm(rng):
@@ -341,20 +352,22 @@ def test_ie_step_linear_closed_form():
 
 
 def test_ie_step_raises_on_no_convergence():
+    # A step that does not converge is returned, not raised: its stats stop
+    # at the cap, and they word the run's error.
     quadratic = IvpProblem(
         dim=1,
         rhs=lambda u, mu: u * u,
         initial_value=lambda mu: np.ones(1),
         jacobian=lambda u, mu: np.diag(2.0 * u),
     )
-    with pytest.raises(StepError) as info:
-        ie_step(
-            quadratic, np.array([1.0]), [], 0.1,
-            NewtonConfig(max_iterations=1),
-            Initializer("far", lambda p, u, mu, dt: u + 100.0),
-        )
-    assert info.value.stats is not None
-    assert not info.value.stats.converged
+    _, stats = ie_step(
+        quadratic, np.array([1.0]), [], 0.1,
+        NewtonConfig(max_iterations=1),
+        Initializer("far", lambda p, u, mu, dt: u + 100.0),
+    )
+    assert stats.status == "cap" and stats.iterations == 1 and not stats.converged
+    assert _failure(stats) == (f"step did not converge within 1 iterations "
+                               f"(residual {stats.final_residual_norm:.3e})")
 
 
 def test_integrate_geometric_decay():
@@ -484,17 +497,35 @@ def test_integrate_many_matches_single_runs_with_dense_jacobian():
         assert_same_runs(got, integrate(problem, mu, 0.05, 1.0))
 
 
-def test_stalled_instance_fails_alone_in_a_stack():
-    # (3.4, 0.2) at dt 0.1 stalls on Newton's round-off plateau: it must fail
-    # at the same step with the same error as alone, and its partner's run
-    # must not change.
-    problem = make_burgers_problem()
-    mus = [(3.4, 0.2), (3.2, 0.0)]
-    stacked = integrate_many(problem, mus, 0.1, 2.0)
-    alone = [integrate(problem, mu, 0.1, 2.0) for mu in mus]
-    assert not alone[0].completed and "did not converge" in alone[0].error
+def assert_fails_alone_in_a_stack(problem, mus, dt, T, cfg, failing, error):
+    """The run of ``mus[failing]`` fails at the same step with the same error,
+    states and stats in the stack as alone, and its partners' runs do not
+    change."""
+    stacked = integrate_many(problem, mus, dt, T, cfg)
+    alone = [integrate(problem, mu, dt, T, cfg) for mu in mus]
+    assert not alone[failing].completed and alone[failing].error.startswith(error)
     for got, want in zip(stacked, alone):
         assert_same_runs(got, want)
+    return alone
+
+
+def test_stalled_instance_fails_alone_in_a_stack():
+    # (3.4, 0.2) at dt 0.1 stalls on Newton's round-off plateau: status "cap".
+    assert_fails_alone_in_a_stack(make_burgers_problem(), [(3.4, 0.2), (3.2, 0.0)], 0.1, 2.0,
+                                  None, 0, "step 6: step did not converge within 100 iterations")
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("singular", f"step 1: {SINGULAR_AT_0}"),
+    ("nan", "step 1: non-finite residual norm at iteration 1"),
+], ids=["singular", "non-finite"])
+def test_spoiled_instance_fails_alone_in_a_stack(bad, error):
+    # At dt = 1 the spoiled system of tridiagonal_systems stops with status
+    # "singular" or "non-finite" at its first step; its neighbours run on.
+    problem, mus = tridiagonal_systems(bad)
+    alone = assert_fails_alone_in_a_stack(problem, mus, 1.0, 3.0, NewtonConfig(tolerance=1e-12),
+                                          1, error)
+    assert alone[0].completed and alone[2].completed
 
 
 def test_integrate_many_calls_initializer_per_instance():
@@ -601,18 +632,20 @@ def tridiagonal_systems(bad):
     return problem, mus
 
 
-@pytest.mark.parametrize("bad, error", [("nan", DivergenceError),
-                                        ("singular", SingularJacobianError)])
-def test_spoiled_system_does_not_touch_its_neighbours(bad, error):
+@pytest.mark.parametrize("bad", ["nan", "singular"])
+def test_spoiled_system_does_not_touch_its_neighbours(bad):
     # In dgtsv's elimination a NaN block leaks into the next through 0 * NaN,
     # and dgtsv stops at the first singular pivot; the stack must still give
-    # every other system its own solve's bits.
+    # every system its own solve's bits, the spoiled one included.
     problem, mus = tridiagonal_systems(bad)
     u_prev, cfg = np.ones((3, 4)), NewtonConfig(tolerance=1e-12)
     u, outcomes = _ie_step_stack(problem, u_prev, mus, 1.0, cfg, u_prev)  # previous values
-    with pytest.raises(error) as alone:
-        ie_step(problem, u_prev[1], mus[1], 1.0, cfg)
-    assert type(outcomes[1]) is error and str(outcomes[1]) == str(alone.value)
+    alone_u, alone = ie_step(problem, u_prev[1], mus[1], 1.0, cfg)
+    assert outcomes[1].status == alone.status == {"nan": "non-finite"}.get(bad, bad)
+    assert _failure(outcomes[1]) == _failure(alone)
+    assert u[1].tobytes() == alone_u.tobytes()
+    if bad == "singular":  # a finite residual norm: the whole outcome compares
+        assert outcomes[1] == alone
     for j in (0, 2):
         want_u, want_stats = ie_step(problem, u_prev[j], mus[j], 1.0, cfg)
         assert outcomes[j] == want_stats and want_stats.converged
@@ -643,10 +676,8 @@ def test_stack_outcomes_per_system():
     want_u, want = ie_step(problem, np.zeros(1), mus[0], 1.0, cfg, guess)
     assert outcomes[0] == want and want.converged and u[0, 0] == 2.0
     assert u[0].tobytes() == want_u.tobytes()
-    assert isinstance(outcomes[1], DivergenceError) and "starting guess" in str(outcomes[1])
-    assert isinstance(outcomes[2], StepError)  # x^2: linear convergence
-    assert not outcomes[2].stats.converged and outcomes[2].stats.iterations == 8
+    assert_non_finite(outcomes[1], 0)
+    assert outcomes[2].status == "cap" and outcomes[2].iterations == 8  # x^2: linear convergence
     for j in (1, 2):
-        with pytest.raises(type(outcomes[j])) as alone:
-            ie_step(problem, np.zeros(1), mus[j], 1.0, cfg, guess)
-        assert str(alone.value) == str(outcomes[j])
+        _, alone = ie_step(problem, np.zeros(1), mus[j], 1.0, cfg, guess)
+        assert alone == outcomes[j] and _failure(alone) == _failure(outcomes[j])

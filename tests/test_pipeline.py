@@ -63,7 +63,7 @@ def tiny_model():
 def fake_trajectory(dt, states):
     states = np.asarray(states, dtype=float)
     n = states.shape[0] - 1
-    stats = [NewtonStats(1, 0.0, True, 1.0)] * n
+    stats = [NewtonStats(1, 0.0, "converged", 1.0)] * n
     return Trajectory(
         mu=np.array([0.0]),
         dt=dt,
