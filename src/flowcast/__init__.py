@@ -9,6 +9,7 @@ from .burgers import (
     BurgersGrid,
     burgers_initial,
     burgers_jacobian,
+    burgers_linearize,
     burgers_rhs,
     make_burgers_problem,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "BurgersGrid",
     "burgers_initial",
     "burgers_jacobian",
+    "burgers_linearize",
     "burgers_rhs",
     "make_burgers_problem",
     "GreedyResult",

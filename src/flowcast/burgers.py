@@ -17,6 +17,7 @@ traveling at speed (u_l + u_r)/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,6 +28,7 @@ from .ode import IvpProblem, _check_int, _check_params, _check_real
 __all__ = [
     "BurgersGrid",
     "burgers_initial",
+    "burgers_linearize",
     "burgers_rhs",
     "burgers_jacobian",
     "make_burgers_problem",
@@ -34,9 +36,11 @@ __all__ = [
 
 
 def _boundary_states(mu) -> list[float]:
-    # The shape an integration passes on every rhs and Jacobian call.
+    # The shape an integration passes on every call: finite, it is taken as it is.
     if type(mu) is np.ndarray and mu.dtype == np.float64 and mu.shape == (2,):
-        return mu.tolist()
+        values = mu.tolist()
+        if math.isfinite(values[0]) and math.isfinite(values[1]):
+            return values
     values = list(_check_params(mu.ravel() if isinstance(mu, np.ndarray) else mu))
     if len(values) != 2:
         raise ValueError(f"mu must have two components (u_l, u_r), got {len(values)}")
@@ -63,26 +67,6 @@ class BurgersGrid:
         return -self.half_width + (np.arange(self.cells) + 0.5) * self.h
 
 
-def _flux(w: np.ndarray) -> np.ndarray:
-    """F(a, b) at the interfaces (a, b) = (w[:-1], w[1:]) of a ghosted state."""
-    abs_w, sq = np.abs(w), w * w
-    lam = np.maximum(abs_w[:-1], abs_w[1:])
-    return 0.25 * (sq[:-1] + sq[1:]) - 0.5 * lam * (w[1:] - w[:-1])
-
-
-def _flux_partials(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dF/da and dF/db at the interfaces of :func:`_flux`; at |a| == |b| the
-    b-branch of the max is taken."""
-    abs_w, sign, half_w = np.abs(w), np.sign(w), 0.5 * w
-    a_wins = abs_w[:-1] > abs_w[1:]
-    half_lam = 0.5 * np.maximum(abs_w[:-1], abs_w[1:])
-    # The sign is 0 or +-1, so sign * (0.5 * jump) rounds as (0.5 * sign) * jump.
-    half_jump = 0.5 * (w[1:] - w[:-1])
-    dfa = half_w[:-1] - np.where(a_wins, sign[:-1], 0.0) * half_jump + half_lam
-    dfb = half_w[1:] - np.where(a_wins, 0.0, sign[1:]) * half_jump - half_lam
-    return dfa, dfb
-
-
 def _ghosted(u, mu, grid: BurgersGrid) -> np.ndarray:
     """The state with one ghost cell per side holding the boundary state.
 
@@ -100,7 +84,8 @@ def _ghosted(u, mu, grid: BurgersGrid) -> np.ndarray:
         raise ValueError(
             f"state has shape {u.shape}, expected ({grid.cells},) or (M, {grid.cells})"
         )
-    if type(mu) is not np.ndarray or mu.dtype != np.float64:  # as integrate_many passes it
+    # A finite float64 array, as integrate_many passes it, is taken as it is.
+    if type(mu) is not np.ndarray or mu.dtype != np.float64 or not np.isfinite(mu).all():
         mu = np.array([_check_params(row) for row in mu])
     if mu.shape != (len(u), 2):
         raise ValueError(f"a stack of {len(u)} states needs mu of shape ({len(u)}, 2), "
@@ -111,28 +96,61 @@ def _ghosted(u, mu, grid: BurgersGrid) -> np.ndarray:
     return w
 
 
+def _flux_partials(w, abs_w, half_lam, jump) -> tuple[np.ndarray, np.ndarray]:
+    """dF/da and dF/db at the interfaces (a, b) = (w[:-1], w[1:]) of a
+    ghosted state, from the |w|, half the max and the jump b - a that the
+    flux has computed; at |a| == |b| the b-branch of the max is taken."""
+    a_wins = abs_w[:-1] > abs_w[1:]
+    sign, half_w, half_jump = np.sign(w), 0.5 * w, 0.5 * jump
+    # The sign is 0 or +-1, so sign * (0.5 * jump) rounds as (0.5 * sign) *
+    # jump. A masked product differs from selecting the max's branch only in
+    # the sign of a zero, where adding half_lam (never -0.0) or subtracting a
+    # positive one makes it vanish.
+    dfa = half_w[:-1] - sign[:-1] * a_wins * half_jump + half_lam
+    dfb = half_w[1:] - sign[1:] * ~a_wins * half_jump - half_lam
+    return dfa, dfb
+
+
+def burgers_linearize(u: np.ndarray, mu, grid: BurgersGrid):
+    """The semi-discrete right-hand side du_c/dt = -(F_{c+1/2} - F_{c-1/2})/h
+    at u for the boundary states mu = (u_l, u_r), and a function of no
+    arguments that returns its exact Jacobian at that u.
+
+    The Jacobian is tridiagonal, in LAPACK band storage of shape (3, d): row
+    0 holds the super-diagonal in columns 1..d-1, row 1 the diagonal and row
+    2 the sub-diagonal in columns 0..d-2; the two unused corners are zero.
+    It is built, when the function is called, from the state ghosted once,
+    |w|, half the interface max and the jump that the flux has computed. A
+    stack of states (M, cells) with mu of shape (M, 2) gives shapes
+    (M, cells) and (M, 3, cells), each row bit for bit that state's own call.
+    """
+    w = _ghosted(u, mu, grid)
+    h = grid.h
+    abs_w, sq = np.abs(w), w * w
+    half_lam = 0.5 * np.maximum(abs_w[:-1], abs_w[1:])
+    jump = w[1:] - w[:-1]
+    flux = 0.25 * (sq[:-1] + sq[1:]) - half_lam * jump  # F(a, b) at (w[:-1], w[1:])
+    f = ((flux[1:] - flux[:-1]) / -h).T  # -x / h, down to the sign of a zero
+
+    def jacobian():
+        dfa, dfb = _flux_partials(w, abs_w, half_lam, jump)
+        ab = np.zeros((3, grid.cells) + dfa.shape[1:])
+        np.divide(dfb[1:-1], -h, out=ab[0, 1:])  # -(x / h), as -x / h rounds
+        np.divide(dfb[:-1] - dfa[1:], h, out=ab[1])
+        np.divide(dfa[1:-1], h, out=ab[2, :-1])
+        return ab if ab.ndim == 2 else ab.transpose(2, 0, 1)
+
+    return f, jacobian
+
+
 def burgers_rhs(u: np.ndarray, mu, grid: BurgersGrid) -> np.ndarray:
-    """Semi-discrete right-hand side du_c/dt = -(F_{c+1/2} - F_{c-1/2})/h
-    for the boundary states mu = (u_l, u_r). A stack of states (M, cells)
-    with mu of shape (M, 2) gives shape (M, cells), each row bit for bit
-    that state's own call."""
-    f = _flux(_ghosted(u, mu, grid))
-    return ((f[1:] - f[:-1]) / -grid.h).T  # -x / h, down to the sign of a zero
+    """The right-hand side half of :func:`burgers_linearize`."""
+    return burgers_linearize(u, mu, grid)[0]
 
 
 def burgers_jacobian(u: np.ndarray, mu, grid: BurgersGrid) -> np.ndarray:
-    """Exact tridiagonal derivative of :func:`burgers_rhs` in LAPACK band
-    storage, shape (3, d): row 0 holds the super-diagonal in columns 1..d-1,
-    row 1 the diagonal and row 2 the sub-diagonal in columns 0..d-2; the two
-    unused corners are zero. A stack of states gives shape (M, 3, d), each
-    block bit for bit that state's own call."""
-    dfa, dfb = _flux_partials(_ghosted(u, mu, grid))
-    h = grid.h
-    ab = np.zeros((3, grid.cells) + dfa.shape[1:])
-    np.divide(dfb[1:-1], -h, out=ab[0, 1:])  # -(x / h), as -x / h rounds
-    np.divide(dfb[:-1] - dfa[1:], h, out=ab[1])
-    np.divide(dfa[1:-1], h, out=ab[2, :-1])
-    return ab if ab.ndim == 2 else ab.transpose(2, 0, 1)
+    """The Jacobian half of :func:`burgers_linearize`, in band storage."""
+    return burgers_linearize(u, mu, grid)[1]()
 
 
 def burgers_initial(mu, grid: BurgersGrid) -> np.ndarray:
@@ -141,15 +159,11 @@ def burgers_initial(mu, grid: BurgersGrid) -> np.ndarray:
     return np.where(grid.centers < 0, u_l, u_r)
 
 
-# The problem calls burgers_rhs and burgers_jacobian through these module
-# globals at every call, never a reference bound when it is built, so that a
-# wrapper installed on the module later (a tracer, a test) sees every call.
-def _rhs_mu(u, mu, grid):
-    return burgers_rhs(u, mu, grid)
-
-
-def _jacobian_mu(u, mu, grid):
-    return burgers_jacobian(u, mu, grid)
+# The problem calls burgers_linearize through this module global at every
+# call, never a reference bound when it is built, so that a wrapper installed
+# on the module later (a tracer, a test) sees every call.
+def _linearize_mu(u, mu, grid):
+    return burgers_linearize(u, mu, grid)
 
 
 def make_burgers_problem(cells: int = 200, half_width: float = 5.0) -> IvpProblem:
@@ -157,9 +171,8 @@ def make_burgers_problem(cells: int = 200, half_width: float = 5.0) -> IvpProble
     grid = BurgersGrid(cells, half_width)
     return IvpProblem(
         dim=grid.cells,
-        rhs=partial(_rhs_mu, grid=grid),
+        linearize=partial(_linearize_mu, grid=grid),
         initial_value=partial(burgers_initial, grid=grid),
-        jacobian=partial(_jacobian_mu, grid=grid),
         jacobian_bands=(1, 1),
         notes=(
             f"finite volumes, {grid.cells} cells on "

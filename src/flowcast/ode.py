@@ -23,8 +23,8 @@ function :meth:`Initializer.start` makes for it, never in the initializer.
 
 :func:`newton_solve` and :func:`ie_step` solve one system. Stacks are
 :func:`integrate_many`'s: instances of one step size advance together, one
-residual, Jacobian and linear solve per iteration serving them all, and each
-keeps its own iteration count and its single run's bits.
+linearization, Jacobian and linear solve per iteration serving them all, and
+each keeps its own iteration count and its single run's bits.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -211,18 +212,19 @@ def _check_one_system(name: str, u: np.ndarray) -> None:
 
 
 def newton_solve(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u0: np.ndarray,
     cfg: NewtonConfig | None = None,
     bands: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, NewtonStats]:
     """Damped-free Newton iteration on a square system.
 
-    ``u0`` is 1-d. ``jacobian`` returns a dense matrix, or, when
-    ``bands=(1, 1)``, the tridiagonal matrix in LAPACK band storage of shape
-    ``(3, d)``; any other ``bands`` raises ValueError. Returns the last
-    iterate and its stats for every numerical outcome, the way the solve
+    ``system(u)`` returns the residual at u and a function of no arguments
+    that returns the residual's Jacobian at that u, which is called only at
+    the iterates that go on. ``u0`` is 1-d. The Jacobian is a dense matrix,
+    or, when ``bands=(1, 1)``, the tridiagonal matrix in LAPACK band storage
+    of shape ``(3, d)``; any other ``bands`` raises ValueError. Returns the
+    last iterate and its stats for every numerical outcome, the way the solve
     stopped in ``stats.status``: "cap" at the iteration cap, "singular" when
     a linear system cannot be solved, "non-finite" when a residual's 2-norm
     is not finite, which besides non-finite entries includes finite ones
@@ -232,20 +234,24 @@ def newton_solve(
     cfg = cfg or _DEFAULT_NEWTON
     u = np.array(u0, dtype=float)
     _check_one_system("u0", u)
-    g = np.asarray(residual(u), dtype=float)
+    g, jacobian = system(u)
+    g = np.asarray(g, dtype=float)
     # np.linalg.norm computes sqrt(g.g) for a real vector, with the same dot,
     # bit for bit. vdot, unlike dot and @, does not warn when g.g overflows.
     initial = norm = math.sqrt(np.vdot(g, g))
     iterations = 0
     while (status := _status(iterations, norm, cfg)) is None:
-        jac = np.asarray(jacobian(u), dtype=float)
         try:
-            delta = _linear_solve(jac, -g, bands)
+            # Solving for g and subtracting the step rounds as solving for -g
+            # and adding it: negation commutes with each rounded operation of
+            # the solve, up to the sign of an exact zero.
+            delta = _linear_solve(np.asarray(jacobian(), dtype=float), g, bands)
         except np.linalg.LinAlgError:
             status = "singular"
             break
-        u = u + delta
-        g = np.asarray(residual(u), dtype=float)
+        u = u - delta
+        g, jacobian = system(u)
+        g = np.asarray(g, dtype=float)
         iterations += 1
         norm = math.sqrt(np.vdot(g, g))
     return u, NewtonStats(iterations, norm, status, initial)
@@ -262,32 +268,34 @@ def _status(iterations: int, norm: float, cfg: NewtonConfig) -> str | None:
 
 @dataclass(frozen=True)
 class IvpProblem:
-    """Parametric initial value problem u' = rhs(u, mu), u(0) = initial_value(mu).
+    """Parametric initial value problem u' = f(u, mu), u(0) = initial_value(mu).
 
-    ``jacobian(u, mu)``, the derivative of ``rhs`` in u, is required. It
-    returns the dense ``(dim, dim)`` matrix, or, when ``jacobian_bands=(1, 1)``
-    declares it tridiagonal, LAPACK band storage of shape ``(3, dim)`` with
-    entry (i, j) at ``[1 + i - j, j]``; other bands raise ValueError. There
-    is no finite-difference fallback: every problem brings its own derivative.
+    ``linearize(u, mu)`` returns ``(f, jacobian)``: the right-hand side at u,
+    and a function of no arguments that returns its derivative in u at that
+    same u, so that an evaluation's intermediates can serve both and the
+    Jacobian is built only where Newton needs it. The derivative is the dense
+    ``(dim, dim)`` matrix, or, when ``jacobian_bands=(1, 1)`` declares it
+    tridiagonal, LAPACK band storage of shape ``(3, dim)`` with entry (i, j)
+    at ``[1 + i - j, j]``; other bands raise ValueError. There is no
+    finite-difference fallback: every problem brings its own derivative.
 
     To integrate several parameters as one stack (:func:`integrate_many`),
-    ``rhs`` and ``jacobian`` must also take a leading instance axis: states
-    (M, dim) with parameters (M, p) give (M, dim), and (M, dim, dim) or
-    (M, 3, dim), each row bit for bit the 1-d call on that state and
-    parameter. One parameter at a time needs only the 1-d form.
+    ``linearize`` must also take a leading instance axis: states (M, dim)
+    with parameters (M, p) give f of shape (M, dim) and a Jacobian of shape
+    (M, dim, dim) or (M, 3, dim), each row bit for bit the 1-d call on that
+    state and parameter. One parameter at a time needs only the 1-d form.
     """
 
     dim: int
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    linearize: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
     initial_value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     notes: str = ""
     jacobian_bands: tuple[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_int("dim", self.dim, 1))
-        if not callable(self.jacobian):
-            raise ValueError(f"jacobian must be callable, got {self.jacobian!r}")
+        if not callable(self.linearize):
+            raise ValueError(f"linearize must be callable, got {self.linearize!r}")
         _check_bands(self.jacobian_bands)
 
 
@@ -383,24 +391,28 @@ def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray]) -> Initiali
 
 
 def _ie_system(problem: IvpProblem, u_prev: np.ndarray, mu, dt: float):
-    """The residual g(u) = (u - u_prev) - dt * f(u, mu) of an implicit Euler
-    step and its Jacobian I - dt * J, as functions of u: for one state, or
-    for a stack of states and parameters on a leading axis."""
+    """The implicit Euler step as ``system(u) -> (g, jacobian)``: the residual
+    g(u) = (u - u_prev) - dt * f(u, mu) and a function of no arguments that
+    returns its Jacobian I - dt * J at that u, from one linearization of the
+    problem; for one state, or for a stack of states and parameters on a
+    leading axis."""
     # The diagonal: its row in band storage, or the dense one, in every block.
     bands = problem.jacobian_bands
     diagonal = (..., 1, slice(None)) if bands is not None else (..., *np.diag_indices(problem.dim))
 
-    def residual(u):
+    def system(u):
+        f, jacobian = problem.linearize(u, mu)
         g = u - u_prev
-        g -= dt * problem.rhs(u, mu)  # in place: (u - u_prev) - dt * f, rounded alike
-        return g
+        g -= dt * f  # in place: (u - u_prev) - dt * f, rounded alike
 
-    def jacobian(u):
-        a = -dt * problem.jacobian(u, mu)
-        a[diagonal] += 1.0
-        return a
+        def step_jacobian():
+            a = -dt * jacobian()
+            a[diagonal] += 1.0
+            return a
 
-    return residual, jacobian
+        return g, step_jacobian
+
+    return system
 
 
 def ie_step(
@@ -419,9 +431,9 @@ def ie_step(
     _check_real("dt", dt)
     u_prev = np.asarray(u_prev, dtype=float)
     _check_one_system("u_prev", u_prev)
-    residual, jacobian = _ie_system(problem, u_prev, mu, dt)
+    system = _ie_system(problem, u_prev, mu, dt)
     u0 = initializer(problem, u_prev, mu, dt)
-    return newton_solve(residual, jacobian, u0, cfg, problem.jacobian_bands)
+    return newton_solve(system, u0, cfg, problem.jacobian_bands)
 
 
 def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt: float,
@@ -430,27 +442,28 @@ def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt:
     ``mus[j]`` from the starting guess ``u0[j]``, each bit for bit as
     :func:`ie_step` takes it alone.
 
-    Each Newton iteration makes one stacked ``rhs``, Jacobian and
+    Each Newton iteration makes one stacked linearization, Jacobian and
     :func:`_solve_stack` for the states still iterating; a state leaves as
-    soon as it stops. Returns, per state, its last iterate and its
+    soon as it stops, and the Jacobian of the iterate is sliced to the
+    states that go on. Returns, per state, its last iterate and its
     NewtonStats; a state whose linear system is singular stops with status
     "singular" while the others solve again without it."""
     cfg = cfg or _DEFAULT_NEWTON
     u = np.array(u0, dtype=float)
     out, outcomes = u, [None] * len(u)  # written as each state leaves
     rows = list(range(len(u)))  # the states still iterating
-    residual, jacobian = _ie_system(problem, u_prev, mus, dt)
-    g = residual(u)
+    system = _ie_system(problem, u_prev, mus, dt)
+    g, jacobian = system(u)
     initial = norms = [math.sqrt(np.vdot(r, r)) for r in g]  # as newton_solve
     iterations = 0
     while True:
         ended = {j: status for j, norm in enumerate(norms)
                  if (status := _status(iterations, norm, cfg)) is not None}
         if not ended:
-            delta, singular = _solve_stack(jacobian(u), -g, problem.jacobian_bands)
+            delta, singular = _solve_stack(jacobian(), g, problem.jacobian_bands)
             if not singular:
-                u = u + delta
-                g = residual(u)
+                u = u - delta  # as newton_solve steps
+                g, jacobian = system(u)
                 iterations += 1
                 norms = [math.sqrt(np.vdot(r, r)) for r in g]
                 continue
@@ -463,7 +476,13 @@ def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt:
         if not keep:
             return out, outcomes
         rows, u, g, norms = [rows[j] for j in keep], u[keep], g[keep], [norms[j] for j in keep]
-        residual, jacobian = _ie_system(problem, u_prev[rows], mus[rows], dt)
+        system = _ie_system(problem, u_prev[rows], mus[rows], dt)
+        jacobian = partial(_rows, jacobian, keep)
+
+
+def _rows(jacobian: Callable[[], np.ndarray], keep: list[int]) -> np.ndarray:
+    """The blocks ``keep`` of a stacked Jacobian, each bit for bit its own."""
+    return jacobian()[keep]
 
 
 @dataclass

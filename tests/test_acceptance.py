@@ -103,9 +103,8 @@ def test_criterion_3_implicit_euler_order(capsys):
     start = time.perf_counter()
     problem = IvpProblem(
         dim=1,
-        rhs=lambda u, mu: -u,
+        linearize=lambda u, mu: (-u, lambda: -np.eye(1)),
         initial_value=lambda mu: np.ones(1),
-        jacobian=lambda u, mu: -np.eye(1),
     )
     dts = np.array([0.1, 0.05, 0.025, 0.0125])
     errors = []

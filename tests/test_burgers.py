@@ -11,6 +11,7 @@ from flowcast.burgers import (
     _flux_partials,
     burgers_initial,
     burgers_jacobian,
+    burgers_linearize,
     burgers_rhs,
     make_burgers_problem,
 )
@@ -29,11 +30,12 @@ def band_to_dense(ab):
 
 def dense_twin(problem):
     """The same problem with its Jacobian expanded to dense and no band declared."""
-    return dataclasses.replace(
-        problem,
-        jacobian=lambda u, mu: band_to_dense(problem.jacobian(u, mu)),
-        jacobian_bands=None,
-    )
+
+    def linearize(u, mu):
+        f, jacobian = problem.linearize(u, mu)
+        return f, lambda: band_to_dense(jacobian())
+
+    return dataclasses.replace(problem, linearize=linearize, jacobian_bands=None)
 
 
 def test_grid_geometry():
@@ -70,37 +72,49 @@ def test_build_problem_rejects_bad_options(options, message):
 def test_mu_is_checked_pair():
     problem = make_burgers_problem(cells=4)
     assert np.array_equal(problem.initial_value(np.array([3.4, 0.2])), [3.4, 3.4, 0.2, 0.2])
-    # A float64 pair takes a shortcut; every other form is converted first.
+    # A finite float64 pair takes a shortcut; every other form is converted first.
     u = np.array([3.0, 2.0, 1.0, 0.5])
     for mu in ([3.4, 0.2], np.array([[3.4, 0.2]])):
-        assert np.array_equal(problem.rhs(u, mu), problem.rhs(u, np.array([3.4, 0.2])))
+        assert np.array_equal(problem.linearize(u, mu)[0],
+                              problem.linearize(u, np.array([3.4, 0.2]))[0])
     for mu in ([1.0], (1.0, 0.5, 0.0), np.zeros(3), np.zeros((2, 2))):
         with pytest.raises(ValueError, match="two components"):
             problem.initial_value(mu)
         with pytest.raises(ValueError, match="two components"):
-            problem.rhs(np.zeros(4), mu)
-        with pytest.raises(ValueError, match="two components"):
-            problem.jacobian(np.zeros(4), mu)
+            problem.linearize(np.zeros(4), mu)
+    # A non-finite float64 pair is refused as the same values in a tuple are,
+    # alone and as a row of a stack.
+    grid, finite = BurgersGrid(4, 5.0), np.array([3.4, 0.2])
+    not_finite = "mu must be a finite real number or a 1-d sequence of them"
+    for bad in (np.nan, np.inf):
+        for mu, states in [(np.array([bad, 0.2]), u), ((bad, 0.2), u),
+                           (np.array([finite, [0.5, bad]]), np.stack([u, u]))]:
+            for call in (lambda: burgers_rhs(states, mu, grid),
+                         lambda: burgers_jacobian(states, mu, grid),
+                         lambda: problem.linearize(states, mu)):
+                with pytest.raises(ValueError, match=not_finite):
+                    call()
+        with pytest.raises(ValueError, match=not_finite):
+            burgers_initial(np.array([bad, 0.2]), grid)
+        with pytest.raises(ValueError, match=not_finite):
+            problem.initial_value(np.array([0.2, bad]))
 
 
 def test_problem_calls_module_globals(monkeypatch):
-    """The problem reaches burgers_rhs and burgers_jacobian through the module,
-    so wrappers installed after it is built (the benchmark's tracer) see
-    every call."""
+    """The problem reaches burgers_linearize through the module, so wrappers
+    installed after it is built (a tracer) see every call."""
     problem = make_burgers_problem(cells=4)
     calls = []
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return burgers_linearize(*args, **kwargs)
 
-    monkeypatch.setattr("flowcast.burgers.burgers_rhs", counting("rhs", burgers_rhs))
-    monkeypatch.setattr("flowcast.burgers.burgers_jacobian", counting("jacobian", burgers_jacobian))
-    problem.rhs(np.ones(4), PARAMS)
-    problem.jacobian(np.ones(4), PARAMS)
-    assert calls == ["rhs", "jacobian"]
+    monkeypatch.setattr("flowcast.burgers.burgers_linearize", counting)
+    f, jacobian = problem.linearize(np.ones(4), PARAMS)
+    assert jacobian().shape == (3, 4) and f.shape == (4,)
+    problem.linearize(np.ones((2, 4)), np.array([PARAMS, PARAMS]))
+    assert calls == [(4,), (2, 4)]
 
 
 def test_initial_profile_is_step():
@@ -206,22 +220,39 @@ def bit_identity_cases():
     return [pytest.param(u, mu, id=name) for name, u, mu in cases]
 
 
+def reference_linearization(u, mu, h):
+    """The right-hand side and its band from the textbook formulas."""
+    w = np.concatenate(([mu[0]], u, [mu[1]]))
+    a, b = w[:-1], w[1:]
+    dfa, dfb = reference_flux_partials(a, b)
+    band = np.zeros((3, u.size))
+    band[0, 1:] = -dfb[1:-1] / h
+    band[1] = (dfb[:-1] - dfa[1:]) / h
+    band[2, :-1] = dfa[1:-1] / h
+    return -np.diff(reference_flux(a, b)) / h, band
+
+
 @pytest.mark.parametrize("u, mu", bit_identity_cases())
 def test_flux_partials_bit_identical(u, mu):
     # The shared-operation forms give the textbook formulas' bits, signs of
-    # zeros included; the reference functions above are those formulas.
+    # zeros included; the reference functions above are those formulas. The
+    # stack pairs the case with its mirror image, u(-x) -> -u(x).
     grid = BurgersGrid(u.size, 5.0)
     w = np.concatenate(([mu[0]], u, [mu[1]]))
-    a, b = w[:-1], w[1:]
-    for got, want in zip(_flux_partials(w), reference_flux_partials(a, b)):
+    abs_w = np.abs(w)
+    partials = _flux_partials(w, abs_w, 0.5 * np.maximum(abs_w[:-1], abs_w[1:]), w[1:] - w[:-1])
+    for got, want in zip(partials, reference_flux_partials(w[:-1], w[1:])):
         assert same_bits(got, want)
-    assert same_bits(burgers_rhs(u, mu, grid), -np.diff(reference_flux(a, b)) / grid.h)
-    dfa, dfb = reference_flux_partials(a, b)
-    want = np.zeros((3, u.size))
-    want[0, 1:] = -dfb[1:-1] / grid.h
-    want[1] = (dfb[:-1] - dfa[1:]) / grid.h
-    want[2, :-1] = dfa[1:-1] / grid.h
-    assert same_bits(burgers_jacobian(u, mu, grid), want)
+    want_f, want_band = reference_linearization(u, mu, grid.h)
+    f, jacobian = burgers_linearize(u, mu, grid)
+    assert same_bits(f, want_f) and same_bits(jacobian(), want_band)
+    assert same_bits(burgers_rhs(u, mu, grid), want_f)
+    assert same_bits(burgers_jacobian(u, mu, grid), want_band)
+    mirror = (-u[::-1], (-mu[1], -mu[0]))
+    wants = [reference_linearization(*case, grid.h) for case in [(u, mu), mirror]]
+    f, jacobian = burgers_linearize(np.stack([u, mirror[0]]), np.array([mu, mirror[1]]), grid)
+    assert same_bits(f, np.stack([want[0] for want in wants]))
+    assert same_bits(jacobian(), np.stack([want[1] for want in wants]))
 
 
 def test_baseline_iteration_counts_pinned():

@@ -25,21 +25,26 @@ from flowcast.ode import (
 
 from conftest import finite_difference_jacobian
 
-EXPLICIT_EULER = Initializer("explicit-euler", lambda p, u, mu, dt: u + dt * p.rhs(u, mu))
+EXPLICIT_EULER = Initializer("explicit-euler",
+                             lambda p, u, mu, dt: u + dt * p.linearize(u, mu)[0])
+
+
+def system(residual, jacobian):
+    """A Newton system from a residual and a Jacobian, each a function of u."""
+    return lambda u: (residual(u), lambda: jacobian(u))
 
 
 def decay_problem():
     return IvpProblem(
         dim=1,
-        rhs=lambda u, mu: -u,
+        linearize=lambda u, mu: (-u, lambda: -np.eye(1)),
         initial_value=lambda mu: np.ones(1),
-        jacobian=lambda u, mu: -np.eye(1),
     )
 
 
 def test_newton_sqrt2():
     u, stats = newton_solve(
-        lambda x: x * x - 2.0, lambda x: np.diag(2.0 * x), np.array([1.0])
+        system(lambda x: x * x - 2.0, lambda x: np.diag(2.0 * x)), np.array([1.0])
     )
     assert stats.converged
     assert abs(u[0] - np.sqrt(2.0)) < 1e-15
@@ -50,7 +55,7 @@ def test_newton_sqrt2():
 
 def test_newton_zero_iterations_on_exact_guess():
     u, stats = newton_solve(
-        lambda x: x * x - 4.0, lambda x: np.diag(2.0 * x), np.array([2.0])
+        system(lambda x: x * x - 4.0, lambda x: np.diag(2.0 * x)), np.array([2.0])
     )
     assert stats.iterations == 0
     assert stats.converged
@@ -61,7 +66,8 @@ SINGULAR_AT_0 = "linear solve failed at iteration 0: singular matrix"
 
 
 def test_newton_singular_jacobian():
-    u, stats = newton_solve(lambda x: x + 1.0, lambda x: np.zeros((1, 1)), np.array([0.0]))
+    u, stats = newton_solve(system(lambda x: x + 1.0, lambda x: np.zeros((1, 1))),
+                            np.array([0.0]))
     assert stats == NewtonStats(0, 1.0, "singular", 1.0) and not stats.converged
     assert _failure(stats) == SINGULAR_AT_0 and u[0] == 0.0
 
@@ -70,11 +76,12 @@ def test_newton_singular_banded_jacobian():
     # A 1x1 system: solve_banded itself would divide by the zero pivot.
     for pivot in (0.0, np.inf, np.nan):
         ab = np.array([[0.0], [pivot], [0.0]])
-        _, stats = newton_solve(lambda x: x + 1.0, lambda x: ab, np.array([0.0]), bands=(1, 1))
+        _, stats = newton_solve(system(lambda x: x + 1.0, lambda x: ab), np.array([0.0]),
+                                bands=(1, 1))
         assert stats.status == "singular" and _failure(stats) == SINGULAR_AT_0
     # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: equal first two rows.
     ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-    _, stats = newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+    _, stats = newton_solve(system(lambda x: x + 1.0, lambda x: ab), np.zeros(3), bands=(1, 1))
     assert stats.status == "singular" and _failure(stats) == SINGULAR_AT_0
 
 
@@ -90,9 +97,10 @@ def test_tridiagonal_solve_matches_solve_banded(rng):
     problem = make_burgers_problem()
     mu = np.array([3.4, 0.2])
     u = integrate(problem, mu, 0.01, 0.5).final_state
-    ab = -0.01 * problem.jacobian(u, mu)
+    f, jacobian = problem.linearize(u, mu)
+    ab = -0.01 * jacobian()
     ab[1] += 1.0
-    systems.append((ab, 0.01 * problem.rhs(u, mu)))
+    systems.append((ab, 0.01 * f))
     for ab, b in systems:
         ab_before, b_before = ab.copy(), b.copy()
         got = _linear_solve(ab, b, (1, 1))
@@ -110,32 +118,33 @@ def assert_non_finite(stats, iterations):
 
 
 def test_newton_divergence():
-    _, stats = newton_solve(lambda x: x * np.inf, lambda x: np.eye(1), np.array([1.0]))
+    _, stats = newton_solve(system(lambda x: x * np.inf, lambda x: np.eye(1)), np.array([1.0]))
     assert_non_finite(stats, 0)
 
     def residual(x):
         return np.array([np.nan]) if x[0] != 0.0 else np.array([1.0])
 
-    _, stats = newton_solve(residual, lambda x: np.eye(1), np.array([0.0]))
+    _, stats = newton_solve(system(residual, lambda x: np.eye(1)), np.array([0.0]))
     assert_non_finite(stats, 1)
 
     # A non-finite band entry, like a non-finite dense one, gives a
     # non-finite step rather than a ValueError from the solver.
     ab = np.array([[0.0, 1.0, np.nan], [1.0, 2.0, 1.0], [1.0, 0.0, 0.0]])
-    _, stats = newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=(1, 1))
+    _, stats = newton_solve(system(lambda x: x + 1.0, lambda x: ab), np.zeros(3), bands=(1, 1))
     assert_non_finite(stats, 1)
 
 
 def test_newton_residual_norm_overflow_raises():
     """Finite entries whose squares overflow give a non-finite 2-norm: the
     solve stops with status "non-finite", as on a non-finite entry."""
-    _, stats = newton_solve(lambda x: np.full(3, 1e200), lambda x: np.eye(3), np.zeros(3))
+    _, stats = newton_solve(system(lambda x: np.full(3, 1e200), lambda x: np.eye(3)),
+                            np.zeros(3))
     assert_non_finite(stats, 0)
 
     def residual(x):
         return np.full(3, 1e200) if x[0] != 0.0 else np.ones(3)
 
-    _, stats = newton_solve(residual, lambda x: np.eye(3), np.zeros(3))
+    _, stats = newton_solve(system(residual, lambda x: np.eye(3)), np.zeros(3))
     assert_non_finite(stats, 1)
 
 
@@ -143,7 +152,7 @@ def test_newton_residual_norm_is_numpy_norm(rng):
     cfg = NewtonConfig(max_iterations=1)
     for scale in (1e-15, 1.0, 1e150):
         r = scale * rng.standard_normal(200)
-        _, stats = newton_solve(lambda x: r, lambda x: np.eye(200), np.zeros(200), cfg)
+        _, stats = newton_solve(system(lambda x: r, lambda x: np.eye(200)), np.zeros(200), cfg)
         assert stats.initializer_residual_norm == np.linalg.norm(r)
         assert stats.final_residual_norm == np.linalg.norm(r)
 
@@ -152,8 +161,7 @@ def test_newton_iteration_cap_does_not_raise():
     # x^2 with root of multiplicity 2 converges linearly; one iteration
     # cannot reach 1e-14.
     u, stats = newton_solve(
-        lambda x: x * x,
-        lambda x: np.diag(2.0 * x),
+        system(lambda x: x * x, lambda x: np.diag(2.0 * x)),
         np.array([1.0]),
         NewtonConfig(max_iterations=1),
     )
@@ -183,31 +191,35 @@ def test_finite_difference_jacobian_matches_analytic(rng):
 
 
 def test_problem_requires_jacobian():
+    # The Jacobian comes with the right-hand side, from linearize: there is
+    # no finite-difference fallback, and no separate rhs or jacobian.
     base = decay_problem()
-    with pytest.raises(TypeError, match="jacobian"):
-        IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value)
-    # None no longer selects a finite-difference fallback.
-    with pytest.raises(ValueError, match="jacobian must be callable, got None"):
-        IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value, jacobian=None)
+    with pytest.raises(TypeError, match="linearize"):
+        IvpProblem(dim=1, initial_value=base.initial_value)
+    with pytest.raises(ValueError, match="linearize must be callable, got None"):
+        IvpProblem(dim=1, linearize=None, initial_value=base.initial_value)
+    for field in ("rhs", "jacobian"):
+        with pytest.raises(TypeError, match=field):
+            IvpProblem(dim=1, linearize=base.linearize, initial_value=base.initial_value,
+                       **{field: base.linearize})
     for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="dim must be an integer >= 1"):
-            IvpProblem(dim=bad, rhs=base.rhs, initial_value=base.initial_value,
-                       jacobian=base.jacobian)
+            IvpProblem(dim=bad, linearize=base.linearize, initial_value=base.initial_value)
 
 
 def test_problem_validates_jacobian_bands():
     base = decay_problem()
     # A band wider than the system is allowed (a 1-cell grid keeps (1, 1)).
-    assert IvpProblem(dim=1, rhs=base.rhs, initial_value=base.initial_value,
-                      jacobian=base.jacobian, jacobian_bands=(1, 1)).jacobian_bands == (1, 1)
+    assert IvpProblem(dim=1, linearize=base.linearize, initial_value=base.initial_value,
+                      jacobian_bands=(1, 1)).jacobian_bands == (1, 1)
     # Only dense or tridiagonal: a (2, 2) band must not be solved as (1, 1).
     ab = np.ones((5, 3))
     for bad in [(2, 2), (0, 0), (1, 2), (-1, 1), (1,), (1, 1, 1), 1, [1, 1]]:
         with pytest.raises(ValueError, match=r"None \(dense\) or \(1, 1\)"):
-            IvpProblem(dim=3, rhs=base.rhs, initial_value=base.initial_value,
-                       jacobian=base.jacobian, jacobian_bands=bad)
+            IvpProblem(dim=3, linearize=base.linearize, initial_value=base.initial_value,
+                       jacobian_bands=bad)
         with pytest.raises(ValueError, match=r"None \(dense\) or \(1, 1\)"):
-            newton_solve(lambda x: x + 1.0, lambda x: ab, np.zeros(3), bands=bad)
+            newton_solve(system(lambda x: x + 1.0, lambda x: ab), np.zeros(3), bands=bad)
 
 
 def test_ie_step_banded_matches_dense():
@@ -215,9 +227,10 @@ def test_ie_step_banded_matches_dense():
     ab = np.array([[0.0, 0.3, -0.2], [-1.0, -2.0, -0.5], [0.4, 0.1, 0.0]])
     u_prev = np.array([1.0, -2.0, 0.5])
     dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    common = dict(dim=3, rhs=lambda u, mu: dense @ u, initial_value=lambda mu: np.ones(3))
-    banded = IvpProblem(jacobian=lambda u, mu: ab, jacobian_bands=(1, 1), **common)
-    full = IvpProblem(jacobian=lambda u, mu: dense, **common)
+    common = dict(dim=3, initial_value=lambda mu: np.ones(3))
+    banded = IvpProblem(linearize=lambda u, mu: (dense @ u, lambda: ab), jacobian_bands=(1, 1),
+                        **common)
+    full = IvpProblem(linearize=lambda u, mu: (dense @ u, lambda: dense), **common)
     stored, stored_dense = ab.copy(), dense.copy()
     got, got_stats = ie_step(banded, u_prev, [], 0.1)
     want, want_stats = ie_step(full, u_prev, [], 0.1)
@@ -263,7 +276,7 @@ def test_error_feedback_makes_an_offset_model_exact():
     # previous step's error cancels the offset from the second step on, so
     # Newton starts there at the converged state.
     a = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    problem = IvpProblem(dim=2, rhs=lambda u, mu: a @ u, jacobian=lambda u, mu: a,
+    problem = IvpProblem(dim=2, linearize=lambda u, mu: (a @ u, lambda: a),
                          initial_value=lambda mu: np.array([1.0, -2.0]))
     step, offset = np.linalg.inv(np.eye(2) - 0.1 * a), np.array([0.3, -0.2])
 
@@ -356,9 +369,8 @@ def test_ie_step_raises_on_no_convergence():
     # at the cap, and they word the run's error.
     quadratic = IvpProblem(
         dim=1,
-        rhs=lambda u, mu: u * u,
+        linearize=lambda u, mu: (u * u, lambda: np.diag(2.0 * u)),
         initial_value=lambda mu: np.ones(1),
-        jacobian=lambda u, mu: np.diag(2.0 * u),
     )
     _, stats = ie_step(
         quadratic, np.array([1.0]), [], 0.1,
@@ -410,9 +422,8 @@ def test_integrate_rejects_bad_horizon():
 def test_integrate_zero_iteration_fixed_point():
     steady = IvpProblem(
         dim=2,
-        rhs=lambda u, mu: np.zeros(2),
+        linearize=lambda u, mu: (np.zeros(2), lambda: np.zeros((2, 2))),
         initial_value=lambda mu: np.array([1.0, -1.0]),
-        jacobian=lambda u, mu: np.zeros((2, 2)),
     )
     traj = integrate(steady, [], 0.1, 0.5)
     assert traj.total_iterations == 0
@@ -425,9 +436,8 @@ def test_integrate_partial_trajectory_on_failure():
     # with a tight iteration cap the step near blow-up fails.
     problem = IvpProblem(
         dim=1,
-        rhs=lambda u, mu: u * u,
+        linearize=lambda u, mu: (u * u, lambda: np.diag(2.0 * u)),
         initial_value=lambda mu: np.ones(1),
-        jacobian=lambda u, mu: np.diag(2.0 * u),
     )
     traj = integrate(problem, [], 0.25, 2.0, NewtonConfig(max_iterations=2))
     assert not traj.completed
@@ -437,8 +447,8 @@ def test_integrate_partial_trajectory_on_failure():
 
 
 def test_integrate_validates_initial_shape():
-    bad = IvpProblem(dim=2, rhs=lambda u, mu: u, initial_value=lambda mu: np.ones(3),
-                     jacobian=lambda u, mu: np.eye(2))
+    bad = IvpProblem(dim=2, linearize=lambda u, mu: (u, lambda: np.eye(2)),
+                     initial_value=lambda mu: np.ones(3))
     with pytest.raises(ValueError, match="initial value"):
         integrate(bad, [], 0.1, 0.2)
 
@@ -457,21 +467,26 @@ def assert_same_runs(got, want):
     assert got.newton_stats == want.newton_stats
 
 
+def band_to_dense(ab):
+    """(1, 1) band storage, alone or stacked, expanded to the dense matrix."""
+    cells = ab.shape[-1]
+    dense = np.zeros(ab.shape[:-2] + (cells, cells))
+    i = np.arange(cells)
+    dense[..., i, i] = ab[..., 1, :]
+    dense[..., i[:-1], i[1:]] = ab[..., 0, 1:]
+    dense[..., i[1:], i[:-1]] = ab[..., 2, :-1]
+    return dense
+
+
 def dense_burgers(cells):
     """Burgers with its band expanded to a dense (stacked) Jacobian."""
     banded = make_burgers_problem(cells=cells)
 
-    def jacobian(u, mu):
-        ab = banded.jacobian(u, mu)
-        dense = np.zeros(ab.shape[:-2] + (cells, cells))
-        i = np.arange(cells)
-        dense[..., i, i] = ab[..., 1, :]
-        dense[..., i[:-1], i[1:]] = ab[..., 0, 1:]
-        dense[..., i[1:], i[:-1]] = ab[..., 2, :-1]
-        return dense
+    def linearize(u, mu):
+        f, jacobian = banded.linearize(u, mu)
+        return f, lambda: band_to_dense(jacobian())
 
-    return IvpProblem(dim=cells, rhs=banded.rhs, initial_value=banded.initial_value,
-                      jacobian=jacobian)
+    return IvpProblem(dim=cells, linearize=linearize, initial_value=banded.initial_value)
 
 
 def test_integrate_many_matches_single_runs_on_experiment2_corners():
@@ -550,17 +565,17 @@ def test_single_instance_keeps_1d_calls(monkeypatch):
     import flowcast.ode as ode
 
     shapes, results = [], []
-    rhs, solve = burgers.burgers_rhs, ode.newton_solve
+    linearize, solve = burgers.burgers_linearize, ode.newton_solve
 
-    def recording_rhs(u, mu, grid):
+    def recording_linearize(u, mu, grid):
         shapes.append(np.shape(u))
-        return rhs(u, mu, grid)
+        return linearize(u, mu, grid)
 
     def recording_solve(*args, **kwargs):
         results.append(solve(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(burgers, "burgers_rhs", recording_rhs)
+    monkeypatch.setattr(burgers, "burgers_linearize", recording_linearize)
     monkeypatch.setattr(ode, "newton_solve", recording_solve)
     integrate(make_burgers_problem(cells=8), (3.4, 0.2), 0.1, 0.3)
     assert set(shapes) == {(8,)}
@@ -600,7 +615,7 @@ def test_newton_solve_and_ie_step_refuse_a_stack():
     problem = make_burgers_problem(cells=8)
     u = np.stack([problem.initial_value(np.array(mu)) for mu in [(3.4, 0.2), (3.0, 0.4)]])
     with pytest.raises(ValueError, match="integrate_many"):
-        newton_solve(lambda v: v, lambda v: np.eye(8), u)
+        newton_solve(system(lambda v: v, lambda v: np.eye(8)), u)
     with pytest.raises(ValueError, match="integrate_many"):
         ie_step(problem, u, np.array([(3.4, 0.2), (3.0, 0.4)]), 0.1)
 
@@ -626,8 +641,8 @@ def tridiagonal_systems(bad):
     def jacobian(u, mu):
         return band(u, mu) if u.ndim == 1 else np.stack([band(v, c) for v, c in zip(u, mu)])
 
-    problem = IvpProblem(dim=4, rhs=lambda u, mu: mu - u * u, initial_value=lambda mu: mu,
-                         jacobian=jacobian, jacobian_bands=(1, 1))
+    problem = IvpProblem(dim=4, linearize=lambda u, mu: (mu - u * u, lambda: jacobian(u, mu)),
+                         initial_value=lambda mu: mu, jacobian_bands=(1, 1))
     mus = np.array([[2.0, 3.0, 5.0, 7.0], [1.5, 2.5, 3.5, 4.5], [6.0, 0.5, 2.0, 9.0]])
     return problem, mus
 
@@ -651,9 +666,8 @@ def test_spoiled_system_does_not_touch_its_neighbours(bad):
         assert outcomes[j] == want_stats and want_stats.converged
         assert u[j].tobytes() == want_u.tobytes()
     # The hazard is real: one dgtsv over the whole stack spoils every block.
-    residual, jacobian = _ie_system(problem, u_prev, mus, 1.0)
-    one_solve = (np.concatenate(list(jacobian(u_prev)), axis=1),
-                 -residual(u_prev).reshape(-1), (1, 1))
+    g, jacobian = _ie_system(problem, u_prev, mus, 1.0)(u_prev)
+    one_solve = (np.concatenate(list(jacobian()), axis=1), g.reshape(-1), (1, 1))
     if bad == "singular":
         with pytest.raises(np.linalg.LinAlgError):
             _linear_solve(*one_solve)
@@ -666,9 +680,10 @@ def test_stack_outcomes_per_system():
     # by side: each system leaves with its own outcome and iteration count.
     # At dt = 1 from u_prev = 0, g(u) = u - (u - u*u + c) = u*u - c, started
     # from mu[1].
-    problem = IvpProblem(dim=1, rhs=lambda u, mu: u - u * u + mu[..., :1],
-                         initial_value=lambda mu: mu[1:],
-                         jacobian=lambda u, mu: (1.0 - 2.0 * u)[..., None])
+    problem = IvpProblem(dim=1,
+                         linearize=lambda u, mu: (u - u * u + mu[..., :1],
+                                                  lambda: (1.0 - 2.0 * u)[..., None]),
+                         initial_value=lambda mu: mu[1:])
     guess = Initializer("guess", lambda p, u, mu, dt: mu[1:])
     mus = np.array([[4.0, 3.0], [np.inf, 1.0], [0.0, 1.0]])
     cfg = NewtonConfig(max_iterations=8)
@@ -681,3 +696,58 @@ def test_stack_outcomes_per_system():
     for j in (1, 2):
         _, alone = ie_step(problem, np.zeros(1), mus[j], 1.0, cfg, guess)
         assert alone == outcomes[j] and _failure(alone) == _failure(outcomes[j])
+
+
+def counting_problem(bands):
+    """u' = c - u*u on two unknowns, c = mu, with a dense or a band Jacobian,
+    counting its linearizations and the Jacobians built from them."""
+    counts = {"linearize": 0, "jacobian": 0}
+
+    def linearize(u, mu):
+        counts["linearize"] += 1
+
+        def jacobian():
+            counts["jacobian"] += 1
+            if bands is None:
+                return -2.0 * u[..., None] * np.eye(2)
+            ab = np.zeros(u.shape[:-1] + (3, 2))
+            ab[..., 1, :] = -2.0 * u
+            return ab
+
+        return mu - u * u, jacobian
+
+    problem = IvpProblem(dim=2, linearize=linearize, initial_value=lambda mu: np.zeros(2),
+                         jacobian_bands=bands)
+    return problem, counts
+
+
+@pytest.mark.parametrize("bands", [None, (1, 1)], ids=["dense", "band"])
+def test_newton_linearizes_each_iterate_once_and_builds_jacobians_lazily(bands):
+    # At dt = 1 from u_prev = 0, g(u) = u*u + u - c, with the exact roots
+    # (1, 2) for c = (2, 6). A solve of k iterations linearizes its k + 1
+    # iterates and builds the Jacobian of the k that go on; a stack counts
+    # one of each per iteration, as long as one of its states goes on.
+    problem, counts = counting_problem(bands)
+    mus = np.array([[2.0, 6.0], [2.0, 6.0]])
+    roots = np.array([[1.0, 2.0], [1.0, 2.0]])
+    cases = [
+        ("converged", np.array([[0.0, 0.0], [0.9, 1.9]]), NewtonConfig()),
+        ("converged", roots, NewtonConfig()),  # a guess inside the tolerance
+        ("cap", np.full((2, 2), 100.0), NewtonConfig(max_iterations=3)),
+    ]
+    iterations = []
+    for status, u0, cfg in cases:
+        counts.update(linearize=0, jacobian=0)
+        guess = Initializer("guess", lambda p, u, mu, dt: u0[0])
+        _, stats = ie_step(problem, np.zeros(2), mus[0], 1.0, cfg, guess)
+        k = stats.iterations
+        assert stats.status == status
+        assert counts == {"linearize": k + 1, "jacobian": k}
+        counts.update(linearize=0, jacobian=0)
+        _, outcomes = _ie_step_stack(problem, np.zeros((2, 2)), mus, 1.0, cfg, u0)
+        assert outcomes[0] == stats and {o.status for o in outcomes} == {status}
+        k = max(o.iterations for o in outcomes)
+        assert counts == {"linearize": k + 1, "jacobian": k}
+        iterations.append([o.iterations for o in outcomes])
+    # The first stack's states stop at different iterates.
+    assert iterations == [[7, 4], [0, 0], [3, 3]]
