@@ -20,7 +20,7 @@ from .greedy import (
     greedy_train,
 )
 from .kernels import GaussianKernel, KernelExpansion
-from .model_selection import CrossValidationError, CvConfig, CvResult, select_epsilon
+from .model_selection import CvConfig, CvResult, select_epsilon
 from .ode import (
     PREVIOUS_VALUE,
     Initializer,
@@ -62,7 +62,6 @@ __all__ = [
     "greedy_train",
     "GaussianKernel",
     "KernelExpansion",
-    "CrossValidationError",
     "CvConfig",
     "CvResult",
     "select_epsilon",

@@ -30,14 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .model_selection import CrossValidationError, CvConfig
+from .model_selection import CvConfig
 from .ode import NewtonConfig, _check_cases, _check_int, _check_params, _check_real
 from .pipeline import (
     CaseResult,
-    DataInconsistencyError,
-    ModelLoadError,
     OfflineConfig,
-    OfflineError,
     compare_cases,
     load_model,
     offline,
@@ -46,11 +43,7 @@ from .pipeline import (
 )
 from .problems import build_problem
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_experiment", "main"]
-
-
-class ConfigError(Exception):
-    """Missing, unreadable, or inconsistent experiment configuration."""
+__all__ = ["ExperimentConfig", "load_experiment", "main"]
 
 
 def _literal(text: str):
@@ -90,7 +83,7 @@ def _read_config_text(source) -> str:
     resource = importlib.resources.files("flowcast") / "presets" / name
     if resource.is_file():
         return resource.read_text()
-    raise ConfigError(
+    raise ValueError(
         f"config {source!r} is neither a file nor a preset "
         f"(presets: {', '.join(_preset_names())})"
     )
@@ -101,7 +94,7 @@ def _build(section: str, factory, /, *args, **kwargs):
     try:
         return factory(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid [{section}] settings: {exc}") from exc
+        raise ValueError(f"invalid [{section}] settings: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -142,18 +135,18 @@ def load_experiment(source) -> ExperimentConfig:
     try:
         parser.read_string(_read_config_text(source))
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {source!r}: {exc}") from exc
+        raise ValueError(f"cannot parse config {source!r}: {exc}") from exc
 
     def section(name: str, keys=None, required=()) -> dict:
         """The section's values as read; a key outside ``keys`` (unless None)
-        or a missing ``required`` one raises ConfigError."""
+        or a missing ``required`` one raises ValueError."""
         raw = dict(parser.items(name)) if parser.has_section(name) else {}
         unknown = sorted(set(raw) - keys) if keys is not None else []
         if unknown:
-            raise ConfigError(f"unknown keys in section [{name}]: {', '.join(unknown)}")
+            raise ValueError(f"unknown keys in section [{name}]: {', '.join(unknown)}")
         for key in required:
             if key not in raw:
-                raise ConfigError(f"missing key {key!r} in section [{name}]")
+                raise ValueError(f"missing key {key!r} in section [{name}]")
         return {key: _params(text) if key in _PARAM_LISTS else _literal(text)
                 for key, text in raw.items()}
 
@@ -244,7 +237,7 @@ def cmd_online(args) -> int:
     try:
         mu = _check_params(_literal(args.mu))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse --mu {args.mu!r}: {exc}") from None
+        raise ValueError(f"cannot parse --mu {args.mu!r}: {exc}") from None
     model = load_model(args.model)
     traj, dt_in_training = online(model, mu, args.dt, args.horizon)
     print(f"mu = {tuple(float(v) for v in traj.mu)}, dt = {traj.dt:g}, "
@@ -333,8 +326,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OfflineError, ModelLoadError, CrossValidationError,
-            DataInconsistencyError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

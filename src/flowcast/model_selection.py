@@ -26,16 +26,11 @@ from .ode import _check_int, _check_real
 __all__ = [
     "CvConfig",
     "CvResult",
-    "CrossValidationError",
     "epsilon_grid",
     "kfold_split",
     "select_best",
     "select_epsilon",
 ]
-
-
-class CrossValidationError(Exception):
-    """Raised when no candidate width produces a finite validation score."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ def select_best(grid: np.ndarray, scores: np.ndarray) -> int:
     """Index of the lowest finite score; on ties the smallest width wins."""
     scores = np.asarray(scores, dtype=float)
     if not np.any(np.isfinite(scores)):
-        raise CrossValidationError(
+        raise ValueError(
             "every candidate width failed validation (all scores non-finite)"
         )
     return int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))
@@ -125,8 +120,8 @@ def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float,
     Folds are trained as the training that follows, with its greedy
     ``tolerance`` and within its center budget ``max_centers``: each fold's
     budget is the smaller of ``cfg.max_centers`` and ``max_centers``, where
-    None sets no cap. Raises CrossValidationError when no width attains a
-    finite score.
+    None sets no cap. Raises ValueError when no width attains a finite
+    score.
     """
     grid = epsilon_grid(cfg.epsilon_min, cfg.epsilon_max, cfg.grid_size)
     split = kfold_split(data.size, cfg.folds, cfg.seed)

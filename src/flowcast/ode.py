@@ -581,8 +581,8 @@ def integrate_many(
     Each step of the instances still running is one stacked implicit Euler
     step, so an instance's trajectory is bit for bit the one it has alone; a
     single instance runs unstacked, through :func:`ie_step`. Several
-    instances need a problem whose ``rhs`` and ``jacobian`` take a leading
-    instance axis (see :class:`IvpProblem`). Each instance guesses with its
+    instances need a problem whose ``linearize`` takes a leading instance
+    axis (see :class:`IvpProblem`). Each instance guesses with its
     own guess function from ``initializer.start()``, one state at a time, so
     a guess remembers the steps of its own run only. Never raises on step
     failure: a step whose NewtonStats did not converge takes its instance

@@ -40,9 +40,6 @@ from .problems import build_problem
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
-    "DataInconsistencyError",
-    "OfflineError",
-    "ModelLoadError",
     "OfflineConfig",
     "SurrogateModel",
     "CaseResult",
@@ -61,18 +58,6 @@ _MODEL_KEYS = frozenset({"format_version", "input_dim", "output_dim", "epsilon",
                          "centers", "coefficients", "provenance"})
 
 
-class DataInconsistencyError(Exception):
-    """Identical inputs mapped to different targets in the training data."""
-
-
-class OfflineError(Exception):
-    """Training-phase failure (integration breakdown at a training case)."""
-
-
-class ModelLoadError(Exception):
-    """Model file unreadable, malformed, or of an unsupported version."""
-
-
 @dataclass(frozen=True)
 class OfflineConfig:
     """Everything the offline phase needs.
@@ -81,7 +66,8 @@ class OfflineConfig:
     named problem and ``horizon`` by the case rule (``ode._check_cases``);
     the same mu may appear with several step sizes. A numpy scalar in
     ``problem_options`` is kept as the Python number it holds, as the
-    provenance is JSON; the problem's factory checks every option.
+    provenance is JSON, and an option JSON cannot hold is refused; the
+    problem's factory checks every option.
     ``epsilon=None`` selects the width by cross validation with ``cv``, whose
     folds are trained with the greedy ``tolerance`` and within
     ``max_centers``; a fixed value bypasses it. ``tolerance`` bounds the
@@ -103,6 +89,11 @@ class OfflineConfig:
         options = {key: value.item() if isinstance(value, np.generic) else value
                    for key, value in self.problem_options.items()}
         object.__setattr__(self, "problem_options", options)
+        for key, value in options.items():
+            try:
+                json.dumps(value)
+            except TypeError as exc:
+                raise ValueError(f"problem option {key!r}: {exc}") from exc
         cases = tuple(_check_cases(build_problem(self.problem, **options), self.cases,
                                    self.horizon))
         if not cases:
@@ -153,7 +144,7 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
     Inputs that repeat by value (+0 equals -0) are kept once, at their
     first occurrence. A repeated input whose targets disagree beyond 1e-10
     (max norm) means the data does not describe a single-valued map and
-    raises DataInconsistencyError.
+    raises ValueError.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -169,7 +160,7 @@ def assemble_training_set(trajectories: list[Trajectory]) -> TrainingSet:
         gap = np.max(np.abs(targets[first[row]] - targets[row]))
         if gap > 1e-10:
             k = int(np.searchsorted(starts, row, side="right")) - 1
-            raise DataInconsistencyError(
+            raise ValueError(
                 f"input (dt={trajectories[k].dt}, state at step {row - starts[k]}) "
                 f"repeats with targets differing by {gap:.3e}"
             )
@@ -182,7 +173,7 @@ def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int]:
 
     The cases of one step size integrate as one stack (``integrate_many``);
     the pairs keep the order of ``cfg.cases``. Returns the training set and
-    the pair count before deduplication. Raises OfflineError naming the
+    the pair count before deduplication. Raises ValueError naming the
     first case, in that order, whose training integration fails.
     """
     problem = build_problem(cfg.problem, **cfg.problem_options)
@@ -197,7 +188,7 @@ def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int]:
             trajectories[i] = traj
     for (mu, dt), traj in zip(cfg.cases, trajectories):
         if not traj.completed:
-            raise OfflineError(
+            raise ValueError(
                 f"training integration failed at mu={mu}, dt={dt}: {traj.error}"
             )
     n_before = sum(t.n_steps for t in trajectories)
@@ -207,10 +198,8 @@ def build_training_data(cfg: OfflineConfig) -> tuple[TrainingSet, int]:
 def offline(cfg: OfflineConfig) -> SurrogateModel:
     """Run the training phase end to end and return the surrogate.
 
-    Raises OfflineError naming the case if any training integration fails;
-    cross-validation failures propagate unchanged. The config goes into the
-    provenance first, so a problem option that JSON cannot hold fails before
-    any integration.
+    Raises ValueError naming the case if any training integration fails, or
+    when cross validation finds no width with a finite score.
     """
     provenance = json.loads(json.dumps(asdict(cfg)))
     data, n_before = build_training_data(cfg)
@@ -368,44 +357,43 @@ def save_model(model: SurrogateModel, path) -> None:
 
 
 def load_model(path) -> SurrogateModel:
-    """Read a model written by :func:`save_model`; raises ModelLoadError,
-    also for a file of another format version, with keys beyond the format-2
-    layout, whose problem cannot be built or does not fit the model, or
-    whose recorded cases are empty or fail the case rule (``_check_cases``)."""
-    try:
-        with open(path) as fh:
+    """Read a model written by :func:`save_model`.
+
+    Raises ValueError for a file that is not JSON, of another format
+    version, with keys beyond the format-2 layout, whose problem cannot be
+    built or does not fit the model, or whose recorded cases are empty or
+    fail the case rule (``_check_cases``); a file that cannot be opened
+    raises the OSError of ``open``, which names the path."""
+    with open(path) as fh:
+        try:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelLoadError(f"cannot read model file {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"cannot read model file {path}: {exc}") from exc
     try:
         version = raw["format_version"]
-        if version != MODEL_FORMAT_VERSION:
-            raise ModelLoadError(
-                f"unsupported model format version {version!r} "
-                f"(this build reads {MODEL_FORMAT_VERSION}); retrain the model"
-            )
-        # A key this build does not read (an input normalization, say) would
-        # otherwise be dropped silently and the model run on the wrong inputs.
-        unexpected = sorted(set(raw) - _MODEL_KEYS)
-        if unexpected:
-            raise ValueError(f"unexpected keys {unexpected}")
-        p, q = raw["input_dim"], raw["output_dim"]
-        _check_int("input_dim", p, 1)
-        _check_int("output_dim", q, 1)
-        centers = _real_array("centers", raw["centers"]).reshape(-1, p)
-        coefficients = _real_array("coefficients", raw["coefficients"]).reshape(-1, q)
-        model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
-                               raw["provenance"])
-        model.newton()  # the recorded settings and cases are checked on reading,
-        problem, prov = model.build_problem(), model.provenance  # like the problem
-        if not _check_cases(problem, prov["cases"], prov["horizon"]):
-            raise ValueError("at least one training case (mu, dt) is required")
-        _check_dims(model, problem)
-        return model
-    except ModelLoadError:
-        raise
+        if version == MODEL_FORMAT_VERSION:
+            # A key this build does not read (an input normalization, say) would
+            # otherwise be dropped silently and the model run on the wrong inputs.
+            unexpected = sorted(set(raw) - _MODEL_KEYS)
+            if unexpected:
+                raise ValueError(f"unexpected keys {unexpected}")
+            p, q = raw["input_dim"], raw["output_dim"]
+            _check_int("input_dim", p, 1)
+            _check_int("output_dim", q, 1)
+            centers = _real_array("centers", raw["centers"]).reshape(-1, p)
+            coefficients = _real_array("coefficients", raw["coefficients"]).reshape(-1, q)
+            model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
+                                   raw["provenance"])
+            model.newton()  # the recorded settings and cases are checked on reading,
+            problem, prov = model.build_problem(), model.provenance  # like the problem
+            if not _check_cases(problem, prov["cases"], prov["horizon"]):
+                raise ValueError("at least one training case (mu, dt) is required")
+            _check_dims(model, problem)
+            return model
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelLoadError(f"malformed model file {path}: {exc}") from exc
+        raise ValueError(f"malformed model file {path}: {exc}") from exc
+    raise ValueError(f"unsupported model format version {version!r} "
+                     f"(this build reads {MODEL_FORMAT_VERSION}); retrain the model")
 
 
 def _real_array(name: str, value) -> np.ndarray:

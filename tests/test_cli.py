@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flowcast import pipeline
-from flowcast.cli import ConfigError, ExperimentConfig, _build_parser, load_experiment, main
+from flowcast.cli import ExperimentConfig, _build_parser, load_experiment, main
 from flowcast.ode import _step_count, integrate
 from flowcast.pipeline import (OfflineConfig, compare_cases, load_model, offline,
                                save_model)
@@ -202,7 +202,7 @@ def test_experiment_config_checks_the_test_protocol():
 
 
 def test_load_experiment_errors(tmp_path):
-    with pytest.raises(ConfigError, match="neither a file nor a preset"):
+    with pytest.raises(ValueError, match="neither a file nor a preset"):
         load_experiment("no-such-preset")
 
     def variant(name, mangle):
@@ -211,34 +211,34 @@ def test_load_experiment_errors(tmp_path):
         return str(path)
 
     bad = variant("no-header", lambda s: s.replace("[problem]\n", ""))
-    with pytest.raises(ConfigError, match="cannot parse config .*no-header.cfg"):
+    with pytest.raises(ValueError, match="cannot parse config .*no-header.cfg"):
         load_experiment(bad)
 
     bad = variant("unknown-key", lambda s: s.replace("repetitions = 1", "shoes = 2"))
-    with pytest.raises(ConfigError, match="unknown keys"):
+    with pytest.raises(ValueError, match="unknown keys"):
         load_experiment(bad)
 
     bad = variant("missing", lambda s: s.replace("train_params = (3.4, 0.2)", ""))
-    with pytest.raises(ConfigError, match="missing key 'train_params'"):
+    with pytest.raises(ValueError, match="missing key 'train_params'"):
         load_experiment(bad)
 
     bad = variant("params", lambda s: s.replace("(3.4, 0.2)\ntrain_dts", "(3.4, 'a')\ntrain_dts"))
-    with pytest.raises(ConfigError, match=r"invalid \[offline\] settings: mu must be a finite real "
-                                          r"number or a 1-d sequence of them, got \(3.4, 'a'\)"):
+    with pytest.raises(ValueError, match=r"invalid \[offline\] settings: mu must be a finite real "
+                                         r"number or a 1-d sequence of them, got \(3.4, 'a'\)"):
         load_experiment(bad)
 
     # Test step sizes are listed; there is no log-spaced shorthand for them.
     bad = variant("logspace", lambda s: s.replace("test_dts = 0.05",
                                                   "test_dt_logspace = (0.001, 0.05, 10)"))
-    with pytest.raises(ConfigError, match=r"unknown keys in section \[online\]: "
-                                          r"test_dt_logspace$"):
+    with pytest.raises(ValueError, match=r"unknown keys in section \[online\]: "
+                                         r"test_dt_logspace$"):
         load_experiment(bad)
 
     for old, new in [("test_dts = 0.05", "test_dts = ()"),
                      ("test_params = (3.4, 0.2); (3.2, 0.4)", "test_params =")]:
         bad = variant("empty-protocol", lambda s: s.replace(old, new))
-        with pytest.raises(ConfigError, match=r"invalid \[online\] settings: at least one "
-                                              r"test case \(mu, dt\) is required"):
+        with pytest.raises(ValueError, match=r"invalid \[online\] settings: at least one "
+                                             r"test case \(mu, dt\) is required"):
             load_experiment(bad)
 
     # A number is an int or a float, never a string, dict, set or bool, and
@@ -263,15 +263,15 @@ def test_load_experiment_errors(tmp_path):
          r"invalid \[online\] settings: mu must be a finite real number"),
     ]:
         assert TINY_CFG.count(old) == 1
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             load_experiment(variant("not-numbers", lambda s: s.replace(old, new)))
 
     bad = variant("reps", lambda s: s.replace("repetitions = 1", "repetitions = 0"))
-    with pytest.raises(ConfigError, match="repetitions"):
+    with pytest.raises(ValueError, match="repetitions"):
         load_experiment(bad)
 
     bad = variant("horizon", lambda s: s.replace("train_dts = 0.05", "train_dts = 0.3"))
-    with pytest.raises(ConfigError, match="invalid \\[offline\\]"):
+    with pytest.raises(ValueError, match="invalid \\[offline\\]"):
         load_experiment(bad)
 
     # Greedy settings are checked before any training integration runs, and
@@ -309,7 +309,7 @@ def test_load_experiment_errors(tmp_path):
          r"invalid \[offline\] settings: mu must have two components"),
     ]:
         assert TINY_CFG.count(old) == 1
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             load_experiment(variant("greedy", lambda s: s.replace(old, new)))
 
 
@@ -325,7 +325,7 @@ def test_bad_problem_options_fail_cleanly(line, message, tmp_path, capsys):
     text = re.sub(rf"\n{key} = [^\n]*", "", TINY_CFG).replace("[problem]", f"[problem]\n{line}")
     cfg = tmp_path / "bad-problem.cfg"
     cfg.write_text(text)
-    with pytest.raises(ConfigError, match=r"invalid \[problem\] settings: " + message):
+    with pytest.raises(ValueError, match=r"invalid \[problem\] settings: " + message):
         load_experiment(str(cfg))
     assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
     err = capsys.readouterr().err
@@ -520,9 +520,18 @@ def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
     assert main(["offline", "--config", "missing.cfg", "--out", "x.json"]) == 1
     assert "error:" in capsys.readouterr().err
 
-    assert main(["online", "--model", str(tmp_path / "nope.json"), "--mu", "(1, 2)",
+    # A model file that cannot be opened is reported by the OS's own message;
+    # one that is not JSON, as a file that cannot be read.
+    missing = tmp_path / "nope.json"
+    assert main(["online", "--model", str(missing), "--mu", "(1, 2)",
                  "--dt", "0.1", "-T", "1.0"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    assert main(["online", "--model", str(garbage), "--mu", "(1, 2)",
+                 "--dt", "0.1", "-T", "1.0"]) == 1
+    assert re.fullmatch(rf"error: cannot read model file {re.escape(str(garbage))}: "
+                        r"Expecting property name [^\n]*\n", capsys.readouterr().err)
 
     model_path = tmp_path / "model.json"
     assert main(["offline", "--config", tiny_cfg, "--out", str(model_path)]) == 0
@@ -541,6 +550,21 @@ def test_cli_error_paths(tiny_cfg, tmp_path, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+def test_cli_reports_a_failed_training_integration(tmp_path, capsys):
+    # One step of 0.5 on 8 cells does not converge within 4 Newton
+    # iterations: the run ends with one error line naming the case and the
+    # step, and writes no model.
+    cfg, out = tmp_path / "fails.cfg", tmp_path / "m.json"
+    cfg.write_text("[problem]\nname = burgers\ncells = 8\n"
+                   "[offline]\ntrain_params = (3.4, 0.2)\ntrain_dts = 0.5\nhorizon = 0.5\n"
+                   "epsilon = 0.3\n[newton]\nmax_iterations = 4\n")
+    assert main(["offline", "--config", str(cfg), "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: training integration failed at mu=\(3\.4, 0\.2\), dt=0\.5: "
+                        r"step 1: step did not converge within 4 iterations \(residual [^\n]*\)\n",
+                        capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["fails.cfg"]
+
+
 @pytest.mark.parametrize("cases", [[[[3.4, 0.2], None]], "x"])
 def test_malformed_recorded_cases_fail_on_reading(tiny_model_path, tmp_path, capsys, cases):
     # Once read only by the first online run: a traceback from float(None),
@@ -549,7 +573,7 @@ def test_malformed_recorded_cases_fail_on_reading(tiny_model_path, tmp_path, cap
     raw["provenance"]["cases"] = cases
     path = tmp_path / "model.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(pipeline.ModelLoadError, match="malformed model file"):
+    with pytest.raises(ValueError, match="malformed model file"):
         load_model(path)
     assert main(["online", "--model", str(path), "--mu", "(3.4, 0.2)",
                  "--dt", "0.05", "-T", "0.25"]) == 1

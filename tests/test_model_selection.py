@@ -16,7 +16,6 @@ from flowcast.greedy import (
 )
 from flowcast.kernels import KernelExpansion, _gaussian
 from flowcast.model_selection import (
-    CrossValidationError,
     CvConfig,
     epsilon_grid,
     kfold_split,
@@ -60,12 +59,12 @@ def test_select_best():
     assert select_best(grid, np.array([3.0, 1.0, 2.0])) == 1
     assert select_best(grid, np.array([1.0, 1.0, 2.0])) == 0  # tie: smaller width
     assert select_best(grid, np.array([np.inf, np.inf, 0.5])) == 2
-    with pytest.raises(CrossValidationError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         select_best(grid, np.full(3, np.inf))
     # NaN scores never win, wherever they sit.
     assert select_best(grid, np.array([np.nan, 1.0, 2.0])) == 1
     assert select_best(grid, np.array([3.0, np.nan, 2.0])) == 2
-    with pytest.raises(CrossValidationError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         select_best(grid, np.full(3, np.nan))
 
 
