@@ -9,12 +9,21 @@ over all N rows with the fold masked out of the candidates, whose held-out
 errors at the fold rows follow from one triangular solve after the run (the
 greedy selection never reads the targets). One (N, N) squared-distance
 matrix serves every width, and the folds of one width share its kernel rows,
-each evaluated once and freed before the next width. Non-finite scores count
-as infinite, and ties go to the smallest width.
+each evaluated once and freed before the next width. The widths are scored
+in forked worker processes, one per CPU this process may run on, which share
+that matrix copy-on-write; restrict the CPUs (``taskset -c 0``) to score them
+in this process. Non-finite scores count as infinite, and ties go to the
+smallest width.
 """
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +122,69 @@ def _score_width(data: TrainingSet, split: list[np.ndarray], train_cfg: TrainCon
     return np.mean(fold_scores), "stalled" in statuses
 
 
+# The (data, split, sq_dists) of the search in progress: bound in each forked
+# worker by the pool initializer, which the worker receives without pickling,
+# and in this process while it scores the widths itself.
+_search = None
+
+# The entry points that set an OpenBLAS library's thread count, by build:
+# plain, 64-bit-integer, and the prefixed builds that numpy's and scipy's
+# wheels ship.
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _bind_search(search) -> None:
+    global _search
+    _search = search
+
+
+def _start_worker(search) -> None:
+    """Bind the search in a forked worker and run its BLAS on one thread: a
+    worker per CPU leaves none for BLAS threads, whose idle spinning would
+    take CPU time from the other workers."""
+    _bind_search(search)
+    try:  # the files this process has mapped, where the OS lists them
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps}
+    except OSError:
+        paths = set()
+    for path in (path for path in paths if "openblas" in os.path.basename(path)):
+        library = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(library, name):
+                set_threads = getattr(library, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+
+
+def _score_bound_width(train_cfg: TrainConfig) -> tuple[float, bool]:
+    data, split, sq_dists = _search
+    return _score_width(data, split, train_cfg, sq_dists)
+
+
+@contextmanager
+def _width_map(search, tasks: int):
+    """A ``map`` that scores widths of ``search`` in order: over a pool of
+    forked workers, one per CPU this process may run on and at most
+    ``tasks``, or in this process when only one CPU is available, ``fork``
+    does not exist or this process is daemonic (and may not have children).
+    No worker outlives the block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, tasks)
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        _bind_search(search)
+        try:
+            yield map
+        finally:
+            _bind_search(None)
+        return
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(search,)) as pool:
+        yield pool.map
+
+
 def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float,
                    max_centers: int | None) -> CvResult:
     """Cross-validate kernel widths on ``data`` and return the winner.
@@ -121,18 +193,22 @@ def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float,
     ``tolerance`` and within its center budget ``max_centers``: each fold's
     budget is the smaller of ``cfg.max_centers`` and ``max_centers``, where
     None sets no cap. Raises ValueError when no width attains a finite
-    score.
+    score. An exception raised while scoring a width reaches the caller as
+    itself, from a worker too; a worker that dies (``BrokenProcessPool``)
+    raises ChildProcessError, an OSError.
     """
     grid = epsilon_grid(cfg.epsilon_min, cfg.epsilon_max, cfg.grid_size)
     split = kfold_split(data.size, cfg.folds, cfg.seed)
     sq_dists = cdist(data.inputs, data.inputs, "sqeuclidean")
     budget = min((cap for cap in (cfg.max_centers, max_centers) if cap is not None), default=None)
-    scores = np.empty(grid.size)
-    stalled = 0
-    for i, eps in enumerate(grid):
-        train_cfg = TrainConfig(eps, tolerance=tolerance, max_centers=budget)
-        scores[i], fold_stalled = _score_width(data, split, train_cfg, sq_dists)
-        stalled += fold_stalled
+    train_cfgs = [TrainConfig(eps, tolerance=tolerance, max_centers=budget) for eps in grid]
+    try:
+        with _width_map((data, split, sq_dists), grid.size) as width_map:
+            results = list(width_map(_score_bound_width, train_cfgs))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a cross-validation worker process died: {exc}") from exc
+    scores = np.array([score for score, _ in results])
+    stalled = sum(fold_stalled for _, fold_stalled in results)
     # Extreme widths routinely break down numerically; they never win.
     scores[~np.isfinite(scores)] = np.inf
     best = select_best(grid, scores)

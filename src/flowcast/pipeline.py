@@ -86,6 +86,9 @@ class OfflineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _check_real("T", self.horizon))
+        for name, cls in (("cv", CvConfig), ("newton", NewtonConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         options = {key: value.item() if isinstance(value, np.generic) else value
                    for key, value in self.problem_options.items()}
         object.__setattr__(self, "problem_options", options)

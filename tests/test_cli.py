@@ -2,6 +2,8 @@
 
 import csv
 import json
+import multiprocessing
+import os
 import re
 import shlex
 import warnings
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcast import pipeline
+from flowcast import model_selection, pipeline
 from flowcast.cli import ExperimentConfig, _build_parser, load_experiment, main
 from flowcast.ode import _step_count, integrate
 from flowcast.pipeline import (OfflineConfig, compare_cases, load_model, offline,
@@ -426,6 +428,26 @@ def test_cli_online_reports_memory_error(tiny_model_path, monkeypatch, capsys):
     assert main(["online", "--model", tiny_model_path, "--mu", "(3.4, 0.2)",
                  "--dt", "0.05", "-T", "0.25"]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 87.3 TiB for an array\n"
+
+
+def test_cli_offline_reports_a_dead_worker(tmp_path, monkeypatch, capsys):
+    # A width search worker killed mid-search ends the run with one error
+    # line and no model, never a hang or a traceback.
+    parent = os.getpid()
+
+    def dying(*args):
+        assert os.getpid() != parent
+        os._exit(3)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(model_selection, "_score_width", dying)
+    cfg = tmp_path / "cv-route.cfg"
+    cfg.write_text(TINY_CFG.replace("epsilon = 0.3\n", ""))
+    assert main(["offline", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: a cross-validation worker process died: .*\n", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cv-route.cfg"]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command, old, new, named", [

@@ -1,10 +1,14 @@
 """Cross-validation width search: grids, folds, scoring, selection."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from flowcast import greedy as greedy_module
+from flowcast import model_selection
 from flowcast.greedy import (
     GreedyState,
     TrainConfig,
@@ -95,6 +99,24 @@ def test_cv_config_validation():
 GREEDY = dict(tolerance=1e-12, max_centers=None)
 
 
+def allow_cpus(monkeypatch, cpus):
+    """Let the search see ``cpus`` as the CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def record_pools(monkeypatch):
+    """A list that gains the worker count of each pool a search starts."""
+    pools = []
+
+    class RecordedPool(model_selection.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(model_selection, "ProcessPoolExecutor", RecordedPool)
+    return pools
+
+
 def planted_data(rng, n=120):
     model = KernelExpansion(rng.random((15, 2)), rng.standard_normal((15, 1)), 1.0)
     X = rng.random((n, 2))
@@ -148,7 +170,9 @@ def test_masked_fold_run_matches_explicit_fold_training(rng):
 
 
 def test_folds_share_each_kernel_row(rng, monkeypatch):
-    # Every row evaluation and every basis step of one search, recorded.
+    # Every row evaluation and every basis step of one search, recorded in
+    # this process: one CPU keeps the widths out of worker processes.
+    allow_cpus(monkeypatch, {0})
     evaluated, steps = [], []
 
     def gaussian(sq_dists, epsilon):
@@ -193,3 +217,69 @@ def test_scores_are_mean_held_out_errors(rng):
                 ).model
                 fold_scores.append(np.mean((model(inputs[fold]) - targets[fold]) ** 2))
             assert score == pytest.approx(np.mean(fold_scores), rel=1e-10)
+
+
+def test_worker_processes_score_as_this_process_does(rng, monkeypatch):
+    # One worker per allowed CPU, at most one per width; results come back in
+    # grid order, so the search is the same bit for bit either way.
+    inputs, targets = make_training_set(rng, 40, 2, 1, spread=2.0)
+    inputs[1] = inputs[0] + 1e-12  # some widths stall
+    data = TrainingSet(inputs, targets)
+    cfg = CvConfig(epsilon_min=1e-6, epsilon_max=10.0, grid_size=6)
+    pools = record_pools(monkeypatch)
+    results = []
+    for cpus in ({0, 1}, {0}, set(range(8))):
+        allow_cpus(monkeypatch, cpus)
+        results.append(select_epsilon(data, cfg, **GREEDY))
+        assert multiprocessing.active_children() == []
+    assert pools == [2, 6]
+    parallel, serial, capped = results
+    assert serial.stalled_widths > 0
+    for other in (parallel, capped):
+        assert other.grid.tobytes() == serial.grid.tobytes()
+        assert other.scores.tobytes() == serial.scores.tobytes()
+        assert other.best_index == serial.best_index
+        assert other.stalled_widths == serial.stalled_widths
+
+
+@pytest.mark.parametrize("condition", ["no-fork", "daemon"])
+def test_search_stays_in_process_without_fork_or_as_a_daemon(rng, monkeypatch, condition):
+    allow_cpus(monkeypatch, {0, 1})
+    pools = record_pools(monkeypatch)
+    if condition == "no-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:  # a daemonic process may not have children
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    data = planted_data(rng, n=60)
+    cfg = CvConfig(epsilon_min=0.3, epsilon_max=3.0, grid_size=3, max_centers=30)
+    assert select_epsilon(data, cfg, **GREEDY).best_index in range(3)
+    assert pools == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "workers"])
+def test_an_error_while_scoring_reaches_the_caller_as_itself(rng, monkeypatch, cpus):
+    def failing(data, split, train_cfg, sq_dists):
+        raise ValueError(f"cannot score width {train_cfg.epsilon!r}")
+
+    allow_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(model_selection, "_score_width", failing)
+    cfg = CvConfig(epsilon_min=0.5, epsilon_max=2.0, grid_size=3)
+    with pytest.raises(ValueError, match=r"^cannot score width 0\.5$"):
+        select_epsilon(planted_data(rng, n=30), cfg, **GREEDY)
+    assert multiprocessing.active_children() == []
+    assert model_selection._search is None
+
+
+def test_a_worker_that_dies_raises_child_process_error(rng, monkeypatch):
+    parent = os.getpid()
+
+    def dying(*args):
+        assert os.getpid() != parent
+        os._exit(3)
+
+    allow_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(model_selection, "_score_width", dying)
+    cfg = CvConfig(epsilon_min=0.5, epsilon_max=2.0, grid_size=3)
+    with pytest.raises(ChildProcessError, match="cross-validation worker process died"):
+        select_epsilon(planted_data(rng, n=30), cfg, **GREEDY)
+    assert multiprocessing.active_children() == []

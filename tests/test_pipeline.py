@@ -164,6 +164,17 @@ def test_offline_config_validation():
     assert tiny_config().cases == (((3.4, 0.2), 0.05),)
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("cv", None), ("cv", {"folds": 2}), ("newton", None), ("newton", {"max_iterations": 5}),
+], ids=["cv-none", "cv-dict", "newton-none", "newton-dict"])
+def test_offline_config_refuses_settings_of_the_wrong_type(setting, value):
+    # The nested settings are their config classes, refused by name when the
+    # config is built, before anything integrates.
+    cls = {"cv": "CvConfig", "newton": "NewtonConfig"}[setting]
+    with pytest.raises(ValueError, match=f"^{setting} must be a {cls}, got {re.escape(repr(value))}$"):
+        tiny_config(**{setting: value})
+
+
 def test_offline_produces_working_surrogate(tiny_model):
     prov = tiny_model.provenance
     assert prov["n_training_before_dedup"] == 20
