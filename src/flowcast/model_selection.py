@@ -23,7 +23,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +121,8 @@ def _score_width(data: TrainingSet, split: list[np.ndarray], train_cfg: TrainCon
     return np.mean(fold_scores), "stalled" in statuses
 
 
-# The (data, split, sq_dists) of the search in progress: bound in each forked
-# worker by the pool initializer, which the worker receives without pickling,
-# and in this process while it scores the widths itself.
+# The (data, split, sq_dists) of the search in progress, bound by
+# select_epsilon while it scores the widths; forked workers inherit it.
 _search = None
 
 # The entry points that set an OpenBLAS library's thread count, by build:
@@ -134,23 +132,21 @@ _BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_
                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
 
 
-def _bind_search(search) -> None:
-    global _search
-    _search = search
-
-
-def _start_worker(search) -> None:
-    """Bind the search in a forked worker and run its BLAS on one thread: a
-    worker per CPU leaves none for BLAS threads, whose idle spinning would
-    take CPU time from the other workers."""
-    _bind_search(search)
-    try:  # the files this process has mapped, where the OS lists them
+def _start_worker() -> None:
+    """Run a forked worker's BLAS on one thread: a worker per CPU leaves none
+    for BLAS threads, whose idle spinning would take CPU time from the other
+    workers. The pin only sets speed, so a library it cannot open is skipped."""
+    try:  # the files this process has mapped, where the OS lists them; a
+        # pathname, the sixth field, may hold spaces or end in " (deleted)"
         with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps}
+            paths = {path.rstrip("\n") for line in maps for path in line.split(maxsplit=5)[5:]}
     except OSError:
         paths = set()
     for path in (path for path in paths if "openblas" in os.path.basename(path)):
-        library = ctypes.CDLL(path)
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
         for name in _BLAS_THREAD_SETTERS:
             if hasattr(library, name):
                 set_threads = getattr(library, name)
@@ -163,26 +159,20 @@ def _score_bound_width(train_cfg: TrainConfig) -> tuple[float, bool]:
     return _score_width(data, split, train_cfg, sq_dists)
 
 
-@contextmanager
-def _width_map(search, tasks: int):
-    """A ``map`` that scores widths of ``search`` in order: over a pool of
-    forked workers, one per CPU this process may run on and at most
-    ``tasks``, or in this process when only one CPU is available, ``fork``
-    does not exist or this process is daemonic (and may not have children).
-    No worker outlives the block."""
+def _score_widths(train_cfgs: list[TrainConfig]) -> list[tuple[float, bool]]:
+    """Score the bound search at each width, in order: over a pool of forked
+    workers, one per CPU this process may run on and at most one per width,
+    or in this process when only one CPU is available, ``fork`` does not
+    exist or this process is daemonic (and may not have children). No
+    worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, tasks)
+    workers = min(cpus, len(train_cfgs))
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        _bind_search(search)
-        try:
-            yield map
-        finally:
-            _bind_search(None)
-        return
+        return list(map(_score_bound_width, train_cfgs))
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(search,)) as pool:
-        yield pool.map
+                             initializer=_start_worker) as pool:
+        return list(pool.map(_score_bound_width, train_cfgs))
 
 
 def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float,
@@ -202,11 +192,14 @@ def select_epsilon(data: TrainingSet, cfg: CvConfig, *, tolerance: float,
     sq_dists = cdist(data.inputs, data.inputs, "sqeuclidean")
     budget = min((cap for cap in (cfg.max_centers, max_centers) if cap is not None), default=None)
     train_cfgs = [TrainConfig(eps, tolerance=tolerance, max_centers=budget) for eps in grid]
+    global _search
+    _search = (data, split, sq_dists)
     try:
-        with _width_map((data, split, sq_dists), grid.size) as width_map:
-            results = list(width_map(_score_bound_width, train_cfgs))
+        results = _score_widths(train_cfgs)
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a cross-validation worker process died: {exc}") from exc
+    finally:
+        _search = None
     scores = np.array([score for score, _ in results])
     stalled = sum(fold_stalled for _, fold_stalled in results)
     # Extreme widths routinely break down numerically; they never win.

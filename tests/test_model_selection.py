@@ -1,5 +1,8 @@
 """Cross-validation width search: grids, folds, scoring, selection."""
 
+import ctypes
+import io
+import itertools
 import multiprocessing
 import os
 
@@ -232,6 +235,7 @@ def test_worker_processes_score_as_this_process_does(rng, monkeypatch):
         allow_cpus(monkeypatch, cpus)
         results.append(select_epsilon(data, cfg, **GREEDY))
         assert multiprocessing.active_children() == []
+        assert model_selection._search is None
     assert pools == [2, 6]
     parallel, serial, capped = results
     assert serial.stalled_widths > 0
@@ -282,4 +286,54 @@ def test_a_worker_that_dies_raises_child_process_error(rng, monkeypatch):
     cfg = CvConfig(epsilon_min=0.5, epsilon_max=2.0, grid_size=3)
     with pytest.raises(ChildProcessError, match="cross-validation worker process died"):
         select_epsilon(planted_data(rng, n=30), cfg, **GREEDY)
+    assert multiprocessing.active_children() == []
+    assert model_selection._search is None
+
+
+def loaded_openblas():
+    """The path of an OpenBLAS library this process has mapped, with its
+    thread-count setter and getter, or None when it maps none."""
+    with open("/proc/self/maps") as maps:
+        paths = sorted({path.rstrip("\n") for line in maps for path in line.split(maxsplit=5)[5:]})
+    for path in (path for path in paths if "openblas" in os.path.basename(path)):
+        library = ctypes.CDLL(path)
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            setter = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+            getter = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return path, setter, getter
+    return None
+
+
+def test_a_worker_pins_blas_found_on_a_path_with_a_space(rng, monkeypatch, tmp_path):
+    # A /proc/self/maps line ends in the mapped file's path, which may hold
+    # spaces or end in " (deleted)". The worker pins the library behind the
+    # first and skips the second, which it cannot open.
+    found = loaded_openblas()
+    if found is None:
+        pytest.skip("this numpy maps no OpenBLAS")
+    path, set_threads, get_threads = found
+    link = tmp_path / "My Env" / os.path.basename(path)
+    link.parent.mkdir()
+    link.symlink_to(path)
+    maps = (f"7f0000000000-7f0000001000 r-xp 00000000 fe:00 1          {link}\n"
+            "7f0000001000-7f0000002000 r-xp 00000000 fe:00 2          "
+            "/gone/libopenblas.so.0 (deleted)\n"
+            "7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n")
+    monkeypatch.setattr(model_selection, "open", lambda *args: io.StringIO(maps), raising=False)
+
+    def threads(data, split, train_cfg, sq_dists):
+        return float(get_threads()), False
+
+    allow_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(model_selection, "_score_width", threads)
+    cfg = CvConfig(epsilon_min=0.5, epsilon_max=2.0, grid_size=3)
+    before = get_threads()
+    set_threads(2)  # without the pin, each worker would run two
+    try:
+        result = select_epsilon(planted_data(rng, n=30), cfg, **GREEDY)
+    finally:
+        set_threads(before)
+    assert result.scores.tolist() == [1.0, 1.0, 1.0]
     assert multiprocessing.active_children() == []
