@@ -24,7 +24,9 @@ function :meth:`Initializer.start` makes for it, never in the initializer.
 :func:`newton_solve` and :func:`ie_step` solve one system. Stacks are
 :func:`integrate_many`'s: instances of one step size advance together, one
 linearization, Jacobian and linear solve per iteration serving them all, and
-each keeps its own iteration count and its single run's bits.
+each keeps its own iteration count and its single run's bits. A lone run
+from the previous value hands each step's last linearization to the next
+step, whose guess is the state that linearization was made at.
 """
 
 from __future__ import annotations
@@ -390,18 +392,27 @@ def surrogate_initializer(model: Callable[[np.ndarray], np.ndarray]) -> Initiali
     return _ErrorFeedback("surrogate", guess)
 
 
-def _ie_system(problem: IvpProblem, u_prev: np.ndarray, mu, dt: float):
+def _ie_system(problem: IvpProblem, u_prev: np.ndarray, mu, dt: float, carry=None):
     """The implicit Euler step as ``system(u) -> (g, jacobian)``: the residual
     g(u) = (u - u_prev) - dt * f(u, mu) and a function of no arguments that
     returns its Jacobian I - dt * J at that u, from one linearization of the
     problem; for one state, or for a stack of states and parameters on a
-    leading axis."""
+    leading axis.
+
+    ``carry`` is a lone run's one-item list (see :func:`ie_step`), or None:
+    the first call takes the linearization it holds, if any, as the one at
+    its u, and every call leaves its own in it."""
     # The diagonal: its row in band storage, or the dense one, in every block.
     bands = problem.jacobian_bands
     diagonal = (..., 1, slice(None)) if bands is not None else (..., *np.diag_indices(problem.dim))
+    start = carry[0] if carry is not None else None
 
     def system(u):
-        f, jacobian = problem.linearize(u, mu)
+        nonlocal start
+        f, jacobian = linearization = start or problem.linearize(u, mu)
+        start = None
+        if carry is not None:
+            carry[0] = linearization
         g = u - u_prev
         g -= dt * f  # in place: (u - u_prev) - dt * f, rounded alike
 
@@ -422,17 +433,31 @@ def ie_step(
     dt: float,
     cfg: NewtonConfig | None = None,
     initializer: Initializer | Callable = PREVIOUS_VALUE,
+    carry: list | None = None,
 ) -> tuple[np.ndarray, NewtonStats]:
     """One implicit Euler step of the 1-d state ``u_prev``: the Newton
     iterate and stats of :func:`newton_solve`, whether or not it converged.
     ``initializer`` is an :class:`Initializer`, which guesses as at a run's
     first step, or the guess function of a run that :meth:`Initializer.start`
-    made."""
+    made.
+
+    ``carry`` hands the problem's linearization from one step of a run to
+    the next: a one-item list that holds the ``(f, jacobian)`` of the state
+    ``u_prev``, where the run's step before ended, or None. A step whose
+    guess is ``u_prev`` itself, as :data:`PREVIOUS_VALUE`'s is, starts
+    Newton from that linearization instead of making it again, and leaves in
+    the list the one of the state it ends on. A step with any other guess
+    leaves None, so that no linearization stays alive while a costly guess,
+    such as a surrogate's prediction, runs: one that did made those steps
+    measurably slower."""
     _check_real("dt", dt)
     u_prev = np.asarray(u_prev, dtype=float)
     _check_one_system("u_prev", u_prev)
-    system = _ie_system(problem, u_prev, mu, dt)
     u0 = initializer(problem, u_prev, mu, dt)
+    if carry is not None and u0 is not u_prev:
+        carry[0] = None
+        carry = None
+    system = _ie_system(problem, u_prev, mu, dt, carry)
     return newton_solve(system, u0, cfg, problem.jacobian_bands)
 
 
@@ -580,15 +605,16 @@ def integrate_many(
 
     Each step of the instances still running is one stacked implicit Euler
     step, so an instance's trajectory is bit for bit the one it has alone; a
-    single instance runs unstacked, through :func:`ie_step`. Several
-    instances need a problem whose ``linearize`` takes a leading instance
-    axis (see :class:`IvpProblem`). Each instance guesses with its
-    own guess function from ``initializer.start()``, one state at a time, so
-    a guess remembers the steps of its own run only. Never raises on step
-    failure: a step whose NewtonStats did not converge takes its instance
-    out of the stack, and the partial trajectory is returned with
-    ``completed=False`` and ``error`` saying at which step and how the
-    solve stopped. ``wall_time_s`` is the stack's.
+    single instance runs unstacked, through :func:`ie_step`, which hands
+    the last linearization of a step to the next when both start from the
+    previous value. Several instances need a problem whose ``linearize``
+    takes a leading instance axis (see :class:`IvpProblem`). Each instance
+    guesses with its own guess function from ``initializer.start()``, one
+    state at a time, so a guess remembers the steps of its own run only.
+    Never raises on step failure: a step whose NewtonStats did not converge
+    takes its instance out of the stack, and the partial trajectory is
+    returned with ``completed=False`` and ``error`` saying at which step and
+    how the solve stopped. ``wall_time_s`` is the stack's.
     """
     mus = [np.array(mu) for mu, _ in _check_cases(problem, [(mu, dt) for mu in mus], T)]
     n_steps = _step_count(T, dt)
@@ -601,12 +627,13 @@ def integrate_many(
     rows = list(range(len(mus)))  # the instances still running
     mu_rows = np.array(mus)
     single = len(mus) == 1  # one instance runs unstacked, on 1-d arrays
+    carry = [None]  # the lone run's last linearization, for its next step
     start = time.perf_counter()
     for i in range(n_steps):
         if not rows:
             break
         if single:
-            u, outcome = ie_step(problem, states[0][i], mus[0], dt, cfg, guesses[0])
+            u, outcome = ie_step(problem, states[0][i], mus[0], dt, cfg, guesses[0], carry)
             u, outcomes = [u], [outcome]
         else:
             u0 = [guesses[m](problem, states[m][i], mus[m], dt) for m in rows]

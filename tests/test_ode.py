@@ -726,7 +726,8 @@ def test_newton_linearizes_each_iterate_once_and_builds_jacobians_lazily(bands):
     # At dt = 1 from u_prev = 0, g(u) = u*u + u - c, with the exact roots
     # (1, 2) for c = (2, 6). A solve of k iterations linearizes its k + 1
     # iterates and builds the Jacobian of the k that go on; a stack counts
-    # one of each per iteration, as long as one of its states goes on.
+    # one of each per iteration, as long as one of its states goes on. A
+    # lone ie_step, handed no linearization, has none to reuse.
     problem, counts = counting_problem(bands)
     mus = np.array([[2.0, 6.0], [2.0, 6.0]])
     roots = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -751,3 +752,58 @@ def test_newton_linearizes_each_iterate_once_and_builds_jacobians_lazily(bands):
         iterations.append([o.iterations for o in outcomes])
     # The first stack's states stop at different iterates.
     assert iterations == [[7, 4], [0, 0], [3, 3]]
+
+
+def stepped_alone(problem, mu, dt, n_steps, initializer):
+    """States and NewtonStats of n_steps taken by one ie_step call each,
+    with no linearization handed from a step to the next."""
+    guess, states, stats = initializer.start(), [problem.initial_value(np.array(mu))], []
+    for _ in range(n_steps):
+        u, outcome = ie_step(problem, states[-1], mu, dt, None, guess)
+        states.append(u)
+        stats.append(outcome)
+    return np.array(states), stats
+
+
+COPY = Initializer("copy", lambda p, u, mu, dt: u.copy())
+# An explicit Euler step of the counting problem at c = (2, 6), as a surrogate.
+EULER_SURROGATE = surrogate_initializer(
+    lambda x: x[1:] + x[0] * (np.array([2.0, 6.0]) - x[1:] ** 2))
+
+
+@pytest.mark.parametrize("bands", [None, (1, 1)], ids=["dense", "band"])
+@pytest.mark.parametrize("mu, initializer, carried", [
+    ((2.0, 6.0), PREVIOUS_VALUE, True),
+    ((2.0, 6.0), COPY, False),
+    ((2.0, 6.0), EULER_SURROGATE, False),
+    ((0.0, 0.0), PREVIOUS_VALUE, True),  # steady: every step converges at once
+], ids=["previous", "copy", "surrogate", "steady"])
+def test_a_run_hands_its_last_linearization_to_a_previous_value_step(bands, mu, initializer,
+                                                                     carried):
+    # A step whose guess is the state the step before ended on, that very
+    # array, starts from that step's last linearization: N steps of K
+    # iterations make K + 1 linearizations, where one ie_step call per step
+    # makes K + N, as does any other guess, a copy of that state included.
+    problem, counts = counting_problem(bands)
+    run = integrate(problem, mu, 0.1, 1.0, None, initializer)
+    n, k = run.n_steps, run.total_iterations
+    assert run.completed and n == 10 and (k == 0) == (mu == (0.0, 0.0))
+    assert counts == {"linearize": k + 1 if carried else k + n, "jacobian": k}
+    counts.update(linearize=0, jacobian=0)
+    states, stats = stepped_alone(problem, mu, 0.1, n, initializer)
+    assert counts == {"linearize": k + n, "jacobian": k}
+    assert run.states.tobytes() == states.tobytes()
+    assert run.newton_stats == stats
+
+
+def test_only_a_step_from_its_previous_state_hands_on_a_linearization():
+    # A step from another guess leaves no linearization: a held one would
+    # stay alive while the next step's guess runs.
+    problem, counts = counting_problem(None)
+    carry, mu = [None], (2.0, 6.0)
+    u, _ = ie_step(problem, np.zeros(2), mu, 0.1, None, PREVIOUS_VALUE, carry)
+    f, _ = carry[0]
+    assert f.tobytes() == problem.linearize(u, np.array(mu))[0].tobytes()
+    counts.update(linearize=0)
+    _, stats = ie_step(problem, u, mu, 0.1, None, COPY, carry)
+    assert carry == [None] and counts["linearize"] == stats.iterations + 1
