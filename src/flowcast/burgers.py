@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .ode import IvpProblem, _check_int, _check_params, _check_real
+from .ode import IvpProblem, _check_int, _check_params, _check_real, _iterable
 
 __all__ = [
     "BurgersGrid",
@@ -71,8 +71,9 @@ def _ghosted(u, mu, grid: BurgersGrid) -> np.ndarray:
     """The state with one ghost cell per side holding the boundary state.
 
     A stack of states (M, cells), with one row (u_l, u_r) of ``mu`` per
-    state, gives the ghosted states as columns, shape (cells + 2, M), so
-    that the flux code slices cells on the leading axis in both cases.
+    state, each checked as a lone parameter is, gives the ghosted states as
+    columns, shape (cells + 2, M), so that the flux code slices cells on the
+    leading axis in both cases.
     """
     u = np.asarray(u, dtype=float)
     if u.shape == (grid.cells,):
@@ -84,12 +85,12 @@ def _ghosted(u, mu, grid: BurgersGrid) -> np.ndarray:
         raise ValueError(
             f"state has shape {u.shape}, expected ({grid.cells},) or (M, {grid.cells})"
         )
-    # A finite float64 array, as integrate_many passes it, is taken as it is.
-    if type(mu) is not np.ndarray or mu.dtype != np.float64 or not np.isfinite(mu).all():
-        mu = np.array([_check_params(row) for row in mu])
-    if mu.shape != (len(u), 2):
-        raise ValueError(f"a stack of {len(u)} states needs mu of shape ({len(u)}, 2), "
-                         f"got {mu.shape}")
+    # A finite float64 (M, 2) array, as integrate_many passes it, is taken as it is.
+    if not (type(mu) is np.ndarray and mu.dtype == np.float64 and mu.shape == (len(u), 2)
+            and np.isfinite(mu).all()):
+        mu = np.array([_boundary_states(row) for row in _iterable("mu", mu)])
+    if len(mu) != len(u):
+        raise ValueError(f"a stack of {len(u)} states needs {len(u)} parameters, got {len(mu)}")
     w = np.empty((grid.cells + 2, len(u)))
     w[0], w[-1] = mu.T
     w[1:-1] = u.T

@@ -25,6 +25,7 @@ import configparser
 import csv
 import importlib.resources
 import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -239,7 +240,9 @@ def cmd_online(args) -> int:
     except ValueError as exc:
         raise ValueError(f"cannot parse --mu {args.mu!r}: {exc}") from None
     model = load_model(args.model)
+    start = time.perf_counter()
     traj, dt_in_training = online(model, mu, args.dt, args.horizon)
+    wall = time.perf_counter() - start
     print(f"mu = {tuple(float(v) for v in traj.mu)}, dt = {traj.dt:g}, "
           f"T = {args.horizon:g}, steps = {traj.n_steps}")
     if not dt_in_training:
@@ -247,7 +250,7 @@ def cmd_online(args) -> int:
     print(f"mean Newton iterations per step: {traj.mean_iterations:.2f} "
           f"(total {traj.total_iterations})")
     print(f"mean starting-guess residual: {traj.mean_initializer_residual:.3e}")
-    print(f"wall time: {traj.wall_time_s:.3f} s")
+    print(f"wall time: {wall:.3f} s")
     if args.out:
         _write_csv(args.out,
                    ["step", "time", "iterations", "initializer_residual", "final_residual"],

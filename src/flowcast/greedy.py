@@ -69,7 +69,7 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Interpolation data: finite inputs (N, p), pairwise distinct rows; targets (N, q)."""
+    """Interpolation data: finite inputs (N, p), pairwise distinct rows; finite targets (N, q)."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -88,8 +88,9 @@ class TrainingSet:
             )
         if inputs.shape[0] < 1:
             raise ValueError("training set must contain at least one pair")
-        if not np.isfinite(inputs).all():
-            raise ValueError("training inputs must be finite")
+        for name, array in (("inputs", inputs), ("targets", targets)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"training {name} must be finite")
         if not _rows_distinct(inputs):
             raise ValueError("training inputs must be pairwise distinct")
         object.__setattr__(self, "inputs", inputs)
@@ -153,8 +154,13 @@ class GreedyState:
 
     def __init__(self, data: TrainingSet, cfg: TrainConfig, excluded=None,
                  kernel_row: Callable[[int], np.ndarray] | None = None):
+        rows = np.array([], dtype=int) if excluded is None else np.asarray(excluded)
+        outside = (rows < 0) | (rows >= data.size)
+        if outside.any():
+            raise ValueError(f"excluded rows must lie in [0, {data.size}), "
+                             f"got {rows[outside].tolist()}")
         self.pool_power = np.ones(data.size)  # K(x, x) = 1 for the Gaussian
-        self.pool_power[[] if excluded is None else excluded] = -np.inf
+        self.pool_power[rows] = -np.inf
         pool = int(np.count_nonzero(np.isfinite(self.pool_power)))
         self.max_centers = n_max = pool if cfg.max_centers is None else min(pool, cfg.max_centers)
         self.data = data
@@ -216,8 +222,11 @@ def update_basis(state: GreedyState, new_index: int) -> GreedyState:
     """Append one Newton basis column for ``new_index`` and refresh the state.
 
     Mutates ``state`` in place and returns it. At most one kernel row, that
-    of the new point, is evaluated; the step costs O(N * n).
+    of the new point, is evaluated; the step costs O(N * n). An index
+    outside [0, N), or of a selected or excluded row, raises ValueError.
     """
+    if not 0 <= new_index < len(state.pool_power):
+        raise ValueError(f"point {new_index} is outside the rows [0, {len(state.pool_power)})")
     if state.pool_power[new_index] == -np.inf:
         raise ValueError(f"point {new_index} is already selected or excluded")
     pivot = state.pool_power[new_index]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -527,7 +526,6 @@ class Trajectory:
     initializer: str = "previous"
     completed: bool = True
     error: str | None = None
-    wall_time_s: float = 0.0
 
     @property
     def n_steps(self) -> int:
@@ -570,15 +568,28 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
+def _iterable(name: str, value):
+    """An iterator over ``value``; ValueError if it is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {value!r}") from None
+
+
 def _check_cases(problem: IvpProblem, cases, T: float) -> list[tuple[tuple[float, ...], float]]:
     """The (mu, dt) ``cases`` as (float tuple, float) pairs: the one case
     rule of the package, applied before anything integrates.
-    Each mu must pass :func:`_check_params` and give ``problem`` an initial
-    value of shape (dim,); each dt must pass :func:`_step_count`. Raises
-    ValueError naming the first case that fails.
+    Each case must be a pair, each mu must pass :func:`_check_params` and
+    give ``problem`` an initial value of shape (dim,), and each dt must pass
+    :func:`_step_count`. Raises ValueError naming the first case that fails,
+    or when ``cases`` is not iterable.
     """
     checked = []
-    for mu, dt in cases:
+    for case in _iterable("cases", cases):
+        try:
+            mu, dt = case
+        except (TypeError, ValueError):
+            raise ValueError(f"a case must be a (mu, dt) pair (case {case!r})") from None
         try:
             params = _check_params(mu)
             _step_count(T, dt)
@@ -614,9 +625,10 @@ def integrate_many(
     Never raises on step failure: a step whose NewtonStats did not converge
     takes its instance out of the stack, and the partial trajectory is
     returned with ``completed=False`` and ``error`` saying at which step and
-    how the solve stopped. ``wall_time_s`` is the stack's.
+    how the solve stopped.
     """
-    mus = [np.array(mu) for mu, _ in _check_cases(problem, [(mu, dt) for mu in mus], T)]
+    mus = [np.array(mu) for mu, _ in
+           _check_cases(problem, [(mu, dt) for mu in _iterable("mus", mus)], T)]
     n_steps = _step_count(T, dt)
     states = [np.empty((n_steps + 1, problem.dim)) for _ in mus]
     for state, mu in zip(states, mus):
@@ -628,7 +640,6 @@ def integrate_many(
     mu_rows = np.array(mus)
     single = len(mus) == 1  # one instance runs unstacked, on 1-d arrays
     carry = [None]  # the lone run's last linearization, for its next step
-    start = time.perf_counter()
     for i in range(n_steps):
         if not rows:
             break
@@ -646,11 +657,10 @@ def integrate_many(
             else:
                 errors[m] = f"step {i + 1}: {_failure(outcome)}"
                 rows = [r for r in rows if r != m]  # the zip keeps iterating the old list
-    wall = time.perf_counter() - start
     return [Trajectory(mu=mu, dt=float(dt), times=dt * np.arange(len(stats[m]) + 1),
                        states=states[m][: len(stats[m]) + 1], newton_stats=stats[m],
                        initializer=initializer.name, completed=errors[m] is None,
-                       error=errors[m], wall_time_s=wall)
+                       error=errors[m])
             for m, mu in enumerate(mus)]
 
 

@@ -17,7 +17,8 @@ wall time gains per case.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import time
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class OfflineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _check_real("T", self.horizon))
-        for name, cls in (("cv", CvConfig), ("newton", NewtonConfig)):
+        for name, cls in (("problem_options", dict), ("cv", CvConfig), ("newton", NewtonConfig)):
             if not isinstance(getattr(self, name), cls):
                 raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         options = {key: value.item() if isinstance(value, np.generic) else value
@@ -270,8 +271,8 @@ class CaseResult:
     """Baseline vs surrogate outcome of one (mu, dt) benchmark case.
 
     ``baseline`` and ``surrogate`` are the first run of each initializer and
-    supply the iteration counts; the times are means over all repetitions.
-    Gains are NaN unless both runs completed.
+    supply the iteration counts; the times are means over all repetitions of
+    whole calls, timed from outside. Gains are NaN unless both completed.
     """
 
     mu: tuple
@@ -296,7 +297,7 @@ def compare_cases(
     problem: IvpProblem | None = None,
     newton: NewtonConfig | None = None,
 ) -> list[CaseResult]:
-    """Benchmark baseline vs surrogate initialization over (mu, dt) cases.
+    """Benchmark ``integrate`` from the previous value against ``online`` over (mu, dt) cases.
 
     Returns one result per case, in case order, failed cases included. The
     first run per case supplies iteration counts and the first timing
@@ -312,18 +313,19 @@ def compare_cases(
     newton = newton if newton is not None else model.newton()
     _check_dims(model, problem)
     cases = _check_cases(problem, cases, T)
-    init_new = surrogate_initializer(model.predict)
     results: list[CaseResult] = []
     for index, (mu, dt) in enumerate(cases):
-        runs = {PREVIOUS_VALUE: [], init_new: []}
+        runs = {lambda: integrate(problem, mu, dt, T, newton, PREVIOUS_VALUE): [],
+                lambda: online(model, mu, dt, T, problem, newton)[0]: []}  # [(trajectory, s)]
         for rep in range(repetitions):
-            for init in list(runs)[:: 1 if (index + rep) % 2 == 0 else -1]:
-                runs[init].append(integrate(problem, mu, dt, T, newton, init))
-            base, sur = runs[PREVIOUS_VALUE][0], runs[init_new][0]
+            for run in list(runs)[:: 1 if (index + rep) % 2 == 0 else -1]:
+                start = time.perf_counter()
+                runs[run].append((run(), time.perf_counter() - start))
+            (base, _), (sur, _) = (timed[0] for timed in runs.values())
             ok = base.completed and sur.completed
             if not ok:
                 break
-        time_old, time_new = (float(np.mean([t.wall_time_s for t in ts])) for ts in runs.values())
+        time_old, time_new = (float(np.mean([s for _, s in timed])) for timed in runs.values())
         results.append(CaseResult(
             mu=mu,
             dt=dt,
@@ -363,10 +365,10 @@ def load_model(path) -> SurrogateModel:
     """Read a model written by :func:`save_model`.
 
     Raises ValueError for a file that is not JSON, of another format
-    version, with keys beyond the format-2 layout, whose problem cannot be
-    built or does not fit the model, or whose recorded cases are empty or
-    fail the case rule (``_check_cases``); a file that cannot be opened
-    raises the OSError of ``open``, which names the path."""
+    version, with keys beyond the format-2 layout, whose recorded config
+    :class:`OfflineConfig` refuses, or whose problem does not fit the model;
+    a file that cannot be opened raises the OSError of ``open``, which names
+    the path."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -387,11 +389,10 @@ def load_model(path) -> SurrogateModel:
             coefficients = _real_array("coefficients", raw["coefficients"]).reshape(-1, q)
             model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
                                    raw["provenance"])
-            model.newton()  # the recorded settings and cases are checked on reading,
-            problem, prov = model.build_problem(), model.provenance  # like the problem
-            if not _check_cases(problem, prov["cases"], prov["horizon"]):
-                raise ValueError("at least one training case (mu, dt) is required")
-            _check_dims(model, problem)
+            cfg = {f.name: model.provenance[f.name] for f in fields(OfflineConfig)}
+            cv = {key: v for key, v in {**cfg["cv"]}.items() if key != "best_score"}
+            OfflineConfig(**dict(cfg, cv=CvConfig(**cv), newton=NewtonConfig(**cfg["newton"])))
+            _check_dims(model, model.build_problem())
             return model
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc

@@ -323,14 +323,19 @@ def test_stacked_rhs_and_jacobian_rows_are_single_calls(cells):
     for u, mu, rhs_row, jac_block in zip(states, mus, rhs, jac):
         assert same_bits(rhs_row, burgers_rhs(u, mu, grid))
         assert same_bits(jac_block, burgers_jacobian(u, mu, grid))
-    with pytest.raises(ValueError, match=r"mu of shape \(5, 2\)"):
+    # Each row of any other parameters passes the one Burgers parameter rule.
+    with pytest.raises(ValueError, match=r"two components \(u_l, u_r\), got 1"):
         burgers_rhs(states, mus[:, :1], grid)
+    with pytest.raises(ValueError, match="a stack of 5 states needs 5 parameters, got 3"):
+        burgers_rhs(states, mus[:3], grid)
+    with pytest.raises(ValueError, match="mu must be iterable, got 3.4"):
+        burgers_rhs(states, 3.4, grid)
     # Parameters in any other form than a float64 array are converted first.
     pairs = mus[:2].tolist()
     assert same_bits(burgers_rhs(states[:2], pairs, grid), burgers_rhs(states[:2], mus[:2], grid))
     assert same_bits(burgers_jacobian(states[:2], pairs, grid),
                      burgers_jacobian(states[:2], mus[:2], grid))
-    with pytest.raises(ValueError, match=r"needs mu of shape \(2, 2\), got \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"two components \(u_l, u_r\), got 3"):
         burgers_rhs(states[:2], [(3.4, 0.2, 1.0), (3.0, 0.4, 0.0)], grid)
     with pytest.raises(ValueError, match="shape"):
         burgers_jacobian(states[:, 1:], mus, grid)

@@ -353,6 +353,7 @@ def test_cli_offline_online_bench(tiny_cfg, tmp_path, capsys):
         "--dt", "0.05", "-T", "0.25", "--out", str(step_csv),
     ])
     assert code == 0
+    assert re.search(r"^wall time: \d+\.\d{3} s$", capsys.readouterr().out, re.M)
     rows = read_csv(step_csv)
     assert rows[0] == ["step", "time", "iterations", "initializer_residual",
                        "final_residual"]

@@ -1,5 +1,6 @@
 """Greedy trainer: P-greedy selection, Newton basis updates, termination."""
 
+import re
 import warnings
 
 import numpy as np
@@ -42,13 +43,15 @@ def test_training_set_validation(rng):
         TrainingSet(np.zeros((2, 2)), np.ones((2, 1)))
     with pytest.raises(ValueError, match="pairwise distinct"):  # -0 equals +0
         TrainingSet(np.array([[0.1, 0.0], [0.2, 1.0], [0.1, -0.0]]), np.ones((3, 1)))
-    # Inputs must be finite; targets are not read by selection (see
-    # test_p_rule_matches_incremental_reference) and are left unchecked.
+    # Inputs and targets must be finite. Selection never reads the targets
+    # (see test_p_rule_matches_incremental_reference), but the coefficients
+    # and the cross-validation scores do, and would fail there unnamed.
     for bad in (np.nan, np.inf):
-        inputs, targets = make_training_set(rng, 30, 2, 1)
-        inputs[7, 1] = bad
-        with pytest.raises(ValueError, match="inputs must be finite"):
-            TrainingSet(inputs, targets)
+        for name in ("inputs", "targets"):
+            arrays = dict(zip(("inputs", "targets"), make_training_set(rng, 30, 2, 1)))
+            arrays[name][7, 0] = bad
+            with pytest.raises(ValueError, match=f"training {name} must be finite"):
+                TrainingSet(**arrays)
     data = small_data(rng)
     assert (data.size, data.input_dim, data.output_dim) == (12, 2, 2)
 
@@ -119,6 +122,21 @@ def test_update_basis_invariants(rng):
     state.pool_power[5] = POWER_FLOOR / 2
     with pytest.raises(ValueError, match="numerically zero"):
         update_basis(state, 5)
+
+
+def test_row_indices_outside_the_training_set_are_refused(rng):
+    # A negative index would otherwise select a row counted from the end and
+    # record the negative index; one past the end would raise IndexError.
+    data = small_data(rng, n=10)
+    state = GreedyState(data, TrainConfig(1.0))
+    for index in (-1, 10, np.int64(-3)):
+        with pytest.raises(ValueError, match=rf"point {index} is outside the rows \[0, 10\)"):
+            update_basis(state, index)
+    assert state.selected == [] and np.all(state.pool_power == 1.0)
+    for excluded, bad in (([10], [10]), ([-1], [-1]), (np.array([3, 12, -2]), [12, -2])):
+        with pytest.raises(ValueError, match=re.escape(f"excluded rows must lie in [0, 10), "
+                                                       f"got {bad}")):
+            GreedyState(data, TrainConfig(1.0), excluded=excluded)
 
 
 def test_excluded_rows_are_never_candidates(rng):
@@ -276,8 +294,10 @@ def test_p_rule_matches_incremental_reference(held_out, shared):
     err = np.max(np.abs(held_out - residuals[rows]))
     assert err <= 1e-10 * np.max(np.abs(residuals[rows]))
     # The run never reads the targets: NaN targets select the same centers.
-    blind = GreedyState(TrainingSet(inputs, np.full_like(targets, np.nan)), cfg,
-                        excluded, kernel_row)
+    # TrainingSet refuses them, so they are written past its check.
+    nan_data = TrainingSet(inputs, targets)
+    object.__setattr__(nan_data, "targets", np.full_like(targets, np.nan))
+    blind = GreedyState(nan_data, cfg, excluded, kernel_row)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_greedy(blind)[0] == want_status

@@ -556,6 +556,8 @@ def test_integrate_many_calls_initializer_per_instance():
     assert seen == [((8,), mu) for mu in mus] * 2
     assert [t.initializer for t in trajectories] == ["recording"] * 2
     assert integrate_many(make_burgers_problem(cells=8), [], 0.1, 0.2) == []
+    with pytest.raises(ValueError, match="mus must be iterable, got 5"):
+        integrate_many(make_burgers_problem(cells=8), 5, 0.1, 0.2)
 
 
 def test_single_instance_keeps_1d_calls(monkeypatch):

@@ -355,6 +355,20 @@ def test_compare_alternates_run_order(tiny_model, monkeypatch):
                      "surrogate", "previous", "previous", "surrogate"]
 
 
+def test_compare_cases_runs_the_surrogate_through_online(tiny_model, monkeypatch):
+    # One deployment: the surrogate side is online, as flowcast online runs it.
+    calls = []
+
+    def recording_online(*args):
+        calls.append(args[1:4])
+        return online(*args)
+
+    monkeypatch.setattr(pipeline, "online", recording_online)
+    (row,) = compare_cases(tiny_model, [((3.4, 0.2), 0.05)], 0.5, repetitions=2)
+    assert calls == [((3.4, 0.2), 0.05, 0.5)] * 2
+    assert row.time_old_s > 0 and row.time_vkoga_s > 0
+
+
 def test_compare_cases_runs_keep_their_own_guess_memory(tiny_model, monkeypatch):
     # compare_cases reuses one surrogate initializer for every case and
     # repetition; each run must still guess as a run of its own does.
@@ -502,6 +516,35 @@ def test_load_model_checks_the_recorded_cases(tiny_model, tmp_path, cases):
         load_model(path)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda prov: {"cv": {**prov["cv"], "epsilon_min": 2.0, "epsilon_max": 1.0}},
+     r"need epsilon_min <= epsilon_max, got \[2\.0, 1\.0\]"),
+    (lambda prov: {"tolerance": -1}, "tolerance must be a real number >= 0, got -1"),
+    (lambda prov: {"max_centers": 0}, "max_centers must be an integer >= 1 or None, got 0"),
+    (lambda prov: {"epsilon": -0.3}, "epsilon must be a real number > 0, got -0.3"),
+    (lambda prov: {"cv": 5}, "'int' object is not a mapping"),
+    (lambda prov: {"cv": [1]}, "'list' object is not a mapping"),
+    (lambda prov: {"newton": 5}, r".*argument after \*\* must be a mapping, not int"),
+], ids=["cv_bounds", "tolerance", "max_centers", "epsilon", "cv_int", "cv_list", "newton_int"])
+def test_load_model_checks_the_recorded_config_as_offline_config_does(tiny_model, tmp_path,
+                                                                       change, message):
+    path = tmp_path / "model.json"
+    save_model(tiny_model, path)
+    raw = json.loads(path.read_text())
+    prov = raw["provenance"]
+    path.write_text(json.dumps(dict(raw, provenance={**prov, **change(prov)})))
+    with pytest.raises(ValueError, match=f"malformed model file .*: {message}"):
+        load_model(path)
+
+
+def test_load_model_reads_the_width_search_score(tmp_path):
+    # The score cross validation recorded beside the [cv] settings is not one of them.
+    model = offline(tiny_config(epsilon=None, cv=CvConfig(grid_size=3, folds=2)))
+    assert "best_score" in model.provenance["cv"]
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json").provenance == model.provenance
+
+
 def test_load_model_rejects_normalized_inputs(tiny_model, tmp_path):
     """A format-2 file never holds a ``normalization``; one that does is
     refused rather than run on raw inputs with the rescaling dropped."""
@@ -593,6 +636,24 @@ CASE_USERS = {
 def test_parameters_are_finite_real_numbers(tiny_model, user, mu):
     with pytest.raises(ValueError, match="mu must be a finite real number or a 1-d sequence"):
         CASE_USERS[user](tiny_model, [(mu, 0.05)])
+
+
+@pytest.mark.parametrize("cases, message", [
+    (5, "cases must be iterable, got 5"),
+    ([5], r"a case must be a \(mu, dt\) pair \(case 5\)"),
+    ([((3.4, 0.2), 0.05, 1.0)],
+     r"a case must be a \(mu, dt\) pair \(case \(\(3\.4, 0\.2\), 0\.05, 1\.0\)\)"),
+], ids=["not_iterable", "not_a_pair", "three_items"])
+@pytest.mark.parametrize("user", ["ExperimentConfig", "OfflineConfig", "compare_cases"])
+def test_malformed_cases_are_refused_by_name(tiny_model, step_calls, user, cases, message):
+    with pytest.raises(ValueError, match=message):
+        CASE_USERS[user](tiny_model, cases)
+    assert step_calls == []
+
+
+def test_problem_options_must_be_a_dict():
+    with pytest.raises(ValueError, match=r"problem_options must be a dict, got \[1\]"):
+        tiny_config(problem_options=[1])
 
 
 @pytest.mark.parametrize("dt", [True, "0.05", 0.0])
