@@ -178,33 +178,23 @@ def _linear_solve(jac: np.ndarray, rhs: np.ndarray, bands: tuple[int, int] | Non
     return x
 
 
-def _solve_stack(jac, rhs, bands) -> tuple[np.ndarray, list[int]]:
+def _solve_stack(jac, rhs, bands) -> np.ndarray:
     """Solve a stack of systems, ``rhs`` of shape (M, d) with ``jac`` (M, d, d)
     or, for bands, (M, 3, d), each as :func:`_linear_solve` would alone.
 
     A band stack is one ``dgtsv`` on the concatenated (3, M*d) band, where
     each block's zero corners are its couplings to its neighbours. Dense
-    systems are solved one at a time. Returns the solutions and the
-    positions of the singular systems, whose rows are left unset.
+    systems are solved one at a time. Raises LinAlgError when a system is
+    singular, and for a band stack when the solution is not finite: a
+    non-finite block spills into its neighbours through 0 * inf.
     """
-    if bands is not None:
-        try:
-            band = jac.transpose(1, 0, 2).reshape(3, -1)
-            x = _linear_solve(band, rhs.reshape(-1), bands).reshape(rhs.shape)
-            if np.isfinite(x).all():
-                return x, []
-        except np.linalg.LinAlgError:
-            pass
-        # dgtsv stops at the first singular system, and a non-finite one
-        # spills into its neighbours through 0 * inf: solve each alone.
-    x = np.empty_like(rhs)
-    singular = []
-    for j in range(len(rhs)):
-        try:
-            x[j] = _linear_solve(jac[j], rhs[j], bands)
-        except np.linalg.LinAlgError:
-            singular.append(j)
-    return x, singular
+    if bands is None:
+        return np.array([_linear_solve(a, b, None) for a, b in zip(jac, rhs)])
+    band = jac.transpose(1, 0, 2).reshape(3, -1)
+    x = _linear_solve(band, rhs.reshape(-1), bands).reshape(rhs.shape)
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("non-finite solution of a band stack")
+    return x
 
 
 def _check_one_system(name: str, u: np.ndarray) -> None:
@@ -218,7 +208,7 @@ def newton_solve(
     cfg: NewtonConfig | None = None,
     bands: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, NewtonStats]:
-    """Damped-free Newton iteration on a square system.
+    """Undamped Newton iteration on a square system.
 
     ``system(u)`` returns the residual at u and a function of no arguments
     that returns the residual's Jacobian at that u, which is called only at
@@ -468,10 +458,12 @@ def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt:
 
     Each Newton iteration makes one stacked linearization, Jacobian and
     :func:`_solve_stack` for the states still iterating; a state leaves as
-    soon as it stops, and the Jacobian of the iterate is sliced to the
-    states that go on. Returns, per state, its last iterate and its
-    NewtonStats; a state whose linear system is singular stops with status
-    "singular" while the others solve again without it."""
+    soon as its residual norm stops it, and the Jacobian of the iterate is
+    sliced to the states that go on. Returns, per state, its last iterate
+    and its NewtonStats. A stacked solve that raises hands the whole step to
+    :func:`newton_solve`, one state at a time from its guess: the stack's
+    iterations of that step are thrown away, which costs work only on a step
+    where some linear solve fails."""
     cfg = cfg or _DEFAULT_NEWTON
     u = np.array(u0, dtype=float)
     out, outcomes = u, [None] * len(u)  # written as each state leaves
@@ -484,15 +476,18 @@ def _ie_step_stack(problem: IvpProblem, u_prev: np.ndarray, mus: np.ndarray, dt:
         ended = {j: status for j, norm in enumerate(norms)
                  if (status := _status(iterations, norm, cfg)) is not None}
         if not ended:
-            delta, singular = _solve_stack(jacobian(), g, problem.jacobian_bands)
-            if not singular:
-                u = u - delta  # as newton_solve steps
-                g, jacobian = system(u)
-                iterations += 1
-                norms = [math.sqrt(np.vdot(r, r)) for r in g]
-                continue
-            # The others solve again without the singular ones.
-            ended = dict.fromkeys(singular, "singular")
+            try:
+                delta = _solve_stack(jacobian(), g, problem.jacobian_bands)
+            except np.linalg.LinAlgError:
+                for j in range(len(out)):
+                    out[j], outcomes[j] = newton_solve(_ie_system(problem, u_prev[j], mus[j], dt),
+                                                       u0[j], cfg, problem.jacobian_bands)
+                return out, outcomes
+            u = u - delta  # as newton_solve steps
+            g, jacobian = system(u)
+            iterations += 1
+            norms = [math.sqrt(np.vdot(r, r)) for r in g]
+            continue
         for j, status in ended.items():
             outcomes[rows[j]] = NewtonStats(iterations, norms[j], status, initial[rows[j]])
             out[rows[j]] = u[j]

@@ -390,6 +390,9 @@ def load_model(path) -> SurrogateModel:
             model = SurrogateModel(KernelExpansion(centers, coefficients, raw["epsilon"]),
                                    raw["provenance"])
             cfg = {f.name: model.provenance[f.name] for f in fields(OfflineConfig)}
+            for key in ("cv", "newton"):
+                if not isinstance(cfg[key], dict):
+                    raise ValueError(f"{key} must be a JSON object, got {cfg[key]!r}")
             cv = {key: v for key, v in {**cfg["cv"]}.items() if key != "best_score"}
             OfflineConfig(**dict(cfg, cv=CvConfig(**cv), newton=NewtonConfig(**cfg["newton"])))
             _check_dims(model, model.build_problem())

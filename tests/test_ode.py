@@ -512,35 +512,65 @@ def test_integrate_many_matches_single_runs_with_dense_jacobian():
         assert_same_runs(got, integrate(problem, mu, 0.05, 1.0))
 
 
-def assert_fails_alone_in_a_stack(problem, mus, dt, T, cfg, failing, error):
+def record_newton_solve(monkeypatch):
+    """The (u, NewtonStats) result of every ``ode.newton_solve`` call from
+    now on, as the benchmark's tracer reads it."""
+    import flowcast.ode as ode
+
+    results, solve = [], ode.newton_solve
+
+    def recording_solve(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ode, "newton_solve", recording_solve)
+    return results
+
+
+def assert_fails_alone_in_a_stack(monkeypatch, problem, mus, dt, T, cfg, failing, error):
     """The run of ``mus[failing]`` fails at the same step with the same error,
     states and stats in the stack as alone, and its partners' runs do not
-    change."""
-    stacked = integrate_many(problem, mus, dt, T, cfg)
+    change. Returns the runs alone and the results of the ``newton_solve``
+    calls the stacked run made."""
+    with monkeypatch.context() as patch:
+        solves = record_newton_solve(patch)
+        stacked = integrate_many(problem, mus, dt, T, cfg)
     alone = [integrate(problem, mu, dt, T, cfg) for mu in mus]
     assert not alone[failing].completed and alone[failing].error.startswith(error)
     for got, want in zip(stacked, alone):
         assert_same_runs(got, want)
-    return alone
+    return alone, solves
 
 
-def test_stalled_instance_fails_alone_in_a_stack():
+def test_stalled_instance_fails_alone_in_a_stack(monkeypatch):
     # (3.4, 0.2) at dt 0.1 stalls on Newton's round-off plateau: status "cap".
-    assert_fails_alone_in_a_stack(make_burgers_problem(), [(3.4, 0.2), (3.2, 0.0)], 0.1, 2.0,
-                                  None, 0, "step 6: step did not converge within 100 iterations")
+    # It leaves the stack by its residual norm, as a converged row does: no
+    # linear solve failed, so the stack makes no lone newton_solve call.
+    _, solves = assert_fails_alone_in_a_stack(
+        monkeypatch, make_burgers_problem(), [(3.4, 0.2), (3.2, 0.0)], 0.1, 2.0, None, 0,
+        "step 6: step did not converge within 100 iterations")
+    assert solves == []
 
 
-@pytest.mark.parametrize("bad, error", [
-    ("singular", f"step 1: {SINGULAR_AT_0}"),
-    ("nan", "step 1: non-finite residual norm at iteration 1"),
-], ids=["singular", "non-finite"])
-def test_spoiled_instance_fails_alone_in_a_stack(bad, error):
+@pytest.mark.parametrize("bad, error, dense", [
+    ("singular", f"step 1: {SINGULAR_AT_0}", False),
+    ("nan", "step 1: non-finite residual norm at iteration 1", False),
+    ("singular", f"step 1: {SINGULAR_AT_0}", True),
+    ("nan", "step 1: non-finite residual norm at iteration 1", True),
+], ids=["singular", "non-finite", "singular-dense", "non-finite-dense"])
+def test_spoiled_instance_fails_alone_in_a_stack(monkeypatch, bad, error, dense):
     # At dt = 1 the spoiled system of tridiagonal_systems stops with status
     # "singular" or "non-finite" at its first step; its neighbours run on.
-    problem, mus = tridiagonal_systems(bad)
-    alone = assert_fails_alone_in_a_stack(problem, mus, 1.0, 3.0, NewtonConfig(tolerance=1e-12),
-                                          1, error)
+    problem, mus = tridiagonal_systems(bad, dense)
+    alone, solves = assert_fails_alone_in_a_stack(
+        monkeypatch, problem, mus, 1.0, 3.0, NewtonConfig(tolerance=1e-12), 1, error)
     assert alone[0].completed and alone[2].completed
+    # A stacked solve that raises hands its step to newton_solve, one state
+    # at a time; the later steps of the two partners stack again. A dense
+    # stack solves each system alone, so its NaN system gives a non-finite
+    # step that stops its row by the residual norm, with no solve raising.
+    assert len(solves) == (0 if dense and bad == "nan" else len(mus))
+    assert all(u.shape == (4,) and isinstance(stats, NewtonStats) for u, stats in solves)
 
 
 def test_integrate_many_calls_initializer_per_instance():
@@ -564,21 +594,15 @@ def test_single_instance_keeps_1d_calls(monkeypatch):
     # One instance runs unstacked: 1-d states reach the problem, and
     # newton_solve returns (u, NewtonStats), as the benchmark's tracer reads.
     import flowcast.burgers as burgers
-    import flowcast.ode as ode
 
-    shapes, results = [], []
-    linearize, solve = burgers.burgers_linearize, ode.newton_solve
+    shapes, linearize = [], burgers.burgers_linearize
 
     def recording_linearize(u, mu, grid):
         shapes.append(np.shape(u))
         return linearize(u, mu, grid)
 
-    def recording_solve(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
-
     monkeypatch.setattr(burgers, "burgers_linearize", recording_linearize)
-    monkeypatch.setattr(ode, "newton_solve", recording_solve)
+    results = record_newton_solve(monkeypatch)
     integrate(make_burgers_problem(cells=8), (3.4, 0.2), 0.1, 0.3)
     assert set(shapes) == {(8,)}
     assert len(results) == 3
@@ -587,20 +611,14 @@ def test_single_instance_keeps_1d_calls(monkeypatch):
 
 def test_stacked_runs_keep_newton_solve_one_system(monkeypatch):
     # The benchmark's tracer reads (u, NewtonStats) from every newton_solve
-    # call; a stacked run must not pass a stack through it.
+    # call; a stacked run must not pass a stack through it, and a stack whose
+    # solves all succeed makes no newton_solve call at all.
     import dataclasses
 
-    import flowcast.ode as ode
     from flowcast.cli import load_experiment
     from flowcast.pipeline import build_training_data
 
-    results, solve = [], ode.newton_solve
-
-    def recording_solve(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(ode, "newton_solve", recording_solve)
+    results = record_newton_solve(monkeypatch)
     problem = make_burgers_problem(cells=8)
     integrate_many(problem, [(3.4, 0.2), (3.0, 0.4)], 0.1, 0.3)
     offline_cfg = load_experiment("experiment2").offline
@@ -622,11 +640,12 @@ def test_newton_solve_and_ie_step_refuse_a_stack():
         ie_step(problem, u, np.array([(3.4, 0.2), (3.0, 0.4)]), 0.1)
 
 
-def tridiagonal_systems(bad):
+def tridiagonal_systems(bad, dense=False):
     """A stack-capable problem u' = c - u*u on 4 unknowns, c = mu, with a
     tridiagonal Jacobian band whose 1e-3 off-diagonals only slow Newton down.
     The band of the system with c[0] == 1.5 is spoiled as ``bad`` says: a
-    NaN entry, or, at dt = 1, a singular I - dt * J."""
+    NaN entry, or, at dt = 1, a singular I - dt * J. With ``dense`` the
+    problem brings the same Jacobian as dense matrices."""
 
     def band(u, c):
         ab = np.zeros((3, 4))
@@ -641,20 +660,24 @@ def tridiagonal_systems(bad):
         return ab
 
     def jacobian(u, mu):
-        return band(u, mu) if u.ndim == 1 else np.stack([band(v, c) for v, c in zip(u, mu)])
+        ab = band(u, mu) if u.ndim == 1 else np.stack([band(v, c) for v, c in zip(u, mu)])
+        return band_to_dense(ab) if dense else ab
 
     problem = IvpProblem(dim=4, linearize=lambda u, mu: (mu - u * u, lambda: jacobian(u, mu)),
-                         initial_value=lambda mu: mu, jacobian_bands=(1, 1))
+                         initial_value=lambda mu: mu, jacobian_bands=None if dense else (1, 1))
     mus = np.array([[2.0, 3.0, 5.0, 7.0], [1.5, 2.5, 3.5, 4.5], [6.0, 0.5, 2.0, 9.0]])
     return problem, mus
 
 
-@pytest.mark.parametrize("bad", ["nan", "singular"])
-def test_spoiled_system_does_not_touch_its_neighbours(bad):
+@pytest.mark.parametrize("bad, dense", [("nan", False), ("singular", False),
+                                        ("nan", True), ("singular", True)],
+                         ids=["nan", "singular", "nan-dense", "singular-dense"])
+def test_spoiled_system_does_not_touch_its_neighbours(bad, dense):
     # In dgtsv's elimination a NaN block leaks into the next through 0 * NaN,
     # and dgtsv stops at the first singular pivot; the stack must still give
-    # every system its own solve's bits, the spoiled one included.
-    problem, mus = tridiagonal_systems(bad)
+    # every system its own solve's bits, the spoiled one included, and so
+    # must a dense stack, whose systems are solved one at a time.
+    problem, mus = tridiagonal_systems(bad, dense)
     u_prev, cfg = np.ones((3, 4)), NewtonConfig(tolerance=1e-12)
     u, outcomes = _ie_step_stack(problem, u_prev, mus, 1.0, cfg, u_prev)  # previous values
     alone_u, alone = ie_step(problem, u_prev[1], mus[1], 1.0, cfg)
@@ -667,6 +690,8 @@ def test_spoiled_system_does_not_touch_its_neighbours(bad):
         want_u, want_stats = ie_step(problem, u_prev[j], mus[j], 1.0, cfg)
         assert outcomes[j] == want_stats and want_stats.converged
         assert u[j].tobytes() == want_u.tobytes()
+    if dense:
+        return
     # The hazard is real: one dgtsv over the whole stack spoils every block.
     g, jacobian = _ie_system(problem, u_prev, mus, 1.0)(u_prev)
     one_solve = (np.concatenate(list(jacobian()), axis=1), g.reshape(-1), (1, 1))

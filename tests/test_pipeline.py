@@ -522,9 +522,9 @@ def test_load_model_checks_the_recorded_cases(tiny_model, tmp_path, cases):
     (lambda prov: {"tolerance": -1}, "tolerance must be a real number >= 0, got -1"),
     (lambda prov: {"max_centers": 0}, "max_centers must be an integer >= 1 or None, got 0"),
     (lambda prov: {"epsilon": -0.3}, "epsilon must be a real number > 0, got -0.3"),
-    (lambda prov: {"cv": 5}, "'int' object is not a mapping"),
-    (lambda prov: {"cv": [1]}, "'list' object is not a mapping"),
-    (lambda prov: {"newton": 5}, r".*argument after \*\* must be a mapping, not int"),
+    (lambda prov: {"cv": 5}, "cv must be a JSON object, got 5"),
+    (lambda prov: {"cv": [1]}, r"cv must be a JSON object, got \[1\]"),
+    (lambda prov: {"newton": 5}, "newton must be a JSON object, got 5"),
 ], ids=["cv_bounds", "tolerance", "max_centers", "epsilon", "cv_int", "cv_list", "newton_int"])
 def test_load_model_checks_the_recorded_config_as_offline_config_does(tiny_model, tmp_path,
                                                                        change, message):
